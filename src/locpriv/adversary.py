@@ -13,21 +13,16 @@ the likelihood matrix the adversary offers two attacks:
   of a single pass over column subsets (the permanent is multilinear, so
   each minor is the partial derivative of the full permanent with
   respect to a first-row entry).
-
-Brute-force enumeration twins (`*_bruteforce`) are kept as independent
-oracles for small n.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .anonymization import ObservationMatrix, Permutation
-from .markov import MobilityGraph, TransitionMatrix
+from .markov import TransitionMatrix
 from .mobility import IidProfile, _readonly
 
 __all__ = [
@@ -39,12 +34,9 @@ __all__ = [
     "likelihood_matrix_markov",
     "log_likelihood_iid",
     "log_likelihood_markov",
-    "log_likelihood_markov_free_edges",
     "map_assignment",
-    "map_assignment_bruteforce",
     "permanent",
     "posterior_pi1",
-    "posterior_pi1_bruteforce",
     "transition_stats",
 ]
 
@@ -161,24 +153,6 @@ def log_likelihood_markov(T: TransitionMatrix, M: np.ndarray) -> float:
     return float(np.sum(M[mask] * np.log(T.matrix[mask])))
 
 
-def log_likelihood_markov_free_edges(
-    T: TransitionMatrix, M: np.ndarray, graph: MobilityGraph
-) -> float:
-    """Reduced-statistic variant using free-edge counts only.
-
-    Experimental comparison point; the full-count kernel above is the
-    exactly sufficient one.
-    """
-    M = np.asarray(M, dtype=float)
-    total = 0.0
-    for i, j in graph.free_edges:
-        if M[i, j] > 0:
-            if T.matrix[i, j] == 0.0:
-                return float("-inf")
-            total += M[i, j] * math.log(T.matrix[i, j])
-    return total
-
-
 def likelihood_matrix_iid(profiles, stats: CountStats) -> np.ndarray:
     """L[u, j] = log-likelihood that user u generated pseudonym j's counts."""
     logp = np.stack([p.log_probs() for p in profiles])
@@ -221,7 +195,8 @@ def _subset_chunks(nbits: int):
 
 
 def permanent(A: np.ndarray) -> float:
-    """Ryser inclusion-exclusion permanent of a square matrix."""
+    """Ryser inclusion-exclusion permanent of a square matrix, expanded
+    along row 0: perm(A) = sum_j A[0, j] * (row-0 minor j)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -230,11 +205,7 @@ def permanent(A: np.ndarray) -> float:
         return 1.0
     if n > PERMANENT_FEASIBILITY_BOUND:
         raise ValueError(f"permanent limited to n <= {PERMANENT_FEASIBILITY_BOUND}")
-    total = 0.0
-    for mask, sizes in _subset_chunks(n):
-        rowsums = mask @ A.T
-        total += float(np.sum((-1.0) ** (n - sizes) * np.prod(rowsums, axis=1)))
-    return total
+    return float(A[0] @ _ryser_row0_minors(A))
 
 
 def _ryser_row0_minors(A: np.ndarray) -> np.ndarray:
@@ -299,28 +270,6 @@ def map_assignment(L: np.ndarray) -> Permutation:
     return Permutation.from_forward(forward)
 
 
-def map_assignment_bruteforce(L: np.ndarray) -> Permutation:
-    """Exhaustive argmax over all n! permutations (test oracle)."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    best_total = -np.inf
-    best_perm: tuple[int, ...] | None = None
-    for p in itertools.permutations(range(n)):
-        total = 0.0
-        feasible = True
-        for u, j in enumerate(p):
-            if not np.isfinite(L[u, j]):
-                feasible = False
-                break
-            total += L[u, j]
-        if feasible and (total > best_total):
-            best_total = total
-            best_perm = p
-    if best_perm is None:
-        raise ValueError("no feasible permutation: every matching hits -inf")
-    return Permutation.from_forward(list(best_perm))
-
-
 def _balance(L: np.ndarray) -> np.ndarray:
     """exp(L) rescaled by per-row and per-column factors toward a doubly
     stochastic matrix (Sinkhorn iterations in the scaled domain).
@@ -379,25 +328,3 @@ def posterior_pi1(
     return AssignmentPosterior(
         weights=w, normalization_residual=abs(float(w.sum()) - 1.0)
     )
-
-
-def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
-    """Posterior over user 1's pseudonym by enumerating all n! permutations
-    (test oracle for small n)."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    totals = []
-    firsts = []
-    for p in itertools.permutations(range(n)):
-        t = sum(L[u, j] for u, j in enumerate(p))
-        if np.isfinite(t):
-            totals.append(t)
-            firsts.append(p[0])
-    if not totals:
-        raise ValueError("degenerate posterior: no feasible permutation")
-    totals = np.asarray(totals)
-    shift = totals.max()
-    w = np.zeros(n)
-    np.add.at(w, np.asarray(firsts), np.exp(totals - shift))
-    w /= w.sum()
-    return AssignmentPosterior(weights=w, normalization_residual=abs(float(w.sum()) - 1.0))

@@ -4,8 +4,9 @@ Users are relabeled by a permutation drawn uniformly from the symmetric
 group; the adversary sees the m x n observation matrix whose column j is
 the trajectory of the user mapped to pseudonym j. The privacy thresholds
 say how fast the per-pseudonym observation budget m(n) may grow with the
-crowd size n before anonymity degrades: exponent 2/(r-1) for i.i.d.
-mobility over r locations and 2/(|E|-r) for Markov mobility.
+crowd size n before anonymity degrades: exponent 2/d, where d is the
+number of free parameters of one user's law -- r-1 for i.i.d. mobility
+over r locations and |E|-r for Markov mobility.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .markov import MarkovModel
-from .mobility import IidModel, Trajectory, _readonly
+from .mobility import Trajectory, _readonly
 
 __all__ = [
     "ObservationMatrix",
@@ -117,15 +117,11 @@ def schedule_observations(n: int, sched: ObservationSchedule) -> int:
     return max(1, int(math.floor(sched.c * float(n) ** sched.beta + 0.5)))
 
 
-def threshold_exponent(model: IidModel | MarkovModel) -> float:
-    """Privacy-threshold exponent: 2/(r-1) i.i.d., 2/(|E|-r) Markov."""
-    if isinstance(model, IidModel):
-        return 2.0 / (model.r - 1)
-    if isinstance(model, MarkovModel):
-        d = model.graph.d
-        if d < 1:
-            raise ValueError(
-                "threshold exponent undefined for d = 0 (all users share one law)"
-            )
-        return 2.0 / d
-    raise TypeError(f"unknown model descriptor: {model!r}")
+def threshold_exponent(model) -> float:
+    """Privacy-threshold exponent 2/d for a model with d free parameters
+    per user (``IidModel``: 2/(r-1); ``MarkovModel``: 2/(|E|-r))."""
+    if model.d < 1:
+        raise ValueError(
+            "threshold exponent undefined for d = 0 (all users share one law)"
+        )
+    return 2.0 / model.d

@@ -17,7 +17,6 @@ from .harness import (
     ingest_traces,
     load_config,
     run_lemma_battery,
-    run_simulate,
     run_sweep,
     write_results_csv,
 )
@@ -90,7 +89,9 @@ def _apply_overrides(config, seed, out):
 
 def _cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args.seed, args.out)
-    rows = run_simulate(config)
+    if len(config.n_grid) != 1:
+        raise ConfigError("simulate needs a config with exactly one n_grid entry")
+    rows = run_sweep(config)
     write_results_csv(rows, config.out_path)
     print(f"wrote {len(rows)} rows to {config.out_path}")
     return 0

@@ -9,6 +9,7 @@ output CSV byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -20,26 +21,16 @@ import numpy as np
 
 from . import adversary, proofcheck
 from .anonymization import (
-    ObservationMatrix,
     ObservationSchedule,
-    anonymize,
-    sample_permutation,
     schedule_observations,
     threshold_exponent,
 )
-from .markov import (
-    MarkovModel,
-    MobilityGraph,
-    expand_free_params,
-    fit_markov_profile,
-    load_graph_csv,
-    sample_free_params,
-)
+from .markov import MarkovModel, MobilityGraph, fit_markov_profile, load_graph_csv
 from .metrics import (
+    attack,
     conditional_location_distribution,
     deanonymization_accuracy,
     entropy,
-    marginal_location_distribution,
     simulate_attack_trial,
 )
 from .mobility import (
@@ -48,7 +39,6 @@ from .mobility import (
     ProfileDensity,
     Trajectory,
     fit_iid_profile,
-    sample_profile,
 )
 
 __all__ = [
@@ -62,7 +52,6 @@ __all__ = [
     "parse_config",
     "read_results_csv",
     "run_lemma_battery",
-    "run_simulate",
     "run_sweep",
     "substream_seed",
     "write_results_csv",
@@ -113,19 +102,21 @@ class ExperimentConfig:
     metrics: tuple
     seed: int
     out_path: str
-    graph_path: str | None = None
-
-    @property
-    def r(self) -> int:
-        if isinstance(self.model, IidModel):
-            return self.model.r
-        return self.model.graph.r
 
     def experiment_id(self) -> str:
+        graph = self.model.graph if self.model_name == "markov" else None
         payload = {
             "model": self.model_name,
-            "r": self.r,
-            "graph_path": self.graph_path,
+            "r": self.model.r,
+            # The graph's content, not its file's path, so the id does not
+            # depend on where the checkout lives. The key name and the None
+            # for iid keep published iid ids unchanged.
+            "graph_path": None
+            if graph is None
+            else {
+                "edges": [list(e) for e in graph.edges],
+                "free_edges": [list(e) for e in graph.free_edges],
+            },
             "density": None
             if self.density is None
             else {
@@ -150,6 +141,13 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+
+
+def _number(value, cast, what: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
 def _parse_density(spec: dict | None, r: int) -> ProfileDensity:
@@ -199,33 +197,33 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if model_name == "markov":
         if not graph_path:
             raise ConfigError("markov model requires graph_path")
-        resolved = graph_path
-        if not os.path.isabs(resolved):
-            resolved = os.path.join(base_dir, resolved)
+        if not os.path.isabs(graph_path):
+            graph_path = os.path.join(base_dir, graph_path)
         try:
-            graph = load_graph_csv(resolved)
+            graph = load_graph_csv(graph_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"graph file: {exc}") from exc
         if graph.d < 1:
             raise ConfigError("markov sweeps need a graph with d = |E| - r >= 1")
-        if "r" in raw and int(raw["r"]) != graph.r:
+        if "r" in raw and _number(raw["r"], int, "r") != graph.r:
             raise ConfigError(f"config r={raw['r']} != graph r={graph.r}")
         dspec = raw.get("density")
-        if dspec is not None and dspec.get("kind") != "uniform-simplex":
+        if dspec is not None and (
+            not isinstance(dspec, dict) or dspec.get("kind") != "uniform-simplex"
+        ):
             raise ConfigError("markov model supports only the uniform-simplex prior")
         model: object = MarkovModel(graph=graph)
-        graph_path = resolved
     else:
         if graph_path is not None:
             raise ConfigError("graph_path is only meaningful for the markov model")
         if model_name == "iid2":
-            r = int(raw.get("r", 2))
+            r = _number(raw.get("r", 2), int, "r")
             if r != 2:
                 raise ConfigError("iid2 fixes r = 2")
         else:
             if "r" not in raw:
                 raise ConfigError("iidr requires r")
-            r = int(raw["r"])
+            r = _number(raw["r"], int, "r")
             if r < 2:
                 raise ConfigError("iidr requires r >= 2")
         model = IidModel(r=r)
@@ -246,11 +244,13 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     _require_keys(sched_raw, {"c", "beta", "alpha"}, "schedule")
     if "c" not in sched_raw or ("beta" in sched_raw) == ("alpha" in sched_raw):
         raise ConfigError("schedule needs c and exactly one of beta or alpha")
-    c = float(sched_raw["c"])
+    c = _number(sched_raw["c"], float, "schedule c")
     if "beta" in sched_raw:
-        beta = float(sched_raw["beta"])
+        beta = _number(sched_raw["beta"], float, "schedule beta")
     else:
-        beta = threshold_exponent(model) - float(sched_raw["alpha"])
+        beta = threshold_exponent(model) - _number(
+            sched_raw["alpha"], float, "schedule alpha"
+        )
         if beta <= 0:
             raise ConfigError("alpha too large: derived beta must be positive")
     try:
@@ -301,7 +301,6 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         metrics=metrics,
         seed=seed,
         out_path=out_path,
-        graph_path=graph_path,
     )
 
 
@@ -380,18 +379,6 @@ def read_results_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def _profile_sampler(config: ExperimentConfig):
-    if isinstance(config.model, IidModel):
-        density = config.density
-        return lambda rng: sample_profile(density, rng)
-    graph = config.model.graph
-    return lambda rng: expand_free_params(sample_free_params(graph, rng), graph)
-
-
-def _state1_probs(profiles) -> np.ndarray:
-    return np.array([p.probs[1] for p in profiles])
-
-
 def _run_cell_trial(config, n, m, k_eff, h_marginal, profile1, sampler, mi_on,
                     accuracy_on, weights_on, trial_seed):
     """One trial of the sweep pipeline; returns metric-name -> value."""
@@ -408,7 +395,7 @@ def _run_cell_trial(config, n, m, k_eff, h_marginal, profile1, sampler, mi_on,
     out: dict[str, float | None] = {}
     if mi_on:
         q = conditional_location_distribution(
-            trial.Y, trial.posterior, k_eff, config.r
+            trial.Y, trial.posterior, k_eff, config.model.r
         )
         out["mi"] = h_marginal - entropy(q)
     if accuracy_on:
@@ -420,14 +407,15 @@ def _run_cell_trial(config, n, m, k_eff, h_marginal, profile1, sampler, mi_on,
         )
     if weights_on:
         eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
-        crowd = proofcheck.critical_set(_state1_probs(profiles), 0, eps)
-        dev = None
-        if crowd.size >= 2:
-            w = trial.posterior.weights[trial.perm.forward[crowd]]
-            mass = float(w.sum())
-            if mass > 0.0:
-                dev = float(np.abs(crowd.size * (w / mass) - 1.0).max())
-        out["weight_max_dev"] = dev
+        state1 = np.array([p.probs[1] for p in profiles])
+        crowd = proofcheck.critical_set(state1, 0, eps)
+        out["weight_max_dev"] = (
+            proofcheck.crowd_deviation(
+                trial.posterior.weights, trial.perm.forward[crowd]
+            )
+            if crowd.size >= 2
+            else None
+        )
     return out
 
 
@@ -439,6 +427,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         raise ConfigError("threads must be >= 1")
     exp_id = config.experiment_id()
     feasible_bound = adversary.PERMANENT_FEASIBILITY_BOUND
+    sampler = config.model.profile_sampler(config.density)
     rows: list[ResultRow] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for cell, n in enumerate(config.n_grid):
@@ -447,28 +436,20 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             cell_rng = np.random.default_rng(
                 substream_seed(config.seed, cell, _CELL_DRAW)
             )
-            sampler = _profile_sampler(config)
             profile1 = sampler(cell_rng)
             mi_on = "mi" in config.metrics and n <= feasible_bound
             weights_on = "weights" in config.metrics and n <= feasible_bound
             accuracy_on = "accuracy" in config.metrics
             h_marginal = (
-                entropy(marginal_location_distribution(config.model, profile1, k_eff))
-                if mi_on
-                else 0.0
+                entropy(config.model.marginal(profile1, k_eff)) if mi_on else 0.0
             )
             trial_seeds = [
                 substream_seed(config.seed, cell, t) for t in range(config.trials)
             ]
-
-            def run_trial(trial_seed, _n=n, _m=m, _k=k_eff, _h=h_marginal,
-                          _p1=profile1, _mi=mi_on, _acc=accuracy_on,
-                          _w=weights_on):
-                return _run_cell_trial(
-                    config, _n, _m, _k, _h, _p1, sampler, _mi, _acc, _w,
-                    trial_seed,
-                )
-
+            run_trial = functools.partial(
+                _run_cell_trial, config, n, m, k_eff, h_marginal, profile1,
+                sampler, mi_on, accuracy_on, weights_on,
+            )
             results = list(pool.map(run_trial, trial_seeds))
 
             def emit(trial, metric, value, std_error, seed):
@@ -487,18 +468,11 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                     )
                 )
 
-            metric_order = []
-            if mi_on:
-                metric_order.append("mi")
-            if accuracy_on:
-                metric_order.extend(["pi1_accuracy", "full_perm_accuracy"])
-            if weights_on:
-                metric_order.append("weight_max_dev")
+            # _run_cell_trial fills each result in the CSV's metric order.
             for t, res in enumerate(results):
-                for metric in metric_order:
-                    if res.get(metric) is None:
-                        continue
-                    emit(t, metric, res[metric], None, trial_seeds[t])
+                for metric, value in res.items():
+                    if value is not None:
+                        emit(t, metric, value, None, trial_seeds[t])
 
             if "mi" in config.metrics and not mi_on:
                 emit(-1, "mi_skipped", 1.0, None, config.seed)
@@ -531,13 +505,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                     config.seed,
                 )
     return rows
-
-
-def run_simulate(config: ExperimentConfig) -> list[ResultRow]:
-    """Single-cell run: the config must have exactly one n_grid entry."""
-    if len(config.n_grid) != 1:
-        raise ConfigError("simulate needs a config with exactly one n_grid entry")
-    return run_sweep(config, threads=1)
 
 
 # ---------------------------------------------------------------------------
@@ -710,24 +677,19 @@ def audit(
     ]
     hits = 0
     for _ in range(trials):
-        perm = sample_permutation(population.n, rng2)
-        Y = anonymize(truncated_trajs, perm)
-        if isinstance(model, IidModel):
-            L = adversary.likelihood_matrix_iid(
-                population.profiles, adversary.count_stats(Y, model.r)
-            )
-        else:
-            L = adversary.likelihood_matrix_markov(
-                population.profiles, adversary.transition_stats(Y, model.graph.r)
-            )
-        guess = adversary.map_assignment(L)
-        hits += int(guess.forward[0] == perm.forward[0])
+        trial = attack(
+            model,
+            population.profiles,
+            truncated_trajs,
+            rng2,
+            want_posterior=False,
+            want_map=True,
+        )
+        hits += int(trial.map_perm.forward[0] == trial.perm.forward[0])
 
     report = {
-        "model": "iid" if isinstance(model, IidModel) else "markov",
-        "r": population.profiles[0].r
-        if isinstance(model, IidModel)
-        else model.graph.r,
+        "model": model.name,
+        "r": model.r,
         "n_users": population.n,
         "n_effective": n_effective,
         "threshold_exponent": tau,
@@ -747,7 +709,7 @@ def audit(
         ),
     }
     if isinstance(model, MarkovModel):
-        report["d"] = model.graph.d
+        report["d"] = model.d
     return report
 
 

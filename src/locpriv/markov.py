@@ -21,13 +21,11 @@ from .mobility import BOUNDARY_MARGIN, Trajectory, _readonly
 
 __all__ = [
     "ChainReport",
-    "DependencyMap",
     "FreeParamVector",
     "MarkovModel",
     "MobilityGraph",
     "TransitionMatrix",
     "contract_transition_matrix",
-    "degrees_of_freedom",
     "expand_free_params",
     "fit_markov_profile",
     "load_graph_csv",
@@ -104,9 +102,39 @@ class MobilityGraph:
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Model descriptor for Markov mobility on a fixed graph."""
+    """Model descriptor for Markov mobility on a fixed graph.
+
+    A user's law is a ``TransitionMatrix`` on the graph; its d = |E| - r
+    free parameters set the privacy threshold exponent 2/d.
+    """
 
     graph: MobilityGraph
+    name = "markov"
+
+    @property
+    def r(self) -> int:
+        return self.graph.r
+
+    @property
+    def d(self) -> int:
+        return self.graph.d
+
+    def profile_sampler(self, density=None):
+        """rng -> a transition matrix with free parameters uniform on R_p
+        (the only Markov prior, so ``density`` is not consulted)."""
+        graph = self.graph
+        return lambda rng: expand_free_params(sample_free_params(graph, rng), graph)
+
+    def sample_trajectory(
+        self, profile: TransitionMatrix, m: int, rng: np.random.Generator
+    ) -> Trajectory:
+        return sample_trajectory_markov(profile, m, rng)
+
+    def marginal(self, profile: TransitionMatrix, k: int) -> np.ndarray:
+        """Exact law of the user's location at time k; walks start at state 0."""
+        if k < 1:
+            raise ValueError("time index k must be >= 1")
+        return np.linalg.matrix_power(profile.matrix, k - 1)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -159,38 +187,19 @@ class TransitionMatrix:
 
 
 @dataclass(frozen=True)
-class DependencyMap:
-    """Affine map between free parameters and full transition matrices."""
-
-    graph: MobilityGraph
-
-    def expand(self, params: FreeParamVector) -> TransitionMatrix:
-        return expand_free_params(params, self)
-
-    def contract(self, T: TransitionMatrix) -> FreeParamVector:
-        return contract_transition_matrix(T, self)
-
-
-@dataclass(frozen=True)
 class ChainReport:
     irreducible: bool
     aperiodic: bool
 
 
-def degrees_of_freedom(graph: MobilityGraph) -> int:
-    """|E| - r: free transition parameters after row-sum constraints."""
-    return graph.d
-
-
 def expand_free_params(
-    params: FreeParamVector | Sequence[float], dmap: DependencyMap | MobilityGraph
+    params: FreeParamVector | Sequence[float], graph: MobilityGraph
 ) -> TransitionMatrix:
     """Fill the free edges verbatim, force each dependent edge by the row sum.
 
     Raises if any free entry leaves (0, 1) or any dependent probability is
     not strictly positive.
     """
-    graph = dmap.graph if isinstance(dmap, DependencyMap) else dmap
     if not isinstance(params, FreeParamVector):
         params = FreeParamVector(np.asarray(params, dtype=float))
     if params.d != graph.d:
@@ -211,10 +220,9 @@ def expand_free_params(
 
 
 def contract_transition_matrix(
-    T: TransitionMatrix, dmap: DependencyMap | MobilityGraph
+    T: TransitionMatrix, graph: MobilityGraph
 ) -> FreeParamVector:
     """Read the free-edge probabilities back out of a transition matrix."""
-    graph = dmap.graph if isinstance(dmap, DependencyMap) else dmap
     values = np.array([T.matrix[i, j] for (i, j) in graph.free_edges])
     return FreeParamVector(values)
 

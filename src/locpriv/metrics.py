@@ -19,18 +19,16 @@ import numpy as np
 
 from . import adversary
 from .anonymization import ObservationMatrix, anonymize, sample_permutation
-from .markov import MarkovModel, TransitionMatrix, sample_trajectory_markov
-from .mobility import IidModel, sample_trajectory_iid
+from .mobility import IidModel
 
 __all__ = [
     "AccuracyResult",
     "AttackTrial",
-    "MetricRecord",
     "MiEstimate",
+    "attack",
     "conditional_location_distribution",
     "deanonymization_accuracy",
     "entropy",
-    "marginal_location_distribution",
     "mutual_information_mc",
     "simulate_attack_trial",
 ]
@@ -59,23 +57,6 @@ class AccuracyResult:
     trials: int
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """One per-trial metric sample, flat for CSV emission."""
-
-    metric: str
-    n: int
-    m: int
-    beta: float
-    trial: int
-    value: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("metric values must be finite")
-
-
 def entropy(p: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
@@ -100,20 +81,6 @@ def conditional_location_distribution(
     return q
 
 
-def marginal_location_distribution(
-    model: IidModel | MarkovModel, profile, k: int
-) -> np.ndarray:
-    """Exact law of user 1's location at time k under their own profile."""
-    if k < 1:
-        raise ValueError("time index k must be >= 1")
-    if isinstance(model, IidModel):
-        return np.array(profile.probs, copy=True)
-    if isinstance(model, MarkovModel):
-        T: TransitionMatrix = profile
-        return np.linalg.matrix_power(T.matrix, k - 1)[0].copy()
-    raise TypeError(f"unknown model descriptor: {model!r}")
-
-
 @dataclass(frozen=True)
 class AttackTrial:
     """One simulated epoch: observations, truth, and adversary outputs."""
@@ -124,19 +91,33 @@ class AttackTrial:
     map_perm: object | None
 
 
-def _sample_trajectories(model, profiles, m, rng):
-    if isinstance(model, IidModel):
-        return [sample_trajectory_iid(p, m, rng) for p in profiles]
-    return [sample_trajectory_markov(T, m, rng) for T in profiles]
+def attack(
+    model,
+    profiles,
+    trajectories,
+    rng: np.random.Generator,
+    *,
+    want_posterior: bool = True,
+    want_map: bool = False,
+    max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
+) -> AttackTrial:
+    """Draw a pseudonym permutation, anonymize the users' trajectories,
+    and attack with the users' laws known exactly.
 
-
-def _likelihoods(model, profiles, Y):
+    The adversary works from the model's sufficient statistics: visit
+    counts for ``IidModel``, transition counts for ``MarkovModel``.
+    """
+    perm = sample_permutation(len(profiles), rng)
+    Y = anonymize(trajectories, perm)
     if isinstance(model, IidModel):
-        return adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, model.r))
-    r = model.graph.r
-    return adversary.likelihood_matrix_markov(
-        profiles, adversary.transition_stats(Y, r)
-    )
+        L = adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, model.r))
+    else:
+        L = adversary.likelihood_matrix_markov(
+            profiles, adversary.transition_stats(Y, model.r)
+        )
+    posterior = adversary.posterior_pi1(L, max_n=max_n) if want_posterior else None
+    map_perm = adversary.map_assignment(L) if want_map else None
+    return AttackTrial(Y=Y, perm=perm, posterior=posterior, map_perm=map_perm)
 
 
 def simulate_attack_trial(
@@ -149,14 +130,17 @@ def simulate_attack_trial(
     want_map: bool = False,
     max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
 ) -> AttackTrial:
-    """Sample trajectories and a permutation, anonymize, and attack."""
-    trajectories = _sample_trajectories(model, profiles, m, rng)
-    perm = sample_permutation(len(profiles), rng)
-    Y = anonymize(trajectories, perm)
-    L = _likelihoods(model, profiles, Y)
-    posterior = adversary.posterior_pi1(L, max_n=max_n) if want_posterior else None
-    map_perm = adversary.map_assignment(L) if want_map else None
-    return AttackTrial(Y=Y, perm=perm, posterior=posterior, map_perm=map_perm)
+    """Sample each user's trajectory of length m, then ``attack``."""
+    trajectories = [model.sample_trajectory(p, m, rng) for p in profiles]
+    return attack(
+        model,
+        profiles,
+        trajectories,
+        rng,
+        want_posterior=want_posterior,
+        want_map=want_map,
+        max_n=max_n,
+    )
 
 
 def _resolve_profiles(
@@ -166,18 +150,19 @@ def _resolve_profiles(
     profile1,
     profiles,
 ):
-    """Returns (fixed_profiles_or_None, profile1). Draws profile 1 from the
-    sampler up front when not pinned explicitly."""
+    """Returns (profile1, draw), where draw() gives one trial's n profiles:
+    the fixed list, or profile 1 followed by n - 1 fresh sampler draws.
+    Draws profile 1 from the sampler up front when not pinned explicitly."""
     if profiles is not None:
         profiles = list(profiles)
         if len(profiles) != n:
             raise ValueError("fixed profile list must have length n")
-        return profiles, profiles[0]
+        return profiles[0], lambda: profiles
     if profile_sampler is None:
         raise ValueError("need either fixed profiles or a profile sampler")
     if profile1 is None:
         profile1 = profile_sampler(rng)
-    return None, profile1
+    return profile1, lambda: [profile1] + [profile_sampler(rng) for _ in range(n - 1)]
 
 
 def mutual_information_mc(
@@ -205,16 +190,12 @@ def mutual_information_mc(
         raise ValueError(f"exact posterior infeasible for n = {n} > {max_n}")
     if not 1 <= k <= m:
         raise ValueError(f"time index k={k} outside 1..{m}")
-    fixed, profile1 = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
-    r = model.r if isinstance(model, IidModel) else model.graph.r
-    h_marginal = entropy(marginal_location_distribution(model, profile1, k))
+    profile1, draw = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
+    h_marginal = entropy(model.marginal(profile1, k))
     cond = np.empty(trials)
     for t in range(trials):
-        profs = fixed if fixed is not None else [profile1] + [
-            profile_sampler(rng) for _ in range(n - 1)
-        ]
-        trial = simulate_attack_trial(model, profs, m, rng, max_n=max_n)
-        q = conditional_location_distribution(trial.Y, trial.posterior, k, r)
+        trial = simulate_attack_trial(model, draw(), m, rng, max_n=max_n)
+        q = conditional_location_distribution(trial.Y, trial.posterior, k, model.r)
         cond[t] = entropy(q)
     value = h_marginal - float(cond.mean())
     std_error = float(cond.std(ddof=1) / math.sqrt(trials))
@@ -238,15 +219,12 @@ def deanonymization_accuracy(
     and where it recovers the entire permutation."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    fixed, profile1 = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
+    _, draw = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
     pi1_hits = 0
     full_hits = 0
     for _ in range(trials):
-        profs = fixed if fixed is not None else [profile1] + [
-            profile_sampler(rng) for _ in range(n - 1)
-        ]
         trial = simulate_attack_trial(
-            model, profs, m, rng, want_posterior=False, want_map=True
+            model, draw(), m, rng, want_posterior=False, want_map=True
         )
         guess = trial.map_perm.forward
         truth = trial.perm.forward

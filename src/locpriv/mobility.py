@@ -65,13 +65,38 @@ class IidProfile:
 
 @dataclass(frozen=True)
 class IidModel:
-    """Model descriptor for i.i.d. mobility over r locations."""
+    """Model descriptor for i.i.d. mobility over r locations.
+
+    A user's law is an ``IidProfile``; its d = r - 1 free parameters set
+    the privacy threshold exponent 2/d.
+    """
 
     r: int
+    name = "iid"
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise ValueError("i.i.d. model needs r >= 2 locations")
+
+    @property
+    def d(self) -> int:
+        """Free parameters of one profile: r - 1 after the sum-to-one constraint."""
+        return self.r - 1
+
+    def profile_sampler(self, density: ProfileDensity):
+        """rng -> a profile drawn from the prior ``density``."""
+        return lambda rng: sample_profile(density, rng)
+
+    def sample_trajectory(
+        self, profile: IidProfile, m: int, rng: np.random.Generator
+    ) -> Trajectory:
+        return sample_trajectory_iid(profile, m, rng)
+
+    def marginal(self, profile: IidProfile, k: int) -> np.ndarray:
+        """Exact law of the user's location at time k: the profile itself."""
+        if k < 1:
+            raise ValueError("time index k must be >= 1")
+        return np.array(profile.probs, copy=True)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .anonymization import anonymize, sample_permutation
-from .mobility import BOUNDARY_MARGIN, IidProfile, IidModel, sample_trajectory_iid
+from .metrics import simulate_attack_trial
+from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
 __all__ = [
     "DeltaUniformityRecord",
     "LemmaParams",
     "WeightUniformityResult",
     "critical_set",
+    "crowd_deviation",
     "delta_uniformity_experiment",
     "derive_lemma_params",
     "interval_event_prob",
@@ -89,6 +90,16 @@ def critical_set(
     p_values = np.asarray(p_values, dtype=float)
     center = p_values[p1_index]
     return np.flatnonzero(np.abs(p_values - center) < eps)
+
+
+def crowd_deviation(weights: np.ndarray, crowd_pseudonyms: np.ndarray) -> float | None:
+    """max |N * W_j - 1| over the crowd's N pseudonyms, with the posterior
+    weights renormalized to the crowd; None if the crowd carries no mass."""
+    w = weights[crowd_pseudonyms]
+    mass = float(w.sum())
+    if mass <= 0.0:
+        return None
+    return float(np.abs(crowd_pseudonyms.size * (w / mass) - 1.0).max())
 
 
 def interval_event_prob(
@@ -241,21 +252,12 @@ def weight_uniformity(
             degenerate += 1
             continue
         profiles = [IidProfile([1.0 - p, p]) for p in ps]
-        trajectories = [sample_trajectory_iid(pr, m, rng) for pr in profiles]
-        perm = sample_permutation(n, rng)
-        Y = anonymize(trajectories, perm)
-        L = adversary.likelihood_matrix_iid(
-            profiles, adversary.count_stats(Y, model.r)
-        )
-        post = adversary.posterior_pi1(L, max_n=max_n)
-        crowd_pseudonyms = perm.forward[crowd]
-        w = post.weights[crowd_pseudonyms]
-        mass = float(w.sum())
-        if mass <= 0.0:
+        trial = simulate_attack_trial(model, profiles, m, rng, max_n=max_n)
+        dev = crowd_deviation(trial.posterior.weights, trial.perm.forward[crowd])
+        if dev is None:
             degenerate += 1
-            continue
-        w = w / mass
-        devs.append(float(np.abs(crowd.size * w - 1.0).max()))
+        else:
+            devs.append(dev)
     if not devs:
         raise ValueError("every trial was degenerate; crowd never formed")
     deviations = np.asarray(devs)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute-force and independent of the
 library's computational paths: exhaustive enumeration over location
-matrices and permutations, binomial tail sums, and the worked 3-state
-graph used across the Markov tests.
+matrices and permutations (among them the exact-posterior and MAP
+oracles), binomial tail sums, and the worked 3-state graph used across
+the Markov tests.
 """
 import itertools
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 from scipy.stats import binom
 
+from locpriv.adversary import AssignmentPosterior
+from locpriv.anonymization import Permutation
 from locpriv.markov import MobilityGraph
 
 
@@ -99,3 +102,47 @@ def mi_identical_profiles_shortcut(
     h = np.array([entropy_bits([1 - c / n, c / n]) for c in ones])
     value = entropy_bits([1 - p, p]) - float(h.mean())
     return value, float(h.std(ddof=1) / math.sqrt(trials))
+
+
+def map_assignment_bruteforce(L: np.ndarray) -> Permutation:
+    """Exhaustive argmax over all n! permutations (test oracle)."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    best_total = -np.inf
+    best_perm: tuple[int, ...] | None = None
+    for p in itertools.permutations(range(n)):
+        total = 0.0
+        feasible = True
+        for u, j in enumerate(p):
+            if not np.isfinite(L[u, j]):
+                feasible = False
+                break
+            total += L[u, j]
+        if feasible and (total > best_total):
+            best_total = total
+            best_perm = p
+    if best_perm is None:
+        raise ValueError("no feasible permutation: every matching hits -inf")
+    return Permutation.from_forward(list(best_perm))
+
+
+def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
+    """Posterior over user 1's pseudonym by enumerating all n! permutations
+    (test oracle for small n)."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    totals = []
+    firsts = []
+    for p in itertools.permutations(range(n)):
+        t = sum(L[u, j] for u, j in enumerate(p))
+        if np.isfinite(t):
+            totals.append(t)
+            firsts.append(p[0])
+    if not totals:
+        raise ValueError("degenerate posterior: no feasible permutation")
+    totals = np.asarray(totals)
+    shift = totals.max()
+    w = np.zeros(n)
+    np.add.at(w, np.asarray(firsts), np.exp(totals - shift))
+    w /= w.sum()
+    return AssignmentPosterior(weights=w, normalization_residual=abs(float(w.sum()) - 1.0))

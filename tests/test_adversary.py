@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import map_assignment_bruteforce, posterior_pi1_bruteforce
 from locpriv import adversary
 from locpriv.adversary import (
     count_stats,
@@ -11,12 +12,9 @@ from locpriv.adversary import (
     likelihood_matrix_markov,
     log_likelihood_iid,
     log_likelihood_markov,
-    log_likelihood_markov_free_edges,
     map_assignment,
-    map_assignment_bruteforce,
     permanent,
     posterior_pi1,
-    posterior_pi1_bruteforce,
     transition_stats,
 )
 from locpriv.anonymization import ObservationMatrix, anonymize, sample_permutation
@@ -100,20 +98,6 @@ def test_log_likelihood_markov():
     M_bad = np.zeros((3, 3))
     M_bad[1, 0] = 1  # edge (2,1) does not exist
     assert log_likelihood_markov(T, M_bad) == -math.inf
-
-
-def test_log_likelihood_markov_free_edges_variant():
-    T = expand_free_params([0.2, 0.3, 0.4], THREE_STATE)
-    M = np.zeros((3, 3))
-    M[0, 0] = 2
-    M[0, 1] = 1
-    M[0, 2] = 1
-    M[1, 2] = 1
-    M[2, 1] = 3
-    full = log_likelihood_markov(T, M)
-    free = log_likelihood_markov_free_edges(T, M, THREE_STATE)
-    dependent = M[0, 2] * math.log(T.matrix[0, 2]) + M[2, 0] * 0.0
-    assert free == pytest.approx(full - dependent)
 
 
 def test_permanent_matches_enumeration():

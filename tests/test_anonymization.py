@@ -113,8 +113,6 @@ def test_threshold_exponent_rejects_degenerate():
     cycle = MobilityGraph(r=3, edges=[(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
         threshold_exponent(MarkovModel(cycle))
-    with pytest.raises(TypeError):
-        threshold_exponent("iid")
 
 
 def test_iid_markov_exponent_equivalence():

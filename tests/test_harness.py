@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from locpriv.harness import (
     parse_config,
     read_results_csv,
     run_lemma_battery,
-    run_simulate,
     run_sweep,
     substream_seed,
     write_results_csv,
 )
 from locpriv.mobility import IidModel
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 BASE_CONFIG = {
@@ -66,7 +68,7 @@ def test_substream_seed_is_pinned():
 def test_parse_config_happy_path():
     cfg = make_config()
     assert cfg.model_name == "iid2"
-    assert isinstance(cfg.model, IidModel) and cfg.r == 2
+    assert isinstance(cfg.model, IidModel) and cfg.model.r == 2
     assert cfg.n_grid == (2, 3)
     assert cfg.metrics == ("mi", "accuracy")
     assert len(cfg.experiment_id()) == 12
@@ -82,7 +84,7 @@ def test_parse_config_rejects_unknown_keys():
         make_config(schedule={"c": 1.0, "beta": 1.2, "gamma": 3})
 
 
-def test_parse_config_validates_fields():
+def test_parse_config_validates_fields(tmp_path):
     with pytest.raises(ConfigError):
         make_config(model="iid9")
     with pytest.raises(ConfigError):
@@ -109,6 +111,16 @@ def test_parse_config_validates_fields():
         make_config(model="iidr")  # r required
     with pytest.raises(ConfigError):
         make_config(model="iid2", r=3)
+    with pytest.raises(ConfigError):
+        make_config(schedule={"c": "x", "beta": 1.0})
+    with pytest.raises(ConfigError):
+        make_config(model="iidr", r="three")
+    with pytest.raises(ConfigError):
+        make_config(
+            model="markov",
+            graph_path=write_three_state_graph(tmp_path),
+            density="flat",
+        )
 
 
 def test_parse_config_alpha_derives_beta():
@@ -129,8 +141,8 @@ def test_parse_config_markov(tmp_path):
             metrics=["mi", "accuracy"],
         )
     )
-    assert cfg.r == 3
-    assert cfg.graph_path == graph_path
+    assert cfg.model.r == 3
+    assert cfg.model.graph.edges == three_state_graph().edges
     with pytest.raises(ConfigError):
         parse_config(dict(BASE_CONFIG, model="markov"))
     with pytest.raises(ConfigError):
@@ -146,6 +158,23 @@ def test_parse_config_markov(tmp_path):
                 metrics=["weights"],
             )
         )
+
+
+def test_markov_experiment_id_ignores_checkout_path(tmp_path):
+    def experiment_id(directory, graph_text=None):
+        directory.mkdir()
+        write_three_state_graph(directory)
+        if graph_text is not None:
+            (directory / "graph3.csv").write_text(graph_text)
+        raw = dict(BASE_CONFIG, model="markov", graph_path="graph3.csv", density=None)
+        (directory / "cfg.json").write_text(json.dumps(raw))
+        return load_config(str(directory / "cfg.json")).experiment_id()
+
+    first = experiment_id(tmp_path / "a")
+    assert experiment_id(tmp_path / "b") == first
+    # same edges, another free-edge choice: another experiment
+    other = "from,to,free\n1,1,0\n1,2,1\n1,3,1\n2,3,0\n3,1,0\n3,2,1\n"
+    assert experiment_id(tmp_path / "c", other) != first
 
 
 def test_run_sweep_row_structure():
@@ -183,13 +212,6 @@ def test_run_sweep_skips_infeasible_mi():
     skipped = [r for r in rows if r.metric == "mi_skipped"]
     assert len(skipped) == 1 and skipped[0].trial == -1
     assert [r for r in rows if r.metric == "pi1_accuracy" and r.trial >= 0]
-
-
-def test_run_simulate_requires_single_cell():
-    with pytest.raises(ConfigError):
-        run_simulate(make_config())
-    rows = run_simulate(make_config(n_grid=[3]))
-    assert {r.n for r in rows} == {3}
 
 
 def test_results_csv_round_trip(tmp_path):
@@ -392,3 +414,57 @@ def test_lemma_battery_rows():
     assert rows == again
     with pytest.raises(ConfigError):
         run_lemma_battery(1.0, 0.6, 0.8, [100], [4], 5, 0)
+
+
+def test_lemma_weight_rows_pinned():
+    # Frozen at the commit before the attack kernel was shared: the
+    # posterior-flatness rows must replay bit for bit across refactors.
+    rows = run_lemma_battery(
+        alpha=0.5,
+        theta=0.05,
+        phi=0.1,
+        m_grid=[100],
+        n_grid=[2, 3, 6],
+        trials=12,
+        seed=12,
+        delta_samples=100,
+    )
+    got = [
+        (r.n, r.m, r.metric, r.value)
+        for r in rows
+        if r.metric in ("weight_max_dev_median", "weight_degenerate_count")
+    ]
+    assert got == [
+        (2, 3, "weight_max_dev_median", 0.09296584884879028),
+        (2, 3, "weight_degenerate_count", 0.0),
+        (3, 5, "weight_max_dev_median", 0.31681286666713593),
+        (3, 5, "weight_degenerate_count", 1.0),
+        (6, 15, "weight_max_dev_median", 0.7081071588048946),
+        (6, 15, "weight_degenerate_count", 3.0),
+    ]
+
+
+def test_audit_iid_demo_report_pinned():
+    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    report = audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
+    assert report == {
+        "model": "iid",
+        "r": 5,
+        "n_users": 3,
+        "n_effective": 100,
+        "threshold_exponent": 0.5,
+        "alpha_margin": 0.5,
+        "recommended_max_observations": 1,
+        "observations_per_user": 4,
+        "unequal_lengths_truncated": False,
+        "pi1_accuracy": 0.5,
+        "pi1_accuracy_fitted_attack": 1.0,
+        "trials": 60,
+        "seed": 3,
+        "label_map": {"1": 0, "2": 1, "3": 2, "4": 3, "5": 4},
+        "labeling_note": (
+            "labels in this report and in all files are 1-based (internal "
+            "state i is reported as i+1); the label_map gives "
+            "file-label -> internal id"
+        ),
+    }

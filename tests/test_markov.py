@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from locpriv.markov import (
-    DependencyMap,
     FreeParamVector,
     MarkovModel,
     MobilityGraph,
     TransitionMatrix,
     contract_transition_matrix,
-    degrees_of_freedom,
     expand_free_params,
     fit_markov_profile,
     load_graph_csv,
@@ -45,11 +43,11 @@ def random_graph(rng, r):
 
 
 def test_degrees_of_freedom():
-    assert degrees_of_freedom(three_state_graph()) == 3  # |E|=6, r=3
+    assert MarkovModel(three_state_graph()).d == 3  # |E|=6, r=3
     complete2 = MobilityGraph(r=2, edges=[(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert degrees_of_freedom(complete2) == 2
+    assert MarkovModel(complete2).d == 2
     cycle = MobilityGraph(r=4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert degrees_of_freedom(cycle) == 0
+    assert MarkovModel(cycle).d == 0
 
 
 def test_graph_validation():
@@ -100,13 +98,6 @@ def test_roundtrip_random_graphs():
         assert np.array_equal(back.values, params.values)
         # dependent probability forced exactly by the row sum
         assert np.abs(T.matrix.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-def test_dependency_map_object():
-    g = three_state_graph()
-    dmap = DependencyMap(graph=g)
-    T = dmap.expand(FreeParamVector([0.2, 0.3, 0.4]))
-    assert np.array_equal(dmap.contract(T).values, [0.2, 0.3, 0.4])
 
 
 def _oracle_chain_report(matrix):

@@ -13,11 +13,9 @@ from locpriv.adversary import AssignmentPosterior
 from locpriv.anonymization import ObservationMatrix
 from locpriv.markov import MarkovModel, expand_free_params, stationary_distribution
 from locpriv.metrics import (
-    MetricRecord,
     conditional_location_distribution,
     deanonymization_accuracy,
     entropy,
-    marginal_location_distribution,
     mutual_information_mc,
 )
 from locpriv.mobility import IidModel, IidProfile, ProfileDensity, sample_profile
@@ -59,17 +57,13 @@ def test_marginal_location_distribution():
     model = IidModel(3)
     p = IidProfile([0.2, 0.3, 0.5])
     for k in (1, 5, 99):
-        assert np.array_equal(marginal_location_distribution(model, p, k), p.probs)
+        assert np.array_equal(model.marginal(p, k), p.probs)
 
     T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     mm = MarkovModel(three_state_graph())
-    assert np.array_equal(
-        marginal_location_distribution(mm, T, 1), [1.0, 0.0, 0.0]
-    )
+    assert np.array_equal(mm.marginal(T, 1), [1.0, 0.0, 0.0])
     pi = stationary_distribution(T)
-    assert np.abs(
-        marginal_location_distribution(mm, T, 400) - pi
-    ).max() <= 1e-8
+    assert np.abs(mm.marginal(T, 400) - pi).max() <= 1e-8
 
 
 def test_mi_single_user_is_exact_marginal_entropy():
@@ -215,8 +209,3 @@ def test_accuracy_reproducible():
     )
     assert a == b
 
-
-def test_metric_record_rejects_nonfinite():
-    MetricRecord("mi", 4, 8, 1.2, 0, 0.25, 7)
-    with pytest.raises(ValueError):
-        MetricRecord("mi", 4, 8, 1.2, 0, float("nan"), 7)
