@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import map_assignment_bruteforce, posterior_pi1_bruteforce
+from helpers import (
+    map_assignment_bruteforce,
+    posterior_pi1_bruteforce,
+    row0_minors_dp,
+)
 from locpriv import adversary
 from locpriv.adversary import (
+    CountStats,
     count_stats,
     likelihood_matrix_iid,
     likelihood_matrix_markov,
@@ -181,6 +186,64 @@ def test_posterior_with_infeasible_cells_matches_bruteforce():
             continue
         b = posterior_pi1_bruteforce(L).weights
         assert np.abs(a - b).max() <= 1e-10
+
+
+def _sweep_like_iid2(n, rng):
+    """Likelihood matrix of one iid2 sweep trial: n users with uniform
+    state-1 probabilities, m = round(n^1.2) observations each."""
+    m = round(n**1.2)
+    ps = rng.uniform(0.01, 0.99, size=n)
+    ones = rng.binomial(m, ps)
+    profiles = [IidProfile([1 - p, p]) for p in ps]
+    return likelihood_matrix_iid(
+        profiles, CountStats(np.stack([m - ones, ones], axis=1), m)
+    )
+
+
+def _posterior_dp(L):
+    B = np.exp(L - L.max(axis=1, keepdims=True))
+    w = B[0] * row0_minors_dp(B)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("n", [8, 16, 20])
+def test_posterior_matches_sign_free_reference(n):
+    # Ryser's alternating sum against a subset DP that adds only
+    # nonnegative terms, up to the feasibility bound.
+    L = _sweep_like_iid2(n, np.random.default_rng(100 + n))
+    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-9
+
+
+def test_posterior_with_infeasible_cells_matches_sign_free_reference():
+    rng = np.random.default_rng(9)
+    L = rng.normal(scale=3.0, size=(8, 8))
+    L[rng.random((8, 8)) < 0.4] = -np.inf
+    np.fill_diagonal(L, 0.0)  # keeps the identity matching feasible
+    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-9
+
+
+def test_posterior_weights_pinned_n16():
+    # Frozen before the Ryser loop was rewritten: up to n = 16 the
+    # weights must replay bit for bit.
+    L = _sweep_like_iid2(16, np.random.default_rng(16))
+    assert posterior_pi1(L).weights.tolist() == [
+        0.30222064295623563,
+        0.09370479475454062,
+        4.215547685662523e-08,
+        0.013766468863825848,
+        0.5196920845573901,
+        5.569785607509433e-11,
+        0.00017306805417224088,
+        0.00017306805417224088,
+        5.569785607509433e-11,
+        0.0007520955122990125,
+        0.0024870875168994016,
+        0.023833407093862946,
+        6.061102335920995e-05,
+        0.04313653516655278,
+        3.163813381201275e-09,
+        9.101600403271118e-08,
+    ]
 
 
 def test_posterior_feasibility_bound():

@@ -148,6 +148,24 @@ def test_validate_chain_matches_oracle_on_random_graphs():
         rep = validate_chain(T)
         assert (rep.irreducible, rep.aperiodic) == _oracle_chain_report(T.matrix)
 
+    # Uniform walks on random 0/1 supports, sparse enough that reducible
+    # and periodic chains both occur.
+    seen = set()
+    for r in range(1, 8):
+        for _ in range(100):
+            support = rng.random((r, r)) < rng.uniform(0.05, 0.6)
+            for i in np.flatnonzero(~support.any(axis=1)):
+                support[i, rng.integers(r)] = True
+            g = MobilityGraph(r=r, edges=list(zip(*np.nonzero(support))))
+            T = TransitionMatrix(
+                matrix=support / support.sum(axis=1, keepdims=True), graph=g
+            )
+            rep = validate_chain(T)
+            oracle = _oracle_chain_report(T.matrix)
+            assert (rep.irreducible, rep.aperiodic) == oracle
+            seen.add(oracle)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
 
 def test_stationary_two_state_closed_form():
     pi = stationary_distribution(two_state(0.3, 0.6))
