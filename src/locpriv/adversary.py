@@ -16,6 +16,7 @@ the likelihood matrix the adversary offers two attacks:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,14 @@ __all__ = [
 _NEG_SENTINEL = -1e18
 _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 
-# Hard cap on exact-posterior size: Ryser is O(2^n * n^2).
+# Hard cap on exact-posterior size: the row-0 minors cost O(2^n * n^2)
+# up to n = 16 and O(2^n * n) beyond (see _ryser_row0_minors), so each
+# further user doubles the time.
 PERMANENT_FEASIBILITY_BOUND = 20
 
-_CHUNK_BITS = 16
-_mask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Columns whose subset row sums _ryser_row0_minors tabulates in one
+# matrix product; the subsets of any further columns are looped over.
+_TABLE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -171,27 +175,12 @@ def likelihood_matrix_markov(chains, stats: TransitionStats) -> np.ndarray:
     return L
 
 
-def _subset_masks(nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonempty column subsets as 0/1 rows, plus subset sizes."""
-    cached = _mask_cache.get(nbits)
-    if cached is None:
-        idx = np.arange(1, 2**nbits, dtype=np.int64)
-        mask = ((idx[:, None] >> np.arange(nbits)[None, :]) & 1).astype(float)
-        cached = (mask, mask.sum(axis=1))
-        if nbits <= _CHUNK_BITS:
-            _mask_cache[nbits] = cached
-    return cached
-
-
-def _subset_chunks(nbits: int):
-    if nbits <= _CHUNK_BITS:
-        yield _subset_masks(nbits)
-        return
-    cols = np.arange(nbits)[None, :]
-    for start in range(1, 2**nbits, 2**_CHUNK_BITS):
-        idx = np.arange(start, min(start + 2**_CHUNK_BITS, 2**nbits), dtype=np.int64)
-        mask = ((idx[:, None] >> cols) & 1).astype(float)
-        yield mask, mask.sum(axis=1)
+@functools.lru_cache(maxsize=None)
+def _subset_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All nonempty subsets of k columns as read-only 0/1 rows, plus sizes."""
+    idx = np.arange(1, 2**k, dtype=np.int64)
+    mask = ((idx[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+    return _readonly(mask), _readonly(mask.sum(axis=1))
 
 
 def permanent(A: np.ndarray) -> float:
@@ -212,16 +201,32 @@ def _ryser_row0_minors(A: np.ndarray) -> np.ndarray:
     """perm of A with row 0 and column j removed, for every j, in one pass.
 
     Uses d perm(A) / d A[0, j]: subsets containing column j, with the
-    first-row factor dropped from the product.
+    first-row factor dropped from the product. The row sums of every
+    subset of the first k = min(n, 16) columns come from one matrix
+    product; each nonempty subset H of the other columns then shifts
+    them by H's own row sums, so n > 16 costs 2^(n-16) cheap passes.
     """
     n = A.shape[0]
     if n == 1:
         return np.ones(1)
+    k = min(n, _TABLE_BITS)
+    mask, sizes = _subset_table(k)
+    low_sums = mask @ A[1:, :k].T
+    sign = (-1.0) ** (n - sizes)
     out = np.zeros(n)
-    for mask, sizes in _subset_chunks(n):
-        rowsums = mask @ A[1:].T
-        v = (-1.0) ** (n - sizes) * np.prod(rowsums, axis=1)
-        out += v @ mask
+    out[:k] += (sign * np.prod(low_sums, axis=1)) @ mask
+    high = A[1:, k:]
+    sums = np.empty_like(low_sums)
+    for h in range(1, 2 ** (n - k)):
+        in_h = (h >> np.arange(n - k)) & 1
+        parity = (-1.0) ** in_h.sum()
+        high_sums = high @ in_h
+        np.add(low_sums, high_sums, out=sums)
+        v = sign * np.prod(sums, axis=1)
+        out[:k] += parity * (v @ mask)
+        # H's columns also appear in H alone, which the table leaves out
+        empty_low = (-1.0) ** n * np.prod(high_sums)
+        out[k:] += parity * (v.sum() + empty_low) * in_h
     return out
 
 
@@ -299,9 +304,7 @@ def _balance(L: np.ndarray) -> np.ndarray:
     return B
 
 
-def posterior_pi1(
-    L: np.ndarray, *, max_n: int = PERMANENT_FEASIBILITY_BOUND
-) -> AssignmentPosterior:
+def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
     """Exact posterior over user 1's pseudonym.
 
     W_j is proportional to exp(L[0, j]) times the permanent of exp(L)
@@ -313,8 +316,10 @@ def posterior_pi1(
     n = L.shape[0]
     if L.shape != (n, n) or n < 1:
         raise ValueError("likelihood matrix must be square and nonempty")
-    if n > max_n:
-        raise ValueError(f"posterior limited to n <= {max_n} (got n = {n})")
+    if n > PERMANENT_FEASIBILITY_BOUND:
+        raise ValueError(
+            f"posterior limited to n <= {PERMANENT_FEASIBILITY_BOUND} (got n = {n})"
+        )
     if np.isnan(L).any():
         raise ValueError("likelihood matrix contains NaN")
     B = _balance(L)

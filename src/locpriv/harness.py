@@ -143,11 +143,18 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def _number(value, cast, what: str):
+def _number(value, what: str) -> float:
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _count(value, what: str, low: int) -> int:
+    """A JSON integer >= low, taken as is: 3.9, "3" and true are not counts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _parse_density(spec: dict | None, r: int) -> ProfileDensity:
@@ -205,7 +212,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError(f"graph file: {exc}") from exc
         if graph.d < 1:
             raise ConfigError("markov sweeps need a graph with d = |E| - r >= 1")
-        if "r" in raw and _number(raw["r"], int, "r") != graph.r:
+        if "r" in raw and _count(raw["r"], "r", 1) != graph.r:
             raise ConfigError(f"config r={raw['r']} != graph r={graph.r}")
         dspec = raw.get("density")
         if dspec is not None and (
@@ -217,26 +224,23 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if graph_path is not None:
             raise ConfigError("graph_path is only meaningful for the markov model")
         if model_name == "iid2":
-            r = _number(raw.get("r", 2), int, "r")
+            r = _count(raw.get("r", 2), "r", 2)
             if r != 2:
                 raise ConfigError("iid2 fixes r = 2")
         else:
             if "r" not in raw:
                 raise ConfigError("iidr requires r")
-            r = _number(raw["r"], int, "r")
-            if r < 2:
-                raise ConfigError("iidr requires r >= 2")
+            r = _count(raw["r"], "r", 2)
         model = IidModel(r=r)
         density = _parse_density(raw.get("density"), r)
 
     n_grid = raw.get("n_grid")
-    if (
-        not isinstance(n_grid, list)
-        or not n_grid
-        or any(not isinstance(n, int) or n < 1 for n in n_grid)
-        or sorted(n_grid) != n_grid
-    ):
-        raise ConfigError("n_grid must be a nonempty ascending list of counts >= 1")
+    if not isinstance(n_grid, list) or not n_grid:
+        raise ConfigError("n_grid must be a nonempty list")
+    for n in n_grid:
+        _count(n, "n_grid entry", 1)
+    if sorted(n_grid) != n_grid:
+        raise ConfigError("n_grid must be ascending")
 
     sched_raw = raw.get("schedule")
     if not isinstance(sched_raw, dict):
@@ -244,13 +248,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     _require_keys(sched_raw, {"c", "beta", "alpha"}, "schedule")
     if "c" not in sched_raw or ("beta" in sched_raw) == ("alpha" in sched_raw):
         raise ConfigError("schedule needs c and exactly one of beta or alpha")
-    c = _number(sched_raw["c"], float, "schedule c")
+    c = _number(sched_raw["c"], "schedule c")
     if "beta" in sched_raw:
-        beta = _number(sched_raw["beta"], float, "schedule beta")
+        beta = _number(sched_raw["beta"], "schedule beta")
     else:
-        beta = threshold_exponent(model) - _number(
-            sched_raw["alpha"], float, "schedule alpha"
-        )
+        alpha = _number(sched_raw["alpha"], "schedule alpha")
+        beta = threshold_exponent(model) - alpha
         if beta <= 0:
             raise ConfigError("alpha too large: derived beta must be positive")
     try:
@@ -258,14 +261,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trials = raw.get("trials")
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials must be a count >= 1")
+    trials = _count(raw.get("trials"), "trials", 1)
 
     k = raw.get("k", "last")
     if k != "last":
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("k must be 'last' or a time index >= 1")
+        _count(k, "k (a time index, or 'last')", 1)
         min_m = min(schedule_observations(n, schedule) for n in n_grid)
         if k > min_m:
             raise ConfigError(f"k={k} exceeds the smallest cell's m={min_m}")
@@ -282,8 +282,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("the weights metric is defined for the iid2 model only")
     metrics = tuple(met for met in _METRIC_CHOICES if met in metrics)
 
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    seed = _count(raw.get("seed"), "seed", 0)
+    if seed >= 2**64:
         raise ConfigError("seed must be an integer in [0, 2^64)")
 
     out_path = raw.get("out_path", "results.csv")

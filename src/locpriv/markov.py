@@ -11,11 +11,12 @@ probability = 1 - sum of the row's free entries).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .mobility import BOUNDARY_MARGIN, Trajectory, _readonly
 
@@ -227,103 +228,24 @@ def contract_transition_matrix(
     return FreeParamVector(values)
 
 
-def _successors(matrix: np.ndarray) -> list[list[int]]:
-    return [list(np.nonzero(matrix[i] > 0.0)[0]) for i in range(matrix.shape[0])]
-
-
-def _reachable(succ: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    # Iterative Tarjan.
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            u, pi = work[-1]
-            if pi == 0:
-                index[u] = low[u] = counter
-                counter += 1
-                stack.append(u)
-                on_stack[u] = True
-            advanced = False
-            for k in range(pi, len(succ[u])):
-                v = succ[u][k]
-                if index[v] == -1:
-                    work[-1] = (u, k + 1)
-                    work.append((v, 0))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == u:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _component_period(succ: list[list[int]], comp: list[int]) -> int:
-    """gcd of cycle lengths inside one strongly connected component."""
-    members = set(comp)
-    depth = {comp[0]: 0}
-    order = [comp[0]]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in succ[u]:
-            if v in members and v not in depth:
-                depth[v] = depth[u] + 1
-                order.append(v)
-    g = 0
-    for u in comp:
-        for v in succ[u]:
-            if v in members:
-                g = math.gcd(g, depth[u] + 1 - depth[v])
-    return abs(g)
-
-
 def validate_chain(T: TransitionMatrix) -> ChainReport:
-    """Report irreducibility (one SCC) and aperiodicity (cycle gcd 1)."""
-    succ = _successors(T.matrix)
-    comps = _strongly_connected_components(succ)
-    irreducible = len(comps) == 1
+    """Report irreducibility (one SCC) and aperiodicity (cycle gcd 1).
+
+    A component's period is the gcd of depth[u] + 1 - depth[v] over its
+    internal edges u -> v, with depths from a BFS inside the component.
+    """
+    adj = csr_matrix(T.matrix > 0.0)
+    n_comps, labels = connected_components(adj, directed=True, connection="strong")
     g = 0
-    for comp in comps:
-        members = set(comp)
-        has_internal = any(v in members for u in comp for v in succ[u])
-        if has_internal:
-            g = math.gcd(g, _component_period(succ, comp))
-    aperiodic = g == 1
-    return ChainReport(irreducible=irreducible, aperiodic=aperiodic)
+    for c in range(n_comps):
+        members = np.flatnonzero(labels == c)
+        sub = adj[members][:, members]
+        if sub.nnz == 0:
+            continue
+        depth = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
+        u, v = sub.nonzero()
+        g = np.gcd(g, np.gcd.reduce(depth[u] + 1 - depth[v]))
+    return ChainReport(irreducible=n_comps == 1, aperiodic=bool(g == 1))
 
 
 def stationary_distribution(T: TransitionMatrix) -> np.ndarray:

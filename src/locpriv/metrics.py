@@ -99,7 +99,6 @@ def attack(
     *,
     want_posterior: bool = True,
     want_map: bool = False,
-    max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
 ) -> AttackTrial:
     """Draw a pseudonym permutation, anonymize the users' trajectories,
     and attack with the users' laws known exactly.
@@ -115,7 +114,7 @@ def attack(
         L = adversary.likelihood_matrix_markov(
             profiles, adversary.transition_stats(Y, model.r)
         )
-    posterior = adversary.posterior_pi1(L, max_n=max_n) if want_posterior else None
+    posterior = adversary.posterior_pi1(L) if want_posterior else None
     map_perm = adversary.map_assignment(L) if want_map else None
     return AttackTrial(Y=Y, perm=perm, posterior=posterior, map_perm=map_perm)
 
@@ -128,7 +127,6 @@ def simulate_attack_trial(
     *,
     want_posterior: bool = True,
     want_map: bool = False,
-    max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
 ) -> AttackTrial:
     """Sample each user's trajectory of length m, then ``attack``."""
     trajectories = [model.sample_trajectory(p, m, rng) for p in profiles]
@@ -139,7 +137,6 @@ def simulate_attack_trial(
         rng,
         want_posterior=want_posterior,
         want_map=want_map,
-        max_n=max_n,
     )
 
 
@@ -176,7 +173,6 @@ def mutual_information_mc(
     profile_sampler: Callable[[np.random.Generator], object] | None = None,
     profile1=None,
     profiles=None,
-    max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
 ) -> MiEstimate:
     """Monte Carlo estimate of I(X_1(k); Y) in bits.
 
@@ -186,15 +182,13 @@ def mutual_information_mc(
     """
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
-    if n > max_n:
-        raise ValueError(f"exact posterior infeasible for n = {n} > {max_n}")
     if not 1 <= k <= m:
         raise ValueError(f"time index k={k} outside 1..{m}")
     profile1, draw = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
     h_marginal = entropy(model.marginal(profile1, k))
     cond = np.empty(trials)
     for t in range(trials):
-        trial = simulate_attack_trial(model, draw(), m, rng, max_n=max_n)
+        trial = simulate_attack_trial(model, draw(), m, rng)
         q = conditional_location_distribution(trial.Y, trial.posterior, k, model.r)
         cond[t] = entropy(q)
     value = h_marginal - float(cond.mean())

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary
 from .metrics import simulate_attack_trial
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
@@ -224,7 +223,6 @@ def weight_uniformity(
     rng: np.random.Generator,
     *,
     p1: float = 0.5,
-    max_n: int = adversary.PERMANENT_FEASIBILITY_BOUND,
 ) -> WeightUniformityResult:
     """Watch the crowd's posterior weights flatten: N * W_j -> 1.
 
@@ -236,8 +234,6 @@ def weight_uniformity(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n > max_n:
-        raise ValueError(f"exact posterior infeasible for n = {n} > {max_n}")
     eps = params.eps(m)
     model = IidModel(r=2)
     devs = []
@@ -252,7 +248,7 @@ def weight_uniformity(
             degenerate += 1
             continue
         profiles = [IidProfile([1.0 - p, p]) for p in ps]
-        trial = simulate_attack_trial(model, profiles, m, rng, max_n=max_n)
+        trial = simulate_attack_trial(model, profiles, m, rng)
         dev = crowd_deviation(trial.posterior.weights, trial.perm.forward[crowd])
         if dev is None:
             degenerate += 1

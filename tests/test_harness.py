@@ -115,6 +115,21 @@ def test_parse_config_validates_fields(tmp_path):
         make_config(schedule={"c": "x", "beta": 1.0})
     with pytest.raises(ConfigError):
         make_config(model="iidr", r="three")
+    # counts must be JSON integers: no truncated floats, strings or booleans
+    with pytest.raises(ConfigError):
+        make_config(model="iidr", r=3.9)
+    with pytest.raises(ConfigError):
+        make_config(model="iid2", r=2.7)
+    with pytest.raises(ConfigError):
+        make_config(model="iidr", r="3")
+    with pytest.raises(ConfigError):
+        make_config(n_grid=[True])
+    with pytest.raises(ConfigError):
+        make_config(trials=True)
+    with pytest.raises(ConfigError):
+        make_config(seed=True)
+    with pytest.raises(ConfigError):
+        make_config(k=True)
     with pytest.raises(ConfigError):
         make_config(
             model="markov",
