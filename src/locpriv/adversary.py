@@ -116,13 +116,16 @@ class AssignmentPosterior:
         return int(self.weights.size)
 
 
+def _check_states(Y: ObservationMatrix, r: int) -> None:
+    if Y.entries.size and (Y.entries.min() < 0 or Y.entries.max() >= r):
+        raise ValueError(f"observation outside 0..{r - 1}")
+
+
 def count_stats(Y: ObservationMatrix, r: int) -> CountStats:
     """Exact per-state visit counts for every pseudonym column."""
-    if Y.entries.size and Y.entries.max() >= r:
-        raise ValueError(f"observation outside 0..{r - 1}")
-    counts = np.empty((Y.n, r), dtype=np.int64)
-    for j in range(Y.n):
-        counts[j] = np.bincount(Y.entries[:, j], minlength=r)
+    _check_states(Y, r)
+    cell = np.arange(Y.n) * r + Y.entries  # (pseudonym, state) as one index
+    counts = np.bincount(cell.ravel(), minlength=Y.n * r).reshape(Y.n, r)
     return CountStats(counts=counts, m=Y.m)
 
 
@@ -130,12 +133,9 @@ def transition_stats(Y: ObservationMatrix, r: int) -> TransitionStats:
     """Adjacent-pair transition counts for every pseudonym column."""
     if Y.m < 1:
         raise ValueError("need at least one observation")
-    if Y.entries.size and Y.entries.max() >= r:
-        raise ValueError(f"observation outside 0..{r - 1}")
-    mats = np.zeros((Y.n, r, r), dtype=np.int64)
-    for j in range(Y.n):
-        col = Y.entries[:, j]
-        np.add.at(mats[j], (col[:-1], col[1:]), 1)
+    _check_states(Y, r)
+    cell = (np.arange(Y.n) * r + Y.entries[:-1]) * r + Y.entries[1:]
+    mats = np.bincount(cell.ravel(), minlength=Y.n * r * r).reshape(Y.n, r, r)
     return TransitionStats(matrices=mats, m=Y.m)
 
 
@@ -230,10 +230,49 @@ def _ryser_row0_minors(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """loss[u, j]: how far the best permutation that matches u to j falls
+    below the optimum sigma (inf where no feasible permutation does).
+
+    Any permutation differs from sigma by disjoint alternating cycles on
+    the columns, where row i moving from sigma(i) to j is an edge
+    sigma(i) -> j of weight Lf[i, sigma(i)] - Lf[i, j]. Bellman-Ford
+    potentials make every weight nonnegative (no cycle is negative, since
+    sigma is optimal) and Floyd-Warshall closes the cheapest cycle
+    through each edge.
+    """
+    n = sigma.size
+    own = Lf[np.arange(n), sigma]
+    W = np.where(Lf > _SENTINEL_CUTOFF, own[:, None] - Lf, np.inf)
+    p = np.zeros(n)
+    for _ in range(n):
+        q = np.minimum(p, (p[sigma][:, None] + W).min(axis=0))
+        if not (q < p).any():
+            break
+        p = q
+    rc = np.maximum(W + p[sigma][:, None] - p[None, :], 0.0)
+    D = np.empty_like(rc)
+    D[sigma] = rc
+    np.fill_diagonal(D, 0.0)
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    return rc + D[:, sigma].T
+
+
 def map_assignment(L: np.ndarray) -> Permutation:
     """MAP user-to-pseudonym matching: argmax over permutations of the
     total log-likelihood, ties broken by lexicographically smallest
     forward array (totals within a small numeric tolerance count as tied).
+
+    One assignment solve finds the optimum. The tie-break then fixes rows
+    in order, each to the smallest column that still completes to a
+    total within tol of the optimum, and keeps one such completion at
+    hand. A column cannot when its exact loss (see _tie_loss) exceeds
+    2 tol. It can when the completion at hand, with at most one pair of
+    rows trading columns, falls short of the optimum by at most tol / 2.
+    Those margins absorb the rounding in the bounds; only the columns
+    left undecided get the exact test, a sub-assignment over the
+    remaining rows and columns.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -248,24 +287,46 @@ def map_assignment(L: np.ndarray) -> Permutation:
     best = float(Lf[rows, cols].sum())
     finite = Lf[Lf > _SENTINEL_CUTOFF]
     tol = 1e-9 * max(1.0, float(np.abs(finite).max()) if finite.size else 1.0)
+    near = _tie_loss(Lf, cols) <= 2 * tol
 
+    work = cols.copy()  # completes the fixed prefix within tol of best
+    slack = 0.0
     forward = np.empty(n, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     fixed = 0.0
     for u in range(n):
-        free_cols = np.flatnonzero(~used)
+        w = work[u]
+        candidates = near[u] & ~used
+        candidates[w] = True
         chosen = -1
-        for j in free_cols:
-            if Lf[u, j] <= _SENTINEL_CUTOFF:
-                continue
+        for j in candidates.nonzero()[0]:
+            # completion at hand: the working one, with rows u and r (the
+            # row that holds j) trading columns when j is not w
+            if j == w:
+                r, swap = u, 0.0
+            else:
+                r = int((work == j).nonzero()[0][0])
+                swap = Lf[u, w] + Lf[r, j] - Lf[u, j] - Lf[r, w]
+            if slack + swap <= tol / 2:
+                chosen = int(j)
+                work[u], work[r] = j, w
+                slack += swap
+                break
             if u == n - 1:
                 sub_opt = 0.0
             else:
-                sub = Lf[np.ix_(np.arange(u + 1, n), free_cols[free_cols != j])]
+                free_cols = np.flatnonzero(~used)
+                rest = free_cols[free_cols != j]
+                sub = Lf[np.ix_(np.arange(u + 1, n), rest)]
                 rr, cc = linear_sum_assignment(sub, maximize=True)
                 sub_opt = float(sub[rr, cc].sum())
-            if fixed + Lf[u, j] + sub_opt >= best - tol:
+            total = fixed + Lf[u, j] + sub_opt
+            if total >= best - tol:
                 chosen = int(j)
+                work[u] = j
+                if u < n - 1:
+                    work[u + 1 + rr] = rest[cc]
+                slack = best - total
                 break
         if chosen < 0:  # cannot happen once a feasible optimum exists
             raise ValueError("assignment refinement failed")

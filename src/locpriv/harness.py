@@ -144,10 +144,10 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    """A JSON number, as a float: "1.5" and true are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _count(value, what: str, low: int) -> int:
@@ -167,8 +167,8 @@ def _parse_density(spec: dict | None, r: int) -> ProfileDensity:
         return ProfileDensity(
             kind=spec["kind"],
             r=r,
-            bump_weight=float(spec.get("bump_weight", 0.5)),
-            bump_alpha=float(spec.get("bump_alpha", 2.0)),
+            bump_weight=_number(spec.get("bump_weight", 0.5), "bump_weight"),
+            bump_alpha=_number(spec.get("bump_alpha", 2.0), "bump_alpha"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -104,26 +104,21 @@ def mi_identical_profiles_shortcut(
     return value, float(h.std(ddof=1) / math.sqrt(trials))
 
 
-def map_assignment_bruteforce(L: np.ndarray) -> Permutation:
-    """Exhaustive argmax over all n! permutations (test oracle)."""
+def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> Permutation:
+    """Exhaustive search over all n! permutations (test oracle): the first,
+    in lexicographic order, whose total is within tol of the maximum, so
+    with tol = 0 the lexicographically smallest exact optimum. -inf cells
+    are infeasible."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    best_total = -np.inf
-    best_perm: tuple[int, ...] | None = None
-    for p in itertools.permutations(range(n)):
-        total = 0.0
-        feasible = True
-        for u, j in enumerate(p):
-            if not np.isfinite(L[u, j]):
-                feasible = False
-                break
-            total += L[u, j]
-        if feasible and (total > best_total):
-            best_total = total
-            best_perm = p
-    if best_perm is None:
+    perms = list(itertools.permutations(range(n)))
+    totals = [sum(L[u, j] for u, j in enumerate(p)) for p in perms]
+    best = max(totals)
+    if best == -np.inf:
         raise ValueError("no feasible permutation: every matching hits -inf")
-    return Permutation.from_forward(list(best_perm))
+    return Permutation.from_forward(
+        list(next(p for p, t in zip(perms, totals) if t >= best - tol))
+    )
 
 
 def row0_minors_dp(B: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -67,6 +68,35 @@ def test_transition_stats_examples():
     assert np.all(stats.matrices.sum(axis=(1, 2)) == 8)
 
 
+@pytest.mark.parametrize("m, n, r", [(1, 5, 3), (2, 1, 4), (9, 6, 5), (400, 32, 3)])
+def test_stats_match_per_column_reference(m, n, r):
+    # states 0..r-2 only, so the last state is never visited
+    Y = ObservationMatrix(
+        entries=np.random.default_rng(m + n + r).integers(0, r - 1, size=(m, n))
+    )
+    counts = np.zeros((n, r), dtype=np.int64)
+    mats = np.zeros((n, r, r), dtype=np.int64)
+    for j in range(n):
+        col = Y.entries[:, j]
+        for t in range(m):
+            counts[j, col[t]] += 1
+            if t + 1 < m:
+                mats[j, col[t], col[t + 1]] += 1
+    assert np.array_equal(count_stats(Y, r).counts, counts)
+    assert np.array_equal(transition_stats(Y, r).matrices, mats)
+    assert not counts[:, r - 1].any()
+
+
+def test_stats_reject_states_out_of_range():
+    for bad in (np.array([[0, 3]]), np.array([[0, -1]]), np.array([[1], [3]])):
+        with pytest.raises(ValueError):
+            count_stats(ObservationMatrix(entries=bad), 3)
+        with pytest.raises(ValueError):
+            transition_stats(ObservationMatrix(entries=bad), 3)
+    with pytest.raises(ValueError):
+        transition_stats(ObservationMatrix(entries=np.zeros((0, 2))), 3)
+
+
 def test_log_likelihood_iid():
     p = IidProfile([0.5, 0.5])
     assert log_likelihood_iid(p, [1, 1]) == pytest.approx(2 * math.log(0.5))
@@ -133,6 +163,87 @@ def test_map_assignment_matches_bruteforce():
         assert np.array_equal(
             map_assignment(L).forward, map_assignment_bruteforce(L).forward
         )
+
+
+def _tie_heavy(rng, n):
+    """Small-integer likelihoods (so every total is exact) with random -inf
+    cells and duplicated columns: exact ties between optima are common."""
+    L = rng.integers(-3, 1, size=(n, n)).astype(float)
+    L[rng.random((n, n)) < 0.15] = -np.inf
+    dup = rng.random(n) < 0.5
+    L[:, dup] = L[:, rng.integers(0, n, size=int(dup.sum()))]
+    return L
+
+
+def test_map_assignment_matches_bruteforce_on_ties():
+    # The oracle keeps the first permutation (in lexicographic order) that
+    # reaches the maximum, so on exact ties it is the lexicographic rule.
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        n = int(rng.integers(1, 8))
+        L = _tie_heavy(rng, n)
+        try:
+            expected = map_assignment_bruteforce(L).forward
+        except ValueError:
+            with pytest.raises(ValueError):
+                map_assignment(L)
+            continue
+        assert np.array_equal(map_assignment(L).forward, expected)
+
+
+def test_map_assignment_near_ties_at_tolerance():
+    # Integer likelihoods with one or two cells moved by 0.35, 0.8 or 1.6
+    # times tol: totals then differ from the maximum by combinations that
+    # stay at least 0.15 tol away from the tie threshold, so the tie rule
+    # has one answer however the totals are rounded.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        L = rng.integers(-2, 1, size=(n, n)).astype(float) * 10.0 ** rng.integers(-1, 3)
+        tol = 1e-9 * max(1.0, float(np.abs(L).max()))
+        cells = rng.integers(0, n, size=(int(rng.integers(1, 3)), 2))
+        L[cells[:, 0], cells[:, 1]] += (
+            rng.choice([0.35, 0.8, 1.6], size=len(cells))
+            * rng.choice([-1.0, 1.0], size=len(cells))
+            * tol
+        )
+        assert np.array_equal(
+            map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
+        )
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (64, "3c381aac5d6bbc4d861d45a93a1938790f67ca881b3a4fe646870efbc517f871"),
+        (128, "f3721ab14c5d042961cd12a34f0b4d04bff4a937ce6c69c0db9086b7596db5cb"),
+    ],
+)
+def test_map_assignment_pinned_with_duplicated_columns(n, digest):
+    # iid2 sweep trials at m = round(n^1.2): users whose observation
+    # counts coincide give identical likelihood columns, hence tied optima.
+    L = _sweep_like_iid2(n, np.random.default_rng(200 + n))
+    assert np.unique(L, axis=1).shape[1] < n
+    forward = map_assignment(L).forward
+    assert hashlib.sha256(forward.tobytes()).hexdigest() == digest
+
+
+def test_map_assignment_solve_count(monkeypatch):
+    # One assignment solve, with or without tied optima: at n = 64 the
+    # tie-break once took about 1,000.
+    calls = []
+    solve = adversary.linear_sum_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "linear_sum_assignment", counting)
+    map_assignment(np.random.default_rng(64).normal(size=(64, 64)))
+    assert len(calls) == 1
+    calls.clear()
+    map_assignment(_sweep_like_iid2(64, np.random.default_rng(264)))
+    assert len(calls) == 1  # 7 if tied columns each needed a sub-solve
 
 
 def test_map_assignment_tie_break_lexicographic():

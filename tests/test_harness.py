@@ -136,6 +136,35 @@ def test_parse_config_validates_fields(tmp_path):
             graph_path=write_three_state_graph(tmp_path),
             density="flat",
         )
+    # schedule and density values must be JSON numbers: no strings or booleans
+    with pytest.raises(ConfigError):
+        make_config(schedule={"c": "1.5", "beta": 1.2})
+    with pytest.raises(ConfigError):
+        make_config(schedule={"c": 1.0, "beta": True})
+    with pytest.raises(ConfigError):
+        make_config(schedule={"c": 1.0, "alpha": "0.8"})
+    with pytest.raises(ConfigError):
+        make_config(density={"kind": "bounded-mixture", "bump_alpha": "3"})
+    with pytest.raises(ConfigError):
+        make_config(density={"kind": "bounded-mixture", "bump_weight": "0.5"})
+    # integers are JSON numbers too
+    cfg = make_config(
+        schedule={"c": 1, "beta": 1},
+        density={"kind": "bounded-mixture", "bump_weight": 0.5, "bump_alpha": 3},
+    )
+    assert cfg.schedule.c == 1.0 and cfg.density.bump_alpha == 3.0
+
+
+@pytest.mark.parametrize(
+    "name, experiment_id",
+    [
+        ("iid2_single_cell.json", "c34fabd09416"),
+        ("iid2_sweep.json", "83d035d5fc59"),
+        ("markov_sweep.json", "ce2ad79da951"),
+    ],
+)
+def test_shipped_config_experiment_ids_pinned(name, experiment_id):
+    assert load_config(os.path.join(CONFIGS, name)).experiment_id() == experiment_id
 
 
 def test_parse_config_alpha_derives_beta():
