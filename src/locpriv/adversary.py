@@ -217,12 +217,14 @@ def _ryser_row0_minors(A: np.ndarray) -> np.ndarray:
     out[:k] += (sign * np.prod(low_sums, axis=1)) @ mask
     high = A[1:, k:]
     sums = np.empty_like(low_sums)
+    v = np.empty_like(sign)
     for h in range(1, 2 ** (n - k)):
         in_h = (h >> np.arange(n - k)) & 1
         parity = (-1.0) ** in_h.sum()
         high_sums = high @ in_h
         np.add(low_sums, high_sums, out=sums)
-        v = sign * np.prod(sums, axis=1)
+        np.prod(sums, axis=1, out=v)
+        v *= sign
         out[:k] += parity * (v @ mask)
         # H's columns also appear in H alone, which the table leaves out
         empty_low = (-1.0) ** n * np.prod(high_sums)

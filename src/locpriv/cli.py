@@ -51,7 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and checked (>= 1) but has no effect: sweeps run "
+        "serially (LOCPRIV_THREADS overrides it)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_lemma = sub.add_parser("lemma", help="proof-machinery numerical battery")

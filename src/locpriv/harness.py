@@ -2,19 +2,17 @@
 
 Everything is a pure function of (config, master seed). Each trial draws
 from its own substream seeded by a stable 64-bit hash of (master seed,
-cell index, trial index), so results do not depend on how trials are
-scheduled across worker threads, and rerunning a sweep reproduces the
-output CSV byte for byte.
+cell index, trial index), so no result depends on the order in which
+trials run, and rerunning a sweep reproduces the output CSV byte for
+byte. Sweeps run their trials serially on the calling thread.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +161,8 @@ def _parse_density(spec: dict | None, r: int) -> ProfileDensity:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("density must be an object with a 'kind' key")
     _require_keys(spec, {"kind", "bump_weight", "bump_alpha"}, "density")
+    if spec["kind"] == "uniform-simplex" and len(spec) > 1:
+        raise ConfigError("uniform-simplex takes no bump_weight or bump_alpha")
     try:
         return ProfileDensity(
             kind=spec["kind"],
@@ -215,9 +215,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if "r" in raw and _count(raw["r"], "r", 1) != graph.r:
             raise ConfigError(f"config r={raw['r']} != graph r={graph.r}")
         dspec = raw.get("density")
-        if dspec is not None and (
-            not isinstance(dspec, dict) or dspec.get("kind") != "uniform-simplex"
-        ):
+        if dspec is not None and _parse_density(dspec, graph.r).kind != "uniform-simplex":
             raise ConfigError("markov model supports only the uniform-simplex prior")
         model: object = MarkovModel(graph=graph)
     else:
@@ -379,49 +377,12 @@ def read_results_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def _run_cell_trial(config, n, m, k_eff, h_marginal, profile1, sampler, mi_on,
-                    accuracy_on, weights_on, trial_seed):
-    """One trial of the sweep pipeline; returns metric-name -> value."""
-    rng = np.random.default_rng(trial_seed)
-    profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
-    trial = simulate_attack_trial(
-        config.model,
-        profiles,
-        m,
-        rng,
-        want_posterior=mi_on or weights_on,
-        want_map=accuracy_on,
-    )
-    out: dict[str, float | None] = {}
-    if mi_on:
-        q = conditional_location_distribution(
-            trial.Y, trial.posterior, k_eff, config.model.r
-        )
-        out["mi"] = h_marginal - entropy(q)
-    if accuracy_on:
-        out["pi1_accuracy"] = float(
-            trial.map_perm.forward[0] == trial.perm.forward[0]
-        )
-        out["full_perm_accuracy"] = float(
-            np.array_equal(trial.map_perm.forward, trial.perm.forward)
-        )
-    if weights_on:
-        eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
-        state1 = np.array([p.probs[1] for p in profiles])
-        crowd = proofcheck.critical_set(state1, 0, eps)
-        out["weight_max_dev"] = (
-            proofcheck.crowd_deviation(
-                trial.posterior.weights, trial.perm.forward[crowd]
-            )
-            if crowd.size >= 2
-            else None
-        )
-    return out
-
-
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """Execute the full grid; rows come back in deterministic
     (cell, trial, metric) order with per-cell aggregates (trial = -1) last.
+
+    Trials run one after another on the calling thread. `threads` is
+    accepted and validated (>= 1) for compatibility and has no effect.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -429,81 +390,110 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     feasible_bound = adversary.PERMANENT_FEASIBILITY_BOUND
     sampler = config.model.profile_sampler(config.density)
     rows: list[ResultRow] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for cell, n in enumerate(config.n_grid):
-            m = schedule_observations(n, config.schedule)
-            k_eff = m if config.k == "last" else int(config.k)
-            cell_rng = np.random.default_rng(
-                substream_seed(config.seed, cell, _CELL_DRAW)
-            )
-            profile1 = sampler(cell_rng)
-            mi_on = "mi" in config.metrics and n <= feasible_bound
-            weights_on = "weights" in config.metrics and n <= feasible_bound
-            accuracy_on = "accuracy" in config.metrics
-            h_marginal = (
-                entropy(config.model.marginal(profile1, k_eff)) if mi_on else 0.0
-            )
-            trial_seeds = [
-                substream_seed(config.seed, cell, t) for t in range(config.trials)
-            ]
-            run_trial = functools.partial(
-                _run_cell_trial, config, n, m, k_eff, h_marginal, profile1,
-                sampler, mi_on, accuracy_on, weights_on,
-            )
-            results = list(pool.map(run_trial, trial_seeds))
+    for cell, n in enumerate(config.n_grid):
+        m = schedule_observations(n, config.schedule)
+        k_eff = m if config.k == "last" else int(config.k)
+        cell_rng = np.random.default_rng(
+            substream_seed(config.seed, cell, _CELL_DRAW)
+        )
+        profile1 = sampler(cell_rng)
+        mi_on = "mi" in config.metrics and n <= feasible_bound
+        weights_on = "weights" in config.metrics and n <= feasible_bound
+        accuracy_on = "accuracy" in config.metrics
+        h_marginal = (
+            entropy(config.model.marginal(profile1, k_eff)) if mi_on else 0.0
+        )
+        eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
 
-            def emit(trial, metric, value, std_error, seed):
-                rows.append(
-                    ResultRow(
-                        experiment_id=exp_id,
-                        model=config.model_name,
-                        n=n,
-                        m=m,
-                        beta=config.schedule.beta,
-                        trial=trial,
-                        metric=metric,
-                        value=value,
-                        std_error=std_error,
-                        seed=seed,
-                    )
+        def emit(trial, metric, value, std_error, seed):
+            rows.append(
+                ResultRow(
+                    experiment_id=exp_id,
+                    model=config.model_name,
+                    n=n,
+                    m=m,
+                    beta=config.schedule.beta,
+                    trial=trial,
+                    metric=metric,
+                    value=value,
+                    std_error=std_error,
+                    seed=seed,
                 )
+            )
 
-            # _run_cell_trial fills each result in the CSV's metric order.
-            for t, res in enumerate(results):
-                for metric, value in res.items():
-                    if value is not None:
-                        emit(t, metric, value, None, trial_seeds[t])
-
-            if "mi" in config.metrics and not mi_on:
-                emit(-1, "mi_skipped", 1.0, None, config.seed)
-            if "weights" in config.metrics and not weights_on:
-                emit(-1, "weights_skipped", 1.0, None, config.seed)
+        # Per-metric values for the aggregates, filled in the CSV's
+        # metric order; a degenerate weight deviation is None.
+        values: dict[str, list] = {}
+        for t in range(config.trials):
+            trial_seed = substream_seed(config.seed, cell, t)
+            rng = np.random.default_rng(trial_seed)
+            profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
+            trial = simulate_attack_trial(
+                config.model,
+                profiles,
+                m,
+                rng,
+                want_posterior=mi_on or weights_on,
+                want_map=accuracy_on,
+            )
+            out: dict[str, float | None] = {}
             if mi_on:
-                vals = np.array([res["mi"] for res in results])
-                se = (
-                    float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                    if len(vals) > 1
+                q = conditional_location_distribution(
+                    trial.Y, trial.posterior, k_eff, config.model.r
+                )
+                out["mi"] = h_marginal - entropy(q)
+            if accuracy_on:
+                out["pi1_accuracy"] = float(
+                    trial.map_perm.forward[0] == trial.perm.forward[0]
+                )
+                out["full_perm_accuracy"] = float(
+                    np.array_equal(trial.map_perm.forward, trial.perm.forward)
+                )
+            if weights_on:
+                state1 = np.array([p.probs[1] for p in profiles])
+                crowd = proofcheck.critical_set(state1, 0, eps)
+                out["weight_max_dev"] = (
+                    proofcheck.crowd_deviation(
+                        trial.posterior.weights, trial.perm.forward[crowd]
+                    )
+                    if crowd.size >= 2
                     else None
                 )
-                emit(-1, "mi", float(vals.mean()), se, config.seed)
-            if accuracy_on:
-                for metric in ("pi1_accuracy", "full_perm_accuracy"):
-                    vals = np.array([res[metric] for res in results])
-                    p_hat = float(vals.mean())
-                    se = math.sqrt(p_hat * (1.0 - p_hat) / len(vals))
-                    emit(-1, metric, p_hat, se, config.seed)
-            if weights_on:
-                devs = [res["weight_max_dev"] for res in results]
-                valid = [d for d in devs if d is not None]
-                if valid:
-                    emit(-1, "weight_max_dev", float(np.median(valid)), None, config.seed)
-                emit(
-                    -1,
-                    "weight_degenerate_count",
-                    float(len(devs) - len(valid)),
-                    None,
-                    config.seed,
-                )
+            for metric, value in out.items():
+                values.setdefault(metric, []).append(value)
+                if value is not None:
+                    emit(t, metric, value, None, trial_seed)
+
+        if "mi" in config.metrics and not mi_on:
+            emit(-1, "mi_skipped", 1.0, None, config.seed)
+        if "weights" in config.metrics and not weights_on:
+            emit(-1, "weights_skipped", 1.0, None, config.seed)
+        if mi_on:
+            vals = np.array(values["mi"])
+            se = (
+                float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                if len(vals) > 1
+                else None
+            )
+            emit(-1, "mi", float(vals.mean()), se, config.seed)
+        if accuracy_on:
+            for metric in ("pi1_accuracy", "full_perm_accuracy"):
+                vals = np.array(values[metric])
+                p_hat = float(vals.mean())
+                se = math.sqrt(p_hat * (1.0 - p_hat) / len(vals))
+                emit(-1, metric, p_hat, se, config.seed)
+        if weights_on:
+            devs = values["weight_max_dev"]
+            valid = [d for d in devs if d is not None]
+            if valid:
+                emit(-1, "weight_max_dev", float(np.median(valid)), None, config.seed)
+            emit(
+                -1,
+                "weight_degenerate_count",
+                float(len(devs) - len(valid)),
+                None,
+                config.seed,
+            )
     return rows
 
 

@@ -65,6 +65,8 @@ def test_sweep_env_thread_override(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.setenv("LOCPRIV_THREADS", "nope")
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    monkeypatch.setenv("LOCPRIV_THREADS", "0")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

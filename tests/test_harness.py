@@ -1,10 +1,12 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import three_state_graph
+from locpriv import harness
 from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND
 from locpriv.harness import (
     ConfigError,
@@ -18,6 +20,7 @@ from locpriv.harness import (
     substream_seed,
     write_results_csv,
 )
+from locpriv.metrics import simulate_attack_trial
 from locpriv.mobility import IidModel
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -147,6 +150,17 @@ def test_parse_config_validates_fields(tmp_path):
         make_config(density={"kind": "bounded-mixture", "bump_alpha": "3"})
     with pytest.raises(ConfigError):
         make_config(density={"kind": "bounded-mixture", "bump_weight": "0.5"})
+    # bump fields belong to the bounded mixture only
+    with pytest.raises(ConfigError):
+        make_config(density={"kind": "uniform-simplex", "bump_alpha": 7})
+    with pytest.raises(ConfigError):
+        make_config(density={"kind": "uniform-simplex", "bump_weight": 0.5})
+    with pytest.raises(ConfigError):
+        make_config(
+            model="markov",
+            graph_path=write_three_state_graph(tmp_path),
+            density={"kind": "uniform-simplex", "bump_alpha": 7},
+        )
     # integers are JSON numbers too
     cfg = make_config(
         schedule={"c": 1, "beta": 1},
@@ -246,6 +260,21 @@ def test_run_sweep_deterministic_and_thread_invariant():
     rows1 = run_sweep(cfg, threads=1)
     rows2 = run_sweep(cfg, threads=3)
     assert rows1 == rows2
+    with pytest.raises(ConfigError):
+        run_sweep(cfg, threads=0)
+
+
+def test_run_sweep_runs_trials_on_calling_thread(monkeypatch):
+    idents = []
+
+    def recording_trial(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return simulate_attack_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_attack_trial", recording_trial)
+    cfg = make_config()
+    run_sweep(cfg, threads=3)
+    assert idents == [threading.get_ident()] * (len(cfg.n_grid) * cfg.trials)
 
 
 def test_run_sweep_skips_infeasible_mi():
