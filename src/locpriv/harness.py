@@ -397,9 +397,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             substream_seed(config.seed, cell, _CELL_DRAW)
         )
         profile1 = sampler(cell_rng)
+        # The attacks this cell runs: the exact posterior (mi, weights)
+        # only up to the feasibility bound, MAP (accuracy) at any n. A
+        # cell that runs neither has nothing to compute and runs no trials.
         mi_on = "mi" in config.metrics and n <= feasible_bound
         weights_on = "weights" in config.metrics and n <= feasible_bound
         accuracy_on = "accuracy" in config.metrics
+        posterior_on = mi_on or weights_on
+        cell_trials = config.trials if posterior_on or accuracy_on else 0
         h_marginal = (
             entropy(config.model.marginal(profile1, k_eff)) if mi_on else 0.0
         )
@@ -424,37 +429,31 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         # Per-metric values for the aggregates, filled in the CSV's
         # metric order; a degenerate weight deviation is None.
         values: dict[str, list] = {}
-        for t in range(config.trials):
+        for t in range(cell_trials):
             trial_seed = substream_seed(config.seed, cell, t)
             rng = np.random.default_rng(trial_seed)
             profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
-            trial = simulate_attack_trial(
-                config.model,
-                profiles,
-                m,
-                rng,
-                want_posterior=mi_on or weights_on,
-                want_map=accuracy_on,
-            )
+            trial = simulate_attack_trial(config.model, profiles, m, rng)
+            if posterior_on:
+                posterior = adversary.posterior_pi1(trial.L)
             out: dict[str, float | None] = {}
             if mi_on:
                 q = conditional_location_distribution(
-                    trial.Y, trial.posterior, k_eff, config.model.r
+                    trial.Y, posterior, k_eff, config.model.r
                 )
                 out["mi"] = h_marginal - entropy(q)
             if accuracy_on:
-                out["pi1_accuracy"] = float(
-                    trial.map_perm.forward[0] == trial.perm.forward[0]
-                )
+                guess = adversary.map_assignment(trial.L).forward
+                out["pi1_accuracy"] = float(guess[0] == trial.perm.forward[0])
                 out["full_perm_accuracy"] = float(
-                    np.array_equal(trial.map_perm.forward, trial.perm.forward)
+                    np.array_equal(guess, trial.perm.forward)
                 )
             if weights_on:
                 state1 = np.array([p.probs[1] for p in profiles])
                 crowd = proofcheck.critical_set(state1, 0, eps)
                 out["weight_max_dev"] = (
                     proofcheck.crowd_deviation(
-                        trial.posterior.weights, trial.perm.forward[crowd]
+                        posterior.weights, trial.perm.forward[crowd]
                     )
                     if crowd.size >= 2
                     else None
@@ -534,7 +533,6 @@ def ingest_traces(
     if model_kind == "markov" and graph is None:
         raise ConfigError("markov traces need a graph")
     per_user: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -556,68 +554,60 @@ def ingest_traces(
             loc = rec["location"]
             if loc is None or loc == "":
                 raise ConfigError(f"missing location in row {rec!r}")
-            if uid not in per_user:
-                per_user[uid] = []
-                order.append(uid)
-            seq = per_user[uid]
+            seq = per_user.setdefault(uid, [])
             if seq and t <= seq[-1][0]:
                 raise ConfigError(
                     f"times for user {uid!r} must be strictly increasing"
                 )
             seq.append((t, loc))
-    if not order:
+    if not per_user:
         raise ConfigError("trace file has no rows")
 
+    label_map: dict[str, int] = {}
+    for seq in per_user.values():
+        for _, loc in seq:
+            if loc in label_map:
+                continue
+            if model_kind == "iid":
+                label_map[loc] = len(label_map)
+                continue
+            try:
+                state = int(loc) - 1
+            except ValueError:
+                raise ConfigError(
+                    f"markov traces need 1-based integer state labels, got {loc!r}"
+                ) from None
+            if not 0 <= state < graph.r:
+                raise ConfigError(f"state label {loc!r} outside 1..{graph.r}")
+            label_map[loc] = state
+
     if model_kind == "markov":
-        r_eff = graph.r
-        label_map = {}
-        for uid in order:
-            for _, loc in per_user[uid]:
-                try:
-                    state = int(loc) - 1
-                except ValueError:
-                    raise ConfigError(
-                        f"markov traces need 1-based integer state labels, got {loc!r}"
-                    ) from None
-                if not 0 <= state < r_eff:
-                    raise ConfigError(f"state label {loc!r} outside 1..{r_eff}")
-                label_map.setdefault(loc, state)
+        model: object = MarkovModel(graph=graph)
+        fit, space = fit_markov_profile, graph
     else:
-        label_map = {}
-        for uid in order:
-            for _, loc in per_user[uid]:
-                if loc not in label_map:
-                    label_map[loc] = len(label_map)
         r_eff = r if r is not None else max(2, len(label_map))
         if r_eff < max(2, len(label_map)):
             raise ConfigError(
                 f"r={r_eff} too small for {len(label_map)} distinct locations"
             )
-
-    trajectories = []
-    for uid in order:
-        times = [t for t, _ in per_user[uid]]
-        states = [label_map[loc] for _, loc in per_user[uid]]
-        trajectories.append(Trajectory(states=np.array(states), time_base=times[0]))
-
-    if model_kind == "markov":
-        model: object = MarkovModel(graph=graph)
-        try:
-            profiles = [fit_markov_profile(t, graph, smoothing) for t in trajectories]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
         model = IidModel(r=r_eff)
-        try:
-            profiles = [fit_iid_profile(t, r_eff, smoothing) for t in trajectories]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        fit, space = fit_iid_profile, r_eff
+    trajectories = tuple(
+        Trajectory(
+            states=np.array([label_map[loc] for _, loc in seq]), time_base=seq[0][0]
+        )
+        for seq in per_user.values()
+    )
+    try:
+        profiles = tuple(fit(traj, space, smoothing) for traj in trajectories)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     dataset = TraceDataset(
-        user_ids=tuple(order),
-        trajectories=tuple(trajectories),
+        user_ids=tuple(per_user),
+        trajectories=trajectories,
         label_map=label_map,
     )
-    return dataset, Population(model=model, profiles=tuple(profiles))
+    return dataset, Population(model=model, profiles=profiles)
 
 
 def audit(
@@ -667,15 +657,9 @@ def audit(
     ]
     hits = 0
     for _ in range(trials):
-        trial = attack(
-            model,
-            population.profiles,
-            truncated_trajs,
-            rng2,
-            want_posterior=False,
-            want_map=True,
-        )
-        hits += int(trial.map_perm.forward[0] == trial.perm.forward[0])
+        trial = attack(model, population.profiles, truncated_trajs, rng2)
+        guess = adversary.map_assignment(trial.L).forward
+        hits += int(guess[0] == trial.perm.forward[0])
 
     report = {
         "model": model.name,

@@ -83,25 +83,21 @@ def conditional_location_distribution(
 
 @dataclass(frozen=True)
 class AttackTrial:
-    """One simulated epoch: observations, truth, and adversary outputs."""
+    """One simulated epoch: observations, truth, and the adversary's
+    log-likelihood matrix ``L[u, j]`` (user u generated pseudonym j's
+    column), the evidence both attacks work from:
+    ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``.
+    """
 
     Y: ObservationMatrix
     perm: object
-    posterior: adversary.AssignmentPosterior | None
-    map_perm: object | None
+    L: np.ndarray
 
 
-def attack(
-    model,
-    profiles,
-    trajectories,
-    rng: np.random.Generator,
-    *,
-    want_posterior: bool = True,
-    want_map: bool = False,
-) -> AttackTrial:
+def attack(model, profiles, trajectories, rng: np.random.Generator) -> AttackTrial:
     """Draw a pseudonym permutation, anonymize the users' trajectories,
-    and attack with the users' laws known exactly.
+    and build the likelihood matrix of an adversary who knows the users'
+    laws exactly.
 
     The adversary works from the model's sufficient statistics: visit
     counts for ``IidModel``, transition counts for ``MarkovModel``.
@@ -114,30 +110,15 @@ def attack(
         L = adversary.likelihood_matrix_markov(
             profiles, adversary.transition_stats(Y, model.r)
         )
-    posterior = adversary.posterior_pi1(L) if want_posterior else None
-    map_perm = adversary.map_assignment(L) if want_map else None
-    return AttackTrial(Y=Y, perm=perm, posterior=posterior, map_perm=map_perm)
+    return AttackTrial(Y=Y, perm=perm, L=L)
 
 
 def simulate_attack_trial(
-    model,
-    profiles,
-    m: int,
-    rng: np.random.Generator,
-    *,
-    want_posterior: bool = True,
-    want_map: bool = False,
+    model, profiles, m: int, rng: np.random.Generator
 ) -> AttackTrial:
     """Sample each user's trajectory of length m, then ``attack``."""
     trajectories = [model.sample_trajectory(p, m, rng) for p in profiles]
-    return attack(
-        model,
-        profiles,
-        trajectories,
-        rng,
-        want_posterior=want_posterior,
-        want_map=want_map,
-    )
+    return attack(model, profiles, trajectories, rng)
 
 
 def _resolve_profiles(
@@ -189,7 +170,8 @@ def mutual_information_mc(
     cond = np.empty(trials)
     for t in range(trials):
         trial = simulate_attack_trial(model, draw(), m, rng)
-        q = conditional_location_distribution(trial.Y, trial.posterior, k, model.r)
+        post = adversary.posterior_pi1(trial.L)
+        q = conditional_location_distribution(trial.Y, post, k, model.r)
         cond[t] = entropy(q)
     value = h_marginal - float(cond.mean())
     std_error = float(cond.std(ddof=1) / math.sqrt(trials))
@@ -217,10 +199,8 @@ def deanonymization_accuracy(
     pi1_hits = 0
     full_hits = 0
     for _ in range(trials):
-        trial = simulate_attack_trial(
-            model, draw(), m, rng, want_posterior=False, want_map=True
-        )
-        guess = trial.map_perm.forward
+        trial = simulate_attack_trial(model, draw(), m, rng)
+        guess = adversary.map_assignment(trial.L).forward
         truth = trial.perm.forward
         pi1_hits += int(guess[0] == truth[0])
         full_hits += int(np.array_equal(guess, truth))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import adversary
 from .metrics import simulate_attack_trial
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
@@ -249,7 +250,8 @@ def weight_uniformity(
             continue
         profiles = [IidProfile([1.0 - p, p]) for p in ps]
         trial = simulate_attack_trial(model, profiles, m, rng)
-        dev = crowd_deviation(trial.posterior.weights, trial.perm.forward[crowd])
+        weights = adversary.posterior_pi1(trial.L).weights
+        dev = crowd_deviation(weights, trial.perm.forward[crowd])
         if dev is None:
             degenerate += 1
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -277,6 +278,25 @@ def test_run_sweep_runs_trials_on_calling_thread(monkeypatch):
     assert idents == [threading.get_ident()] * (len(cfg.n_grid) * cfg.trials)
 
 
+def test_run_sweep_idle_cell_runs_no_trials(monkeypatch):
+    # Above the posterior bound, mi and weights are skipped, so the cell
+    # has nothing to compute and must not simulate anything.
+    calls = []
+
+    def recording_trial(*args, **kwargs):
+        calls.append(args)
+        return simulate_attack_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_attack_trial", recording_trial)
+    n_big = PERMANENT_FEASIBILITY_BOUND + 44
+    rows = run_sweep(make_config(n_grid=[n_big], trials=50, metrics=["mi", "weights"]))
+    assert calls == []
+    assert [(r.n, r.trial, r.metric, r.value) for r in rows] == [
+        (n_big, -1, "mi_skipped", 1.0),
+        (n_big, -1, "weights_skipped", 1.0),
+    ]
+
+
 def test_run_sweep_skips_infeasible_mi():
     n_big = PERMANENT_FEASIBILITY_BOUND + 2
     cfg = make_config(n_grid=[n_big], trials=2, metrics=["mi", "accuracy"])
@@ -297,6 +317,44 @@ def test_results_csv_round_trip(tmp_path):
     write_results_csv(back, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert back == rows
+
+
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        (
+            dict(model="iid2", metrics=["mi", "accuracy", "weights"]),
+            "f48d0d04758e5020366a06f287a3df46956eef96ca3ddf1652f870fcb832d5da",
+        ),
+        (
+            dict(model="iidr", r=3, metrics=["mi", "accuracy"]),
+            "c379431b56e9ba464d2388ecfc3107b6a53e34e3c2e5f0dac8fce6aa5be30236",
+        ),
+        (
+            dict(
+                model="markov",
+                graph_path="three_state_graph.csv",
+                metrics=["mi", "accuracy"],
+            ),
+            "2b53dc9ead6ccda9a7d18f6091a42807828af7a96baa7c66ed3155887e4cafa0",
+        ),
+    ],
+    ids=["iid2", "iidr3", "markov"],
+)
+def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
+    # Frozen results: a refactor of the trial pipeline must keep every
+    # byte of the results CSV, for each model.
+    raw = {
+        "n_grid": [3, 5],
+        "schedule": {"c": 1.0, "beta": 1.2},
+        "trials": 3,
+        "k": "last",
+        "seed": 5,
+        **overrides,
+    }
+    path = tmp_path / "results.csv"
+    write_results_csv(run_sweep(parse_config(raw, base_dir=CONFIGS)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_ingest_traces_three_user_example(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,17 @@ from helpers import (
     three_state_graph,
     mi_identical_profiles_shortcut,
 )
+from locpriv import adversary
 from locpriv.adversary import AssignmentPosterior
 from locpriv.anonymization import ObservationMatrix
 from locpriv.markov import MarkovModel, expand_free_params, stationary_distribution
 from locpriv.metrics import (
+    AttackTrial,
     conditional_location_distribution,
     deanonymization_accuracy,
     entropy,
     mutual_information_mc,
+    simulate_attack_trial,
 )
 from locpriv.mobility import IidModel, IidProfile, ProfileDensity, sample_profile
 
@@ -209,3 +213,22 @@ def test_accuracy_reproducible():
     )
     assert a == b
 
+
+
+def test_attack_trial_carries_the_likelihood_matrix():
+    # The kernel stops at L; both attacks are the callers' to run.
+    assert [f.name for f in dataclasses.fields(AttackTrial)] == ["Y", "perm", "L"]
+    rng = np.random.default_rng(8)
+    profiles = [IidProfile([0.2, 0.3, 0.5]), IidProfile([0.6, 0.3, 0.1])]
+    trial = simulate_attack_trial(IidModel(r=3), profiles, 12, rng)
+    expected = adversary.likelihood_matrix_iid(
+        profiles, adversary.count_stats(trial.Y, 3)
+    )
+    np.testing.assert_array_equal(trial.L, expected)
+    graph = three_state_graph()
+    chains = [expand_free_params(v, graph) for v in ([0.2, 0.3, 0.4], [0.5, 0.1, 0.7])]
+    trial = simulate_attack_trial(MarkovModel(graph=graph), chains, 12, rng)
+    expected = adversary.likelihood_matrix_markov(
+        chains, adversary.transition_stats(trial.Y, 3)
+    )
+    np.testing.assert_array_equal(trial.L, expected)
