@@ -8,9 +8,9 @@ the likelihood matrix the adversary offers two attacks:
 
 * ``map_assignment`` -- the MAP permutation via optimal assignment;
 * ``posterior_pi1`` -- the exact posterior P(pseudonym of user 1 = j),
-  a ratio of matrix permanents evaluated with Ryser's inclusion-
-  exclusion in a max-factored scaled domain. All n row-0 minors come out
-  of a single pass over column subsets (the permanent is multilinear, so
+  a ratio of matrix permanents evaluated with Glynn's formula on a
+  Sinkhorn-balanced matrix. All n row-0 minors come out of a single
+  pass over column sign vectors (the permanent is multilinear, so
   each minor is the partial derivative of the full permanent with
   respect to a first-row entry).
 """
@@ -46,14 +46,18 @@ __all__ = [
 _NEG_SENTINEL = -1e18
 _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 
-# Hard cap on exact-posterior size: the row-0 minors cost O(2^n * n^2)
-# up to n = 16 and O(2^n * n) beyond (see _ryser_row0_minors), so each
-# further user doubles the time.
+# Hard cap on exact-posterior size: the row-0 minors sum over 2^(n-1)
+# sign vectors at O(n) each (see _glynn_row0_minors), so each further
+# user doubles the time; n = 20 takes about 25 ms on a 2-vCPU Xeon.
 PERMANENT_FEASIBILITY_BOUND = 20
 
-# Columns whose subset row sums _ryser_row0_minors tabulates in one
-# matrix product; the subsets of any further columns are looped over.
-_TABLE_BITS = 16
+# Columns whose signed row sums _glynn_row0_minors tabulates in one
+# matrix product; the signs of any further columns are looped over.
+_TABLE_BITS = 12
+
+# Per-user relative size a negative minor may reach before posterior_pi1
+# reports cancellation instead of reading it as a rounded zero.
+_CANCELLATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,16 +180,19 @@ def likelihood_matrix_markov(chains, stats: TransitionStats) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonempty subsets of k columns as read-only 0/1 rows, plus sizes."""
-    idx = np.arange(1, 2**k, dtype=np.int64)
-    mask = ((idx[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
-    return _readonly(mask), _readonly(mask.sum(axis=1))
+def _sign_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every +-1 vector over k columns with column 0 fixed at +1, as
+    read-only rows, plus the product of each row's signs."""
+    idx = np.arange(2 ** (k - 1), dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(k - 1)[None, :]) & 1
+    signs = np.ones((idx.size, k))
+    signs[:, 1:] -= 2.0 * bits
+    return _readonly(signs), _readonly(np.prod(signs, axis=1))
 
 
 def permanent(A: np.ndarray) -> float:
-    """Ryser inclusion-exclusion permanent of a square matrix, expanded
-    along row 0: perm(A) = sum_j A[0, j] * (row-0 minor j)."""
+    """Glynn permanent of a square matrix, expanded along row 0:
+    perm(A) = sum_j A[0, j] * (row-0 minor j)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -194,42 +201,38 @@ def permanent(A: np.ndarray) -> float:
         return 1.0
     if n > PERMANENT_FEASIBILITY_BOUND:
         raise ValueError(f"permanent limited to n <= {PERMANENT_FEASIBILITY_BOUND}")
-    return float(A[0] @ _ryser_row0_minors(A))
+    return float(A[0] @ _glynn_row0_minors(A))
 
 
-def _ryser_row0_minors(A: np.ndarray) -> np.ndarray:
+def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     """perm of A with row 0 and column j removed, for every j, in one pass.
 
-    Uses d perm(A) / d A[0, j]: subsets containing column j, with the
-    first-row factor dropped from the product. The row sums of every
-    subset of the first k = min(n, 16) columns come from one matrix
-    product; each nonempty subset H of the other columns then shifts
-    them by H's own row sums, so n > 16 costs 2^(n-16) cheap passes.
+    Glynn's formula differentiated by A[0, c]:
+    minor_c = 2^-(n-1) sum over sign vectors d with d_0 = +1 of
+    (prod d) d_c prod_{i >= 1} sum_j d_j A[i, j].
+    The signed row sums over the first k = min(n, 12) columns come from
+    one matrix product with the sign table (a row of sums per matrix row,
+    so the product over rows runs along contiguous memory); each sign
+    vector h of the other columns then shifts them by h's own signed row
+    sums, so n > 12 costs 2^(n-12) cheap passes.
     """
     n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
     k = min(n, _TABLE_BITS)
-    mask, sizes = _subset_table(k)
-    low_sums = mask @ A[1:, :k].T
-    sign = (-1.0) ** (n - sizes)
-    out = np.zeros(n)
-    out[:k] += (sign * np.prod(low_sums, axis=1)) @ mask
+    signs, sign_prod = _sign_table(k)
+    low_sums = A[1:, :k] @ signs.T
     high = A[1:, k:]
+    out = np.zeros(n)
     sums = np.empty_like(low_sums)
-    v = np.empty_like(sign)
-    for h in range(1, 2 ** (n - k)):
-        in_h = (h >> np.arange(n - k)) & 1
-        parity = (-1.0) ** in_h.sum()
-        high_sums = high @ in_h
-        np.add(low_sums, high_sums, out=sums)
-        np.prod(sums, axis=1, out=v)
-        v *= sign
-        out[:k] += parity * (v @ mask)
-        # H's columns also appear in H alone, which the table leaves out
-        empty_low = (-1.0) ** n * np.prod(high_sums)
-        out[k:] += parity * (v.sum() + empty_low) * in_h
-    return out
+    v = np.empty_like(sign_prod)
+    for h in range(2 ** (n - k)):
+        h_signs = 1.0 - 2.0 * ((h >> np.arange(n - k)) & 1)
+        np.add(low_sums, (high @ h_signs)[:, None], out=sums)
+        np.prod(sums, axis=0, out=v)
+        v *= sign_prod
+        parity = h_signs.prod()
+        out[:k] += parity * (v @ signs)
+        out[k:] += parity * v.sum() * h_signs
+    return out / 2.0 ** (n - 1)
 
 
 def _tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -344,10 +347,13 @@ def _balance(L: np.ndarray) -> np.ndarray:
 
     Every permutation picks each row and column exactly once, so such
     scalings multiply all permutation weights by one common factor and
-    cancel in posterior ratios. Balancing matters numerically: the
-    permanent of a doubly stochastic matrix is at least n!/n^n, so Ryser
-    cannot underflow, whereas plain row-max factoring can collapse to
-    zero when several users' best-matching pseudonyms collide.
+    cancel in posterior ratios: the balancing need not be exact. It only
+    keeps the numbers in range. The permanent of a doubly stochastic
+    matrix is at least n!/n^n, so the minors cannot underflow, whereas
+    plain row-max factoring can collapse to zero when several users'
+    best-matching pseudonyms collide; and Glynn's signed sums cancel
+    little once every row and column sums to about 1. The iterations
+    stop when every row and column sum is within 0.1 of 1 (at most 100).
     """
     row_max = L.max(axis=1)
     if not np.all(np.isfinite(row_max)):
@@ -362,7 +368,7 @@ def _balance(L: np.ndarray) -> np.ndarray:
         if not np.all(cs > 0.0):
             raise ValueError("degenerate posterior: a pseudonym's weights vanished")
         B = B / cs[None, :]
-        if np.abs(cs - 1.0).max() < 1e-8 and np.abs(rs - 1.0).max() < 1e-8:
+        if np.abs(cs - 1.0).max() < 0.1 and np.abs(rs - 1.0).max() < 0.1:
             break
     return B
 
@@ -373,7 +379,10 @@ def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
     W_j is proportional to exp(L[0, j]) times the permanent of exp(L)
     with row 0 and column j struck out. The computation runs on the
     Sinkhorn-balanced matrix (see _balance); the balancing factors are
-    identical across j and cancel in the normalization.
+    identical across j and cancel in the normalization. The minors come
+    from Glynn's signed sum, so rounding can leave a zero minor slightly
+    negative: a minor down to -(n * 1e-12) times the largest one is set
+    to 0, and a more negative one raises ValueError (cancellation).
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -386,8 +395,15 @@ def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
     if np.isnan(L).any():
         raise ValueError("likelihood matrix contains NaN")
     B = _balance(L)
-    minors = np.clip(_ryser_row0_minors(B), 0.0, None)
-    w = B[0] * minors
+    minors = _glynn_row0_minors(B)
+    lowest, highest = float(minors.min()), float(minors.max())
+    if lowest < -n * _CANCELLATION_TOL * max(highest, 0.0):
+        ratio = lowest / highest if highest > 0.0 else float("-inf")
+        raise ValueError(
+            f"cancellation in the permanent minors: a minor is {ratio:.3g} "
+            f"times the largest (tolerance -{n * _CANCELLATION_TOL:.3g})"
+        )
+    w = B[0] * np.maximum(minors, 0.0)
     total = float(w.sum())
     if not (total > 0.0) or not np.isfinite(total):
         raise ValueError("degenerate posterior: permanent vanished or overflowed")

@@ -383,6 +383,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 
     Trials run one after another on the calling thread. `threads` is
     accepted and validated (>= 1) for compatibility and has no effect.
+    A ValueError inside a trial is re-raised as the same type, chained,
+    with the cell, n, m, trial and seed appended to its message.
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -432,32 +434,38 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         for t in range(cell_trials):
             trial_seed = substream_seed(config.seed, cell, t)
             rng = np.random.default_rng(trial_seed)
-            profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
-            trial = simulate_attack_trial(config.model, profiles, m, rng)
-            if posterior_on:
-                posterior = adversary.posterior_pi1(trial.L)
-            out: dict[str, float | None] = {}
-            if mi_on:
-                q = conditional_location_distribution(
-                    trial.Y, posterior, k_eff, config.model.r
-                )
-                out["mi"] = h_marginal - entropy(q)
-            if accuracy_on:
-                guess = adversary.map_assignment(trial.L).forward
-                out["pi1_accuracy"] = float(guess[0] == trial.perm.forward[0])
-                out["full_perm_accuracy"] = float(
-                    np.array_equal(guess, trial.perm.forward)
-                )
-            if weights_on:
-                state1 = np.array([p.probs[1] for p in profiles])
-                crowd = proofcheck.critical_set(state1, 0, eps)
-                out["weight_max_dev"] = (
-                    proofcheck.crowd_deviation(
-                        posterior.weights, trial.perm.forward[crowd]
+            try:
+                profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
+                trial = simulate_attack_trial(config.model, profiles, m, rng)
+                if posterior_on:
+                    posterior = adversary.posterior_pi1(trial.L)
+                out: dict[str, float | None] = {}
+                if mi_on:
+                    q = conditional_location_distribution(
+                        trial.Y, posterior, k_eff, config.model.r
                     )
-                    if crowd.size >= 2
-                    else None
-                )
+                    out["mi"] = h_marginal - entropy(q)
+                if accuracy_on:
+                    guess = adversary.map_assignment(trial.L).forward
+                    out["pi1_accuracy"] = float(guess[0] == trial.perm.forward[0])
+                    out["full_perm_accuracy"] = float(
+                        np.array_equal(guess, trial.perm.forward)
+                    )
+                if weights_on:
+                    state1 = np.array([p.probs[1] for p in profiles])
+                    crowd = proofcheck.critical_set(state1, 0, eps)
+                    out["weight_max_dev"] = (
+                        proofcheck.crowd_deviation(
+                            posterior.weights, trial.perm.forward[crowd]
+                        )
+                        if crowd.size >= 2
+                        else None
+                    )
+            except ValueError as exc:
+                raise type(exc)(
+                    f"{exc} (cell {cell}, n={n}, m={m}, trial {t}, "
+                    f"seed {trial_seed})"
+                ) from exc
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:

@@ -269,19 +269,25 @@ def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
 def sample_trajectory_markov(
     T: TransitionMatrix, m: int, rng: np.random.Generator
 ) -> Trajectory:
-    """Length-m walk starting at state 0 (label 1 in external files)."""
+    """Length-m walk starting at state 0 (label 1 in external files).
+
+    Step t inverts the current state's CDF at the uniform draw u[t-1].
+    The successor of every state is tabulated for every draw up front
+    (one vectorized search per state, r * (m-1) entries), so the walk
+    itself is a chain of list lookups.
+    """
     if m < 1:
         raise ValueError("Markov trajectories need at least one observation")
     cdf = np.cumsum(T.matrix, axis=1)
     cdf[:, -1] = 1.0
-    states = np.empty(m, dtype=np.int64)
-    states[0] = 0
     u = rng.random(m - 1) if m > 1 else np.empty(0)
+    nxt = [np.searchsorted(row, u, side="right").tolist() for row in cdf]
+    walk = [0]
     cur = 0
-    for t in range(1, m):
-        cur = int(np.searchsorted(cdf[cur], u[t - 1], side="right"))
-        states[t] = cur
-    return Trajectory(states=states)
+    for t in range(m - 1):
+        cur = nxt[cur][t]
+        walk.append(cur)
+    return Trajectory(states=np.array(walk, dtype=np.int64))
 
 
 def sample_free_params(

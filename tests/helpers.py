@@ -3,8 +3,8 @@
 Everything here is deliberately brute-force and independent of the
 library's computational paths: exhaustive enumeration over location
 matrices and permutations (among them the exact-posterior and MAP
-oracles), binomial tail sums, and the worked 3-state graph used across
-the Markov tests.
+oracles), binomial tail sums, a step-by-step Markov walk, and the
+worked 3-state graph used across the Markov tests.
 """
 import itertools
 import math
@@ -14,7 +14,7 @@ from scipy.stats import binom
 
 from locpriv.adversary import AssignmentPosterior
 from locpriv.anonymization import Permutation
-from locpriv.markov import MobilityGraph
+from locpriv.markov import MobilityGraph, TransitionMatrix
 
 
 def three_state_graph() -> MobilityGraph:
@@ -23,6 +23,23 @@ def three_state_graph() -> MobilityGraph:
         edges=[(0, 0), (0, 1), (0, 2), (1, 2), (2, 0), (2, 1)],
         free_edges=[(0, 0), (0, 1), (2, 1)],
     )
+
+
+def sample_trajectory_markov_stepwise(
+    T: TransitionMatrix, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Length-m walk from state 0, one CDF search per step (reference for
+    the tabulated walk in locpriv.markov; it draws the same uniforms)."""
+    cdf = np.cumsum(T.matrix, axis=1)
+    cdf[:, -1] = 1.0
+    states = np.empty(m, dtype=np.int64)
+    states[0] = 0
+    u = rng.random(m - 1) if m > 1 else np.empty(0)
+    cur = 0
+    for t in range(1, m):
+        cur = int(np.searchsorted(cdf[cur], u[t - 1], side="right"))
+        states[t] = cur
+    return states
 
 
 def entropy_bits(q) -> float:

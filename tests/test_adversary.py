@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     map_assignment_bruteforce,
@@ -319,7 +322,7 @@ def _posterior_dp(L):
 
 @pytest.mark.parametrize("n", [8, 16, 20])
 def test_posterior_matches_sign_free_reference(n):
-    # Ryser's alternating sum against a subset DP that adds only
+    # Glynn's signed sum against a subset DP that adds only
     # nonnegative terms, up to the feasibility bound.
     L = _sweep_like_iid2(n, np.random.default_rng(100 + n))
     assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-9
@@ -334,27 +337,98 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
 
 
 def test_posterior_weights_pinned_n16():
-    # Frozen before the Ryser loop was rewritten: up to n = 16 the
+    # Frozen when the minors moved from Ryser's to Glynn's sum: the
     # weights must replay bit for bit.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
     assert posterior_pi1(L).weights.tolist() == [
-        0.30222064295623563,
-        0.09370479475454062,
-        4.215547685662523e-08,
-        0.013766468863825848,
-        0.5196920845573901,
-        5.569785607509433e-11,
-        0.00017306805417224088,
-        0.00017306805417224088,
-        5.569785607509433e-11,
-        0.0007520955122990125,
-        0.0024870875168994016,
-        0.023833407093862946,
-        6.061102335920995e-05,
-        0.04313653516655278,
-        3.163813381201275e-09,
-        9.101600403271118e-08,
+        0.30222064295498496,
+        0.0937047947545402,
+        4.215547685475758e-08,
+        0.013766468863780875,
+        0.5196920845590893,
+        5.569785607031433e-11,
+        0.0001730680541743039,
+        0.00017306805417430373,
+        5.5697856070314135e-11,
+        0.000752095512295611,
+        0.0024870875168684133,
+        0.02383340709371206,
+        6.061102335873011e-05,
+        0.04313653516633127,
+        3.1638133809251397e-09,
+        9.101600402969928e-08,
     ]
+
+
+@pytest.mark.parametrize("n", [8, 16, 20])
+def test_posterior_matches_sign_free_reference_tightly(n):
+    for seed in range(3):
+        L = _sweep_like_iid2(n, np.random.default_rng(1000 * n + seed))
+        assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_permanent_of_all_ones_is_n_factorial(n):
+    assert abs(permanent(np.ones((n, n))) / math.factorial(n) - 1.0) <= 1e-12
+
+
+def _cancelled_minors(monkeypatch, minors):
+    monkeypatch.setattr(
+        adversary, "_glynn_row0_minors", lambda B: np.asarray(minors, dtype=float)
+    )
+
+
+def test_posterior_rejects_cancelled_minors(monkeypatch):
+    # the tolerance at n = 3 is -3e-12 times the largest minor
+    _cancelled_minors(monkeypatch, [1.0, 0.5, -1e-9])
+    with pytest.raises(ValueError, match="cancellation"):
+        posterior_pi1(np.zeros((3, 3)))
+
+
+def test_posterior_zeroes_rounded_minors(monkeypatch):
+    _cancelled_minors(monkeypatch, [1.0, 0.5, -1e-12])
+    weights = posterior_pi1(np.zeros((3, 3))).weights
+    assert weights.tolist() == [2 / 3, 1 / 3, 0.0]
+
+
+@st.composite
+def _likelihoods(draw):
+    n = draw(st.integers(1, 10))
+    cells = st.floats(-30.0, 30.0, allow_nan=False)
+    return draw(hnp.arrays(np.float64, (n, n), elements=cells))
+
+
+_properties = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_properties
+@given(_likelihoods(), st.data())
+def test_posterior_shift_invariance_property(L, data):
+    n = L.shape[0]
+    shifts = hnp.arrays(np.float64, n, elements=st.floats(-50.0, 50.0))
+    rows, cols = data.draw(shifts), data.draw(shifts)
+    w = posterior_pi1(L).weights
+    assert np.abs(posterior_pi1(L + rows[:, None]).weights - w).max() <= 1e-12
+    assert np.abs(posterior_pi1(L + cols[None, :]).weights - w).max() <= 1e-12
+
+
+@_properties
+@given(_likelihoods(), st.randoms(use_true_random=False))
+def test_posterior_permutation_property(L, rnd):
+    # relabelling the pseudonyms relabels the weights; reordering the
+    # other users changes nothing
+    n = L.shape[0]
+    cols = np.array(rnd.sample(range(n), n))
+    others = np.array([0] + rnd.sample(range(1, n), n - 1))
+    w = posterior_pi1(L).weights
+    assert np.abs(posterior_pi1(L[:, cols]).weights - w[cols]).max() <= 1e-12
+    assert np.abs(posterior_pi1(L[others]).weights - w).max() <= 1e-12
+
+
+@_properties
+@given(_likelihoods())
+def test_posterior_matches_sign_free_reference_property(L):
+    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
 
 
 def test_posterior_feasibility_bound():

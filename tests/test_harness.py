@@ -8,7 +8,7 @@ import pytest
 
 from helpers import three_state_graph
 from locpriv import harness
-from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND
+from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND, posterior_pi1
 from locpriv.harness import (
     ConfigError,
     audit,
@@ -307,6 +307,29 @@ def test_run_sweep_skips_infeasible_mi():
     assert [r for r in rows if r.metric == "pi1_accuracy" and r.trial >= 0]
 
 
+def test_sweep_error_names_the_failing_trial(tmp_path, monkeypatch):
+    cfg = make_config(n_grid=[3], trials=3)
+    path = tmp_path / "results.csv"
+    write_results_csv(run_sweep(cfg), str(path))
+    seed = next(r.seed for r in read_results_csv(str(path)) if r.trial == 1)
+    calls = []
+
+    def failing_posterior(L):
+        calls.append(L)
+        if len(calls) == 2:
+            raise ValueError("degenerate posterior: injected")
+        return posterior_pi1(L)
+
+    monkeypatch.setattr(harness.adversary, "posterior_pi1", failing_posterior)
+    with pytest.raises(ValueError) as info:
+        run_sweep(cfg)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith("degenerate posterior: injected")
+    assert "cell 0, n=3, m=4, trial 1" in str(info.value)
+    assert f"seed {seed}" in str(info.value)
+    assert str(info.value.__cause__) == "degenerate posterior: injected"
+
+
 def test_results_csv_round_trip(tmp_path):
     cfg = make_config(metrics=["mi", "accuracy", "weights"], trials=3)
     rows = run_sweep(cfg)
@@ -324,11 +347,11 @@ def test_results_csv_round_trip(tmp_path):
     [
         (
             dict(model="iid2", metrics=["mi", "accuracy", "weights"]),
-            "f48d0d04758e5020366a06f287a3df46956eef96ca3ddf1652f870fcb832d5da",
+            "7094b75e9fabeb3a3d011558e207ef5d695b004f7c47f7cb768d22347e081775",
         ),
         (
             dict(model="iidr", r=3, metrics=["mi", "accuracy"]),
-            "c379431b56e9ba464d2388ecfc3107b6a53e34e3c2e5f0dac8fce6aa5be30236",
+            "fe317461f081b8b84dd9696a57e75ae75e17367fbbe3f3704d052045baf99a21",
         ),
         (
             dict(
@@ -336,7 +359,7 @@ def test_results_csv_round_trip(tmp_path):
                 graph_path="three_state_graph.csv",
                 metrics=["mi", "accuracy"],
             ),
-            "2b53dc9ead6ccda9a7d18f6091a42807828af7a96baa7c66ed3155887e4cafa0",
+            "7177577563039ebc4f685ac0f01d35c95b65517f2c1fd2261230dafe5de92a75",
         ),
     ],
     ids=["iid2", "iidr3", "markov"],
@@ -548,7 +571,7 @@ def test_lemma_battery_rows():
 
 
 def test_lemma_weight_rows_pinned():
-    # Frozen at the commit before the attack kernel was shared: the
+    # Frozen when the posterior minors moved to Glynn's sum: the
     # posterior-flatness rows must replay bit for bit across refactors.
     rows = run_lemma_battery(
         alpha=0.5,
@@ -566,11 +589,11 @@ def test_lemma_weight_rows_pinned():
         if r.metric in ("weight_max_dev_median", "weight_degenerate_count")
     ]
     assert got == [
-        (2, 3, "weight_max_dev_median", 0.09296584884879028),
+        (2, 3, "weight_max_dev_median", 0.09296584884879033),
         (2, 3, "weight_degenerate_count", 0.0),
         (3, 5, "weight_max_dev_median", 0.31681286666713593),
         (3, 5, "weight_degenerate_count", 1.0),
-        (6, 15, "weight_max_dev_median", 0.7081071588048946),
+        (6, 15, "weight_max_dev_median", 0.7081071588048949),
         (6, 15, "weight_degenerate_count", 3.0),
     ]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sample_trajectory_markov_stepwise
 from locpriv.markov import (
     FreeParamVector,
     MarkovModel,
@@ -208,6 +209,25 @@ def test_sample_trajectory_deterministic_cycle():
     assert t.states.tolist() == [0, 1, 2, 0, 1]
     t1 = sample_trajectory_markov(T, 1, np.random.default_rng(0))
     assert t1.states.tolist() == [0]
+
+
+def test_sample_trajectory_matches_stepwise_walk():
+    # the tabulated walk against one CDF search per step, on random
+    # chains with zero-probability edges, down to a single observation
+    rng = np.random.default_rng(17)
+    for seed in range(200):
+        g = random_graph(rng, int(rng.integers(2, 6)))
+        matrix = np.zeros((g.r, g.r))
+        for i in range(g.r):
+            targets = [j for _, j in g.out_edges(i)]
+            w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
+            w[int(rng.integers(len(targets)))] += 0.1
+            matrix[i, targets] = w / w.sum()
+        T = TransitionMatrix(matrix=matrix, graph=g)
+        m = 1 if seed % 10 == 0 else int(rng.integers(2, 300))
+        got = sample_trajectory_markov(T, m, np.random.default_rng(seed))
+        want = sample_trajectory_markov_stepwise(T, m, np.random.default_rng(seed))
+        assert got.states.tolist() == want.tolist()
 
 
 def test_sample_trajectory_transition_frequencies():
