@@ -28,8 +28,6 @@ from .mobility import IidProfile, _readonly
 
 __all__ = [
     "AssignmentPosterior",
-    "CountStats",
-    "TransitionStats",
     "count_stats",
     "likelihood_matrix_iid",
     "likelihood_matrix_markov",
@@ -61,46 +59,6 @@ _CANCELLATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CountStats:
-    """Per-pseudonym visit counts: counts[j, i] = #times state i in column j."""
-
-    counts: np.ndarray
-    m: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("counts must be (pseudonyms x states)")
-        if np.any(counts.sum(axis=1) != self.m):
-            raise ValueError("each pseudonym's counts must sum to m")
-        object.__setattr__(self, "counts", _readonly(counts))
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-
-@dataclass(frozen=True)
-class TransitionStats:
-    """Per-pseudonym transition counts: matrices[j, i, k] over adjacent pairs."""
-
-    matrices: np.ndarray
-    m: int
-
-    def __post_init__(self) -> None:
-        matrices = np.asarray(self.matrices, dtype=np.int64)
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError("matrices must be (pseudonyms x r x r)")
-        if np.any(matrices.sum(axis=(1, 2)) != self.m - 1):
-            raise ValueError("each pseudonym's transition counts must sum to m-1")
-        object.__setattr__(self, "matrices", _readonly(matrices))
-
-    @property
-    def n(self) -> int:
-        return int(self.matrices.shape[0])
-
-
-@dataclass(frozen=True)
 class AssignmentPosterior:
     """Posterior weights W_j = P(pseudonym of user 1 = j | statistics)."""
 
@@ -125,22 +83,26 @@ def _check_states(Y: ObservationMatrix, r: int) -> None:
         raise ValueError(f"observation outside 0..{r - 1}")
 
 
-def count_stats(Y: ObservationMatrix, r: int) -> CountStats:
-    """Exact per-state visit counts for every pseudonym column."""
+def count_stats(Y: ObservationMatrix, r: int) -> np.ndarray:
+    """Exact per-state visit counts: counts[j, i] = #times pseudonym j is
+    at state i. Each row sums to m."""
     _check_states(Y, r)
     cell = np.arange(Y.n) * r + Y.entries  # (pseudonym, state) as one index
     counts = np.bincount(cell.ravel(), minlength=Y.n * r).reshape(Y.n, r)
-    return CountStats(counts=counts, m=Y.m)
+    counts.flags.writeable = False
+    return counts
 
 
-def transition_stats(Y: ObservationMatrix, r: int) -> TransitionStats:
-    """Adjacent-pair transition counts for every pseudonym column."""
+def transition_stats(Y: ObservationMatrix, r: int) -> np.ndarray:
+    """Adjacent-pair transition counts: mats[j, i, k] = #steps i -> k in
+    pseudonym j's column. Each matrix sums to m - 1."""
     if Y.m < 1:
         raise ValueError("need at least one observation")
     _check_states(Y, r)
     cell = (np.arange(Y.n) * r + Y.entries[:-1]) * r + Y.entries[1:]
     mats = np.bincount(cell.ravel(), minlength=Y.n * r * r).reshape(Y.n, r, r)
-    return TransitionStats(matrices=mats, m=Y.m)
+    mats.flags.writeable = False
+    return mats
 
 
 def log_likelihood_iid(profile: IidProfile, counts: np.ndarray) -> float:
@@ -161,18 +123,20 @@ def log_likelihood_markov(T: TransitionMatrix, M: np.ndarray) -> float:
     return float(np.sum(M[mask] * np.log(T.matrix[mask])))
 
 
-def likelihood_matrix_iid(profiles, stats: CountStats) -> np.ndarray:
-    """L[u, j] = log-likelihood that user u generated pseudonym j's counts."""
+def likelihood_matrix_iid(profiles, counts: np.ndarray) -> np.ndarray:
+    """L[u, j] = log-likelihood that user u generated pseudonym j's counts
+    (the (n, r) array from count_stats)."""
     logp = np.stack([p.log_probs() for p in profiles])
-    return logp @ stats.counts.T.astype(float)
+    return logp @ counts.T.astype(float)
 
 
-def likelihood_matrix_markov(chains, stats: TransitionStats) -> np.ndarray:
-    """Markov analogue of likelihood_matrix_iid; -inf marks impossible pairs."""
-    r = stats.matrices.shape[1]
+def likelihood_matrix_markov(chains, mats: np.ndarray) -> np.ndarray:
+    """Markov analogue of likelihood_matrix_iid over the (n, r, r) array
+    from transition_stats; -inf marks impossible pairs."""
+    n, r, _ = mats.shape
     Tflat = np.stack([c.matrix.reshape(r * r) for c in chains])
     logT = np.where(Tflat > 0.0, np.log(np.where(Tflat > 0.0, Tflat, 1.0)), 0.0)
-    Mflat = stats.matrices.reshape(stats.n, r * r).astype(float)
+    Mflat = mats.reshape(n, r * r).astype(float)
     L = logT @ Mflat.T
     forbidden = (Tflat == 0.0).astype(float) @ Mflat.T
     L[forbidden > 0] = -np.inf

@@ -8,6 +8,7 @@ byte. Sweeps run their trials serially on the calling thread.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -139,6 +140,16 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+
+
+@contextlib.contextmanager
+def _naming(context: str):
+    """Re-raise a ValueError from the block as the same type, chained, with
+    the context (the trial and seed) appended, so it can be replayed."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{exc} ({context})") from exc
 
 
 def _number(value, what: str) -> float:
@@ -434,7 +445,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         for t in range(cell_trials):
             trial_seed = substream_seed(config.seed, cell, t)
             rng = np.random.default_rng(trial_seed)
-            try:
+            context = f"cell {cell}, n={n}, m={m}, trial {t}, seed {trial_seed}"
+            with _naming(context):
                 profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
                 trial = simulate_attack_trial(config.model, profiles, m, rng)
                 if posterior_on:
@@ -461,11 +473,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                         if crowd.size >= 2
                         else None
                     )
-            except ValueError as exc:
-                raise type(exc)(
-                    f"{exc} (cell {cell}, n={n}, m={m}, trial {t}, "
-                    f"seed {trial_seed})"
-                ) from exc
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:
@@ -527,19 +534,20 @@ def ingest_traces(
     *,
     r: int | None = None,
     graph: MobilityGraph | None = None,
-    smoothing: float = 1.0,
 ) -> tuple[TraceDataset, Population]:
-    """Read `user_id,time,location` rows and fit per-user profiles.
+    """Read `user_id,time,location` rows and fit profiles with smoothing 1.0.
 
     Locations are arbitrary string labels mapped in first-seen order for
     the iid model; for the markov model they must be the graph's 1-based
-    integer state labels. Per-user times must be strictly increasing in
-    file order.
+    integer state labels, and r is the graph's. Per-user times must be
+    strictly increasing in file order.
     """
     if model_kind not in ("iid", "markov"):
         raise ConfigError("model must be iid or markov")
     if model_kind == "markov" and graph is None:
         raise ConfigError("markov traces need a graph")
+    if model_kind == "markov" and r is not None:
+        raise ConfigError("r is only meaningful for the iid model")
     per_user: dict[str, list[tuple[int, str]]] = {}
     try:
         fh = open(path, newline="")
@@ -607,7 +615,7 @@ def ingest_traces(
         for seq in per_user.values()
     )
     try:
-        profiles = tuple(fit(traj, space, smoothing) for traj in trajectories)
+        profiles = tuple(fit(traj, space) for traj in trajectories)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     dataset = TraceDataset(
@@ -649,14 +657,15 @@ def audit(
     m_used = min(lengths)
     truncated = len(set(lengths)) > 1
     rng = np.random.default_rng(substream_seed(seed, 0, 0))
-    exact = deanonymization_accuracy(
-        model,
-        population.n,
-        m_used,
-        trials,
-        rng,
-        profiles=list(population.profiles),
-    )
+    with _naming(f"audit synthetic rerun, seed {seed}"):
+        exact = deanonymization_accuracy(
+            model,
+            population.n,
+            m_used,
+            trials,
+            rng,
+            profiles=list(population.profiles),
+        )
 
     rng2 = np.random.default_rng(substream_seed(seed, 1, 0))
     truncated_trajs = [
@@ -664,9 +673,10 @@ def audit(
         for t in dataset.trajectories
     ]
     hits = 0
-    for _ in range(trials):
-        trial = attack(model, population.profiles, truncated_trajs, rng2)
-        guess = adversary.map_assignment(trial.L).forward
+    for t in range(trials):
+        with _naming(f"audit fitted attack, trial {t}, seed {seed}"):
+            trial = attack(model, population.profiles, truncated_trajs, rng2)
+            guess = adversary.map_assignment(trial.L).forward
         hits += int(guess[0] == trial.perm.forward[0])
 
     report = {
@@ -716,6 +726,11 @@ def run_lemma_battery(
     ratio sweep per m, (d) posterior-flatness per n. All rows carry
     trial = -1; n or m is 0 where it does not apply.
     """
+    _count(trials, "trials", 1)
+    for m in m_grid:
+        _count(m, "m_grid entry", 1)
+    for n in n_grid:
+        _count(n, "n_grid entry", 1)
     try:
         params = proofcheck.derive_lemma_params(alpha, theta, phi)
     except ValueError as exc:
@@ -728,8 +743,8 @@ def run_lemma_battery(
         "alpha": alpha,
         "theta": theta,
         "phi": phi,
-        "m_grid": [int(m) for m in m_grid],
-        "n_grid": [int(n) for n in n_grid],
+        "m_grid": list(m_grid),
+        "n_grid": list(n_grid),
         "trials": trials,
         "seed": seed,
     }
@@ -753,7 +768,6 @@ def run_lemma_battery(
         )
 
     for m in m_grid:
-        m = int(m)
         product = m * params.beta(m) * params.eps(m)
         power = float(m) ** (theta - phi)
         emit(0, m, "identity_product", product)
@@ -761,7 +775,6 @@ def run_lemma_battery(
         emit(0, m, "identity_gap", abs(product - power))
 
     for idx, n in enumerate(n_grid):
-        n = int(n)
         m = schedule_observations(n, sched)
         eps = params.eps(m)
         rng = np.random.default_rng(substream_seed(seed, 1, idx))
@@ -776,19 +789,19 @@ def run_lemma_battery(
 
     rng = np.random.default_rng(substream_seed(seed, 2, 0))
     for rec in proofcheck.delta_uniformity_experiment(
-        params, [int(m) for m in m_grid], delta_samples, rng
+        params, m_grid, delta_samples, rng
     ):
         emit(0, rec.m, "delta_max_abs_log", rec.max_abs_log_delta)
         emit(0, rec.m, "delta_envelope", rec.envelope)
 
     for idx, n in enumerate(n_grid):
-        n = int(n)
         m = schedule_observations(n, sched)
         if n > adversary.PERMANENT_FEASIBILITY_BOUND:
             emit(n, m, "weight_skipped", 1.0)
             continue
         rng = np.random.default_rng(substream_seed(seed, 3, idx))
-        res = proofcheck.weight_uniformity(params, n, m, trials, rng)
+        with _naming(f"lemma flatness check, n={n}, m={m}, seed {seed}"):
+            res = proofcheck.weight_uniformity(params, n, m, trials, rng)
         emit(n, m, "weight_max_dev_median", res.median)
         emit(n, m, "weight_degenerate_count", float(res.degenerate_trials))
     return rows

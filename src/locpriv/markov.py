@@ -22,7 +22,6 @@ from .mobility import BOUNDARY_MARGIN, Trajectory, _readonly
 
 __all__ = [
     "ChainReport",
-    "FreeParamVector",
     "MarkovModel",
     "MobilityGraph",
     "TransitionMatrix",
@@ -139,25 +138,6 @@ class MarkovModel:
 
 
 @dataclass(frozen=True)
-class FreeParamVector:
-    """The d free transition probabilities, ordered like graph.free_edges."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("free parameters must be a flat vector")
-        if values.size and not np.all((values > 0.0) & (values < 1.0)):
-            raise ValueError("free parameters must lie strictly in (0, 1)")
-        object.__setattr__(self, "values", _readonly(values))
-
-    @property
-    def d(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic matrix supported on the graph's edge set.
 
@@ -193,20 +173,28 @@ class ChainReport:
     aperiodic: bool
 
 
+def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
+    """The graph's d free probabilities as a fresh read-only array; raises
+    unless there are exactly d of them, each strictly inside (0, 1)."""
+    values = np.array(values, dtype=float)
+    if values.shape != (graph.d,):
+        raise ValueError(f"expected {graph.d} free parameters, got shape {values.shape}")
+    if not np.all((values > 0.0) & (values < 1.0)):
+        raise ValueError("free parameters must lie strictly in (0, 1)")
+    values.flags.writeable = False
+    return values
+
+
 def expand_free_params(
-    params: FreeParamVector | Sequence[float], graph: MobilityGraph
+    params: Sequence[float], graph: MobilityGraph
 ) -> TransitionMatrix:
     """Fill the free edges verbatim, force each dependent edge by the row sum.
 
     Raises if any free entry leaves (0, 1) or any dependent probability is
     not strictly positive.
     """
-    if not isinstance(params, FreeParamVector):
-        params = FreeParamVector(np.asarray(params, dtype=float))
-    if params.d != graph.d:
-        raise ValueError(f"expected {graph.d} free parameters, got {params.d}")
     T = np.zeros((graph.r, graph.r))
-    for (i, j), p in zip(graph.free_edges, params.values):
+    for (i, j), p in zip(graph.free_edges, _free_params(params, graph)):
         T[i, j] = p
     for i in range(graph.r):
         dep_i, dep_j = graph.dependent_edge(i)
@@ -220,12 +208,10 @@ def expand_free_params(
     return TransitionMatrix(matrix=T, graph=graph)
 
 
-def contract_transition_matrix(
-    T: TransitionMatrix, graph: MobilityGraph
-) -> FreeParamVector:
-    """Read the free-edge probabilities back out of a transition matrix."""
-    values = np.array([T.matrix[i, j] for (i, j) in graph.free_edges])
-    return FreeParamVector(values)
+def contract_transition_matrix(T: TransitionMatrix, graph: MobilityGraph) -> np.ndarray:
+    """Read the free-edge probabilities back out of a transition matrix, as
+    a read-only (d,) array ordered like graph.free_edges."""
+    return _free_params([T.matrix[i, j] for (i, j) in graph.free_edges], graph)
 
 
 def validate_chain(T: TransitionMatrix) -> ChainReport:
@@ -290,11 +276,10 @@ def sample_trajectory_markov(
     return Trajectory(states=np.array(walk, dtype=np.int64))
 
 
-def sample_free_params(
-    graph: MobilityGraph, rng: np.random.Generator
-) -> FreeParamVector:
+def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from R_p: per row, free entries uniform on the open
-    sub-simplex that leaves positive mass for the dependent edge."""
+    sub-simplex that leaves positive mass for the dependent edge. A
+    read-only (d,) array ordered like graph.free_edges."""
     values = np.empty(len(graph.free_edges))
     pos = 0
     for i in range(graph.r):
@@ -307,7 +292,8 @@ def sample_free_params(
                 break
         values[pos : pos + n_free] = x[:-1]
         pos += n_free
-    return FreeParamVector(values)
+    values.flags.writeable = False
+    return values
 
 
 def fit_markov_profile(

@@ -222,16 +222,15 @@ def weight_uniformity(
     m: int,
     trials: int,
     rng: np.random.Generator,
-    *,
-    p1: float = 0.5,
 ) -> WeightUniformityResult:
     """Watch the crowd's posterior weights flatten: N * W_j -> 1.
 
-    Per trial: draw the other users' probabilities uniformly, form the
-    crowd within eps(m) of p1, run the full attack, restrict the exact
-    posterior to the crowd's pseudonyms and renormalize. Trials whose
-    crowd has fewer than two members (or no posterior mass on the crowd)
-    are reported as degenerate and excluded.
+    Per trial: user 1 visits state 1 with probability 1/2; draw the other
+    users' probabilities uniformly, form the crowd within eps(m) of 1/2,
+    run the full attack, restrict the exact posterior to the crowd's
+    pseudonyms and renormalize. Trials whose crowd has fewer than two
+    members (or no posterior mass on the crowd) are reported as
+    degenerate and excluded.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -241,7 +240,7 @@ def weight_uniformity(
     degenerate = 0
     for _ in range(trials):
         ps = np.empty(n)
-        ps[0] = p1
+        ps[0] = 0.5
         for i in range(1, n):
             ps[i] = _draw_interior_uniform(rng)
         crowd = critical_set(ps, 0, eps)

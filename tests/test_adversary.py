@@ -15,7 +15,6 @@ from helpers import (
 )
 from locpriv import adversary
 from locpriv.adversary import (
-    CountStats,
     count_stats,
     likelihood_matrix_iid,
     likelihood_matrix_markov,
@@ -44,31 +43,31 @@ def col_matrix(*cols):
 
 def test_count_stats_examples():
     stats = count_stats(col_matrix([1, 0, 1, 1]), r=2)
-    assert stats.counts[0].tolist() == [1, 3]
+    assert stats[0].tolist() == [1, 3]
 
     # the worked example's first user: path 1->2->3->4 over five locations
     stats = count_stats(col_matrix(np.array([1, 2, 3, 4]) - 1), r=5)
-    assert stats.counts[0].tolist() == [1, 1, 1, 1, 0]
+    assert stats[0].tolist() == [1, 1, 1, 1, 0]
 
     rng = np.random.default_rng(0)
     Y = ObservationMatrix(entries=rng.integers(0, 3, size=(7, 4)))
     stats = count_stats(Y, r=3)
-    assert np.all(stats.counts.sum(axis=1) == 7)
+    assert np.all(stats.sum(axis=1) == 7)
 
 
 def test_transition_stats_examples():
     stats = transition_stats(col_matrix(np.array([1, 2, 3, 4]) - 1), r=5)
-    M = stats.matrices[0]
+    M = stats[0]
     assert M[0, 1] == 1 and M[1, 2] == 1 and M[2, 3] == 1
     assert M.sum() == 3
 
     stats = transition_stats(col_matrix([2, 2, 2, 2, 2]), r=3)
-    assert stats.matrices[0][2, 2] == 4
+    assert stats[0][2, 2] == 4
 
     rng = np.random.default_rng(1)
     Y = ObservationMatrix(entries=rng.integers(0, 3, size=(9, 5)))
     stats = transition_stats(Y, r=3)
-    assert np.all(stats.matrices.sum(axis=(1, 2)) == 8)
+    assert np.all(stats.sum(axis=(1, 2)) == 8)
 
 
 @pytest.mark.parametrize("m, n, r", [(1, 5, 3), (2, 1, 4), (9, 6, 5), (400, 32, 3)])
@@ -85,9 +84,17 @@ def test_stats_match_per_column_reference(m, n, r):
             counts[j, col[t]] += 1
             if t + 1 < m:
                 mats[j, col[t], col[t + 1]] += 1
-    assert np.array_equal(count_stats(Y, r).counts, counts)
-    assert np.array_equal(transition_stats(Y, r).matrices, mats)
+    assert np.array_equal(count_stats(Y, r), counts)
+    assert np.array_equal(transition_stats(Y, r), mats)
     assert not counts[:, r - 1].any()
+
+
+def test_stats_are_read_only_int64_arrays():
+    Y = col_matrix([0, 1, 1], [2, 2, 0])
+    for stats in (count_stats(Y, 3), transition_stats(Y, 3)):
+        assert stats.dtype == np.int64 and not stats.flags.writeable
+        with pytest.raises(ValueError):
+            stats[0, 0] = 5
 
 
 def test_stats_reject_states_out_of_range():
@@ -309,9 +316,7 @@ def _sweep_like_iid2(n, rng):
     ps = rng.uniform(0.01, 0.99, size=n)
     ones = rng.binomial(m, ps)
     profiles = [IidProfile([1 - p, p]) for p in ps]
-    return likelihood_matrix_iid(
-        profiles, CountStats(np.stack([m - ones, ones], axis=1), m)
-    )
+    return likelihood_matrix_iid(profiles, np.stack([m - ones, ones], axis=1))
 
 
 def _posterior_dp(L):
@@ -525,7 +530,7 @@ def test_markov_sufficiency_alternate_realizations():
     rewritten = Y.entries.copy()
     changed = 0
     for j in range(4):
-        alternatives = _paths_with_transition_counts(stats.matrices[j], 8)
+        alternatives = _paths_with_transition_counts(stats[j], 8)
         current = tuple(Y.entries[:, j].tolist())
         assert current in alternatives
         others = [p for p in alternatives if p != current]
@@ -534,7 +539,7 @@ def test_markov_sufficiency_alternate_realizations():
             changed += 1
     assert changed >= 1
     stats2 = transition_stats(ObservationMatrix(entries=rewritten), 3)
-    assert np.array_equal(stats2.matrices, stats.matrices)
+    assert np.array_equal(stats2, stats)
     post2 = posterior_pi1(likelihood_matrix_markov(T_users, stats2)).weights
     assert np.abs(post2 - base).max() <= 1e-12
 
@@ -554,7 +559,7 @@ def test_markov_forced_edges_contribute_nothing():
     stats = transition_stats(Y, 3)
     L = likelihood_matrix_markov(T_users, stats)
 
-    zeroed = np.array(stats.matrices, copy=True)
+    zeroed = np.array(stats, copy=True)
     zeroed[:, 1, 2] = 0  # the forced edge 2->3
     L2 = np.stack(
         [

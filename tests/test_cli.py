@@ -131,6 +131,43 @@ def test_lemma_rejects_bad_exponents(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "m_grid, n_grid, trials",
+    [("100", "32", "0"), ("0", "3", "5"), ("-5", "3", "5"), ("100", "0", "5")],
+    ids=["trials0", "m0", "m-5", "n0"],
+)
+def test_lemma_rejects_bad_numbers(tmp_path, capsys, m_grid, n_grid, trials):
+    code = main(
+        [
+            "lemma",
+            "--alpha", "1.0",
+            "--theta", "0.05",
+            "--phi", "0.1",
+            "--m-grid", m_grid,
+            "--n-grid", n_grid,
+            "--trials", trials,
+            "--seed", "9",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_audit_markov_rejects_r(tmp_path, capsys):
+    graph = tmp_path / "graph3.csv"
+    graph.write_text("from,to,free\n1,1,1\n1,2,1\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n")
+    traces = tmp_path / "m.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,2\nu1,3,3\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph",
+         str(graph), "--r", "5", "--n", "100", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert "r is only meaningful" in capsys.readouterr().err
+
+
 def test_audit_command(tmp_path, capsys):
     traces = tmp_path / "traces.csv"
     traces.write_text(

@@ -330,6 +330,57 @@ def test_sweep_error_names_the_failing_trial(tmp_path, monkeypatch):
     assert str(info.value.__cause__) == "degenerate posterior: injected"
 
 
+@pytest.mark.parametrize(
+    "fail_at, context",
+    [
+        (2, "audit synthetic rerun, seed 3"),
+        (62, "audit fitted attack, trial 1, seed 3"),
+    ],
+    ids=["synthetic", "fitted"],
+)
+def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, context):
+    # 60 MAP calls for the synthetic rerun, then one per fitted-attack trial
+    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    map_assignment = harness.adversary.map_assignment
+    calls = []
+
+    def failing_map(L):
+        calls.append(L)
+        if len(calls) == fail_at:
+            raise ValueError("no feasible permutation: injected")
+        return map_assignment(L)
+
+    monkeypatch.setattr(harness.adversary, "map_assignment", failing_map)
+    with pytest.raises(ValueError) as info:
+        audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"no feasible permutation: injected ({context})"
+    assert str(info.value.__cause__) == "no feasible permutation: injected"
+
+
+def test_lemma_error_names_the_failing_check(monkeypatch):
+    def failing_posterior(L):
+        raise ValueError("degenerate posterior: injected")
+
+    monkeypatch.setattr(harness.adversary, "posterior_pi1", failing_posterior)
+    with pytest.raises(ValueError) as info:
+        run_lemma_battery(
+            alpha=0.5,
+            theta=0.05,
+            phi=0.1,
+            m_grid=[100],
+            n_grid=[3],
+            trials=12,
+            seed=12,
+            delta_samples=10,
+        )
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        "degenerate posterior: injected (lemma flatness check, n=3, m=5, seed 12)"
+    )
+    assert str(info.value.__cause__) == "degenerate posterior: injected"
+
+
 def test_results_csv_round_trip(tmp_path):
     cfg = make_config(metrics=["mi", "accuracy", "weights"], trials=3)
     rows = run_sweep(cfg)
@@ -377,6 +428,30 @@ def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
     }
     path = tmp_path / "results.csv"
     write_results_csv(run_sweep(parse_config(raw, base_dir=CONFIGS)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        (
+            "iid2_sweep.json",
+            "943e838c028754fa008d238922e634d840e970024352169e234dcfdf3968bdab",
+        ),
+        (
+            "markov_sweep.json",
+            "7b4127371f2ffcee684878749ab0ec12719851bd662ae528673ef6ac8f7b7341",
+        ),
+        (
+            "iid2_single_cell.json",
+            "60fd5dbcbf769d0e2d1d0d399d5a8bfbf92bc15cd5f334ea802d412a49c55e89",
+        ),
+    ],
+)
+def test_shipped_config_csv_bytes_pinned(tmp_path, name, digest):
+    # The full results of the shipped configs, as the README runs them.
+    path = tmp_path / "results.csv"
+    write_results_csv(run_sweep(load_config(os.path.join(CONFIGS, name))), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -450,6 +525,14 @@ def test_ingest_traces_markov_contract(tmp_path):
     labels.write_text("user_id,time,location\nu1,1,home\nu1,2,work\n")
     with pytest.raises(ConfigError):
         ingest_traces(str(labels), "markov", graph=graph)
+
+
+def test_ingest_traces_markov_rejects_r(tmp_path):
+    # markov takes r from the graph; a given r would be silently ignored
+    path = tmp_path / "m.csv"
+    path.write_text("user_id,time,location\nu1,1,1\nu1,2,2\nu1,3,3\n")
+    with pytest.raises(ConfigError, match="only meaningful for the iid model"):
+        ingest_traces(str(path), "markov", r=3, graph=three_state_graph())
 
 
 def test_audit_iid_thresholds(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import sample_trajectory_markov_stepwise
 from locpriv.markov import (
-    FreeParamVector,
     MarkovModel,
     MobilityGraph,
     TransitionMatrix,
@@ -84,9 +83,27 @@ def test_expand_rejects_boundary():
 
 def test_expand_contract_roundtrip_exact():
     g = three_state_graph()
-    params = FreeParamVector([0.25, 0.125, 0.75])
+    params = np.array([0.25, 0.125, 0.75])
     back = contract_transition_matrix(expand_free_params(params, g), g)
-    assert np.array_equal(back.values, params.values)
+    assert np.array_equal(back, params)
+
+
+def test_free_params_are_checked_read_only_arrays():
+    g = three_state_graph()
+    sampled = sample_free_params(g, np.random.default_rng(0))
+    back = contract_transition_matrix(expand_free_params(sampled, g), g)
+    for values in (sampled, back):
+        assert values.shape == (3,) and not values.flags.writeable
+    for bad in ([0.2, 0.3], [0.2, 0.3, 0.4, 0.1], [[0.2, 0.3, 0.4]], [0.0, 0.3, 0.4]):
+        with pytest.raises(ValueError):
+            expand_free_params(bad, g)
+    # a fitted matrix may put 0 on a free edge: no interior free parameter
+    T = TransitionMatrix(
+        matrix=np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]]),
+        graph=g,
+    )
+    with pytest.raises(ValueError, match="strictly in"):
+        contract_transition_matrix(T, g)
 
 
 def test_roundtrip_random_graphs():
@@ -96,7 +113,7 @@ def test_roundtrip_random_graphs():
         params = sample_free_params(g, rng)
         T = expand_free_params(params, g)
         back = contract_transition_matrix(T, g)
-        assert np.array_equal(back.values, params.values)
+        assert np.array_equal(back, params)
         # dependent probability forced exactly by the row sum
         assert np.abs(T.matrix.sum(axis=1) - 1.0).max() <= 1e-12
 
