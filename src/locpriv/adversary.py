@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .anonymization import ObservationMatrix, Permutation
+from .anonymization import Permutation
 from .markov import TransitionMatrix
 from .mobility import IidProfile, _readonly
 
@@ -78,29 +78,33 @@ class AssignmentPosterior:
         return int(self.weights.size)
 
 
-def _check_states(Y: ObservationMatrix, r: int) -> None:
-    if Y.entries.size and (Y.entries.min() < 0 or Y.entries.max() >= r):
+def _check_states(Y: np.ndarray, r: int) -> None:
+    if Y.ndim != 2:
+        raise ValueError("observation matrix must be 2-D (time x pseudonym)")
+    if Y.size and (Y.min() < 0 or Y.max() >= r):
         raise ValueError(f"observation outside 0..{r - 1}")
 
 
-def count_stats(Y: ObservationMatrix, r: int) -> np.ndarray:
+def count_stats(Y: np.ndarray, r: int) -> np.ndarray:
     """Exact per-state visit counts: counts[j, i] = #times pseudonym j is
-    at state i. Each row sums to m."""
+    at state i in the (m, n) Y. Each row sums to m."""
     _check_states(Y, r)
-    cell = np.arange(Y.n) * r + Y.entries  # (pseudonym, state) as one index
-    counts = np.bincount(cell.ravel(), minlength=Y.n * r).reshape(Y.n, r)
+    n = Y.shape[1]
+    cell = np.arange(n) * r + Y  # (pseudonym, state) as one index
+    counts = np.bincount(cell.ravel(), minlength=n * r).reshape(n, r)
     counts.flags.writeable = False
     return counts
 
 
-def transition_stats(Y: ObservationMatrix, r: int) -> np.ndarray:
+def transition_stats(Y: np.ndarray, r: int) -> np.ndarray:
     """Adjacent-pair transition counts: mats[j, i, k] = #steps i -> k in
-    pseudonym j's column. Each matrix sums to m - 1."""
-    if Y.m < 1:
-        raise ValueError("need at least one observation")
+    pseudonym j's column of the (m, n) Y. Each matrix sums to m - 1."""
     _check_states(Y, r)
-    cell = (np.arange(Y.n) * r + Y.entries[:-1]) * r + Y.entries[1:]
-    mats = np.bincount(cell.ravel(), minlength=Y.n * r * r).reshape(Y.n, r, r)
+    m, n = Y.shape
+    if m < 1:
+        raise ValueError("need at least one observation")
+    cell = (np.arange(n) * r + Y[:-1]) * r + Y[1:]
+    mats = np.bincount(cell.ravel(), minlength=n * r * r).reshape(n, r, r)
     mats.flags.writeable = False
     return mats
 

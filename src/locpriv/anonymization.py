@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .mobility import Trajectory, _readonly
+from .mobility import _readonly
 
 __all__ = [
-    "ObservationMatrix",
     "ObservationSchedule",
     "Permutation",
     "anonymize",
@@ -52,30 +51,6 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class ObservationMatrix:
-    """m x n matrix of anonymized observations; column j = pseudonym j."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.ndim != 2:
-            raise ValueError("observation matrix must be 2-D (time x pseudonym)")
-        object.__setattr__(self, "entries", _readonly(entries))
-
-    @property
-    def m(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[1])
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
-
-@dataclass(frozen=True)
 class ObservationSchedule:
     """m(n) = max(1, round-half-up(c * n**beta))."""
 
@@ -94,21 +69,16 @@ def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation.from_forward(rng.permutation(n))
 
 
-def anonymize(
-    trajectories: Sequence[Trajectory], perm: Permutation
-) -> ObservationMatrix:
-    """Place user u's trajectory in column forward[u]."""
-    n = len(trajectories)
-    if n != perm.n:
+def anonymize(trajectories: Sequence[np.ndarray], perm: Permutation) -> np.ndarray:
+    """The read-only (m, n) observation matrix: column forward[u] holds
+    user u's trajectory."""
+    if len(trajectories) != perm.n:
         raise ValueError("permutation size must match the number of users")
-    lengths = {len(t) for t in trajectories}
-    if len(lengths) != 1:
+    if len({len(t) for t in trajectories}) != 1:
         raise ValueError("all trajectories must have the same length")
-    m = lengths.pop()
-    Y = np.empty((m, n), dtype=np.int64)
-    for u, traj in enumerate(trajectories):
-        Y[:, perm.forward[u]] = traj.states
-    return ObservationMatrix(entries=Y)
+    Y = np.stack(trajectories, axis=1)[:, perm.inverse]
+    Y.flags.writeable = False
+    return Y
 
 
 def schedule_observations(n: int, sched: ObservationSchedule) -> int:

@@ -89,6 +89,8 @@ def _apply_overrides(config, seed, out):
             raise ConfigError("seed must be in [0, 2^64)")
         config = dataclasses.replace(config, seed=seed)
     if out is not None:
+        if not out:
+            raise ConfigError("--out must be a nonempty path")
         config = dataclasses.replace(config, out_path=out)
     return config
 

@@ -36,7 +36,7 @@ from .mobility import (
     IidModel,
     Population,
     ProfileDensity,
-    Trajectory,
+    _readonly,
     fit_iid_profile,
 )
 
@@ -517,7 +517,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 
 @dataclass(frozen=True)
 class TraceDataset:
-    """Real traces: per-user strictly-time-ordered location sequences."""
+    """Real traces: per-user time-ordered read-only int64 state arrays."""
 
     user_ids: tuple
     trajectories: tuple
@@ -548,6 +548,8 @@ def ingest_traces(
         raise ConfigError("markov traces need a graph")
     if model_kind == "markov" and r is not None:
         raise ConfigError("r is only meaningful for the iid model")
+    if model_kind == "iid" and graph is not None:
+        raise ConfigError("a graph is only meaningful for the markov model")
     per_user: dict[str, list[tuple[int, str]]] = {}
     try:
         fh = open(path, newline="")
@@ -609,9 +611,7 @@ def ingest_traces(
         model = IidModel(r=r_eff)
         fit, space = fit_iid_profile, r_eff
     trajectories = tuple(
-        Trajectory(
-            states=np.array([label_map[loc] for _, loc in seq]), time_base=seq[0][0]
-        )
+        _readonly([label_map[loc] for _, loc in seq], np.int64)
         for seq in per_user.values()
     )
     try:
@@ -668,10 +668,7 @@ def audit(
         )
 
     rng2 = np.random.default_rng(substream_seed(seed, 1, 0))
-    truncated_trajs = [
-        Trajectory(states=t.states[:m_used], time_base=t.time_base)
-        for t in dataset.trajectories
-    ]
+    truncated_trajs = [t[:m_used] for t in dataset.trajectories]
     hits = 0
     for t in range(trials):
         with _naming(f"audit fitted attack, trial {t}, seed {seed}"):

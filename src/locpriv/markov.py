@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .mobility import BOUNDARY_MARGIN, Trajectory, _readonly
+from .mobility import BOUNDARY_MARGIN, _readonly, _trace_states
 
 __all__ = [
     "ChainReport",
@@ -127,7 +127,7 @@ class MarkovModel:
 
     def sample_trajectory(
         self, profile: TransitionMatrix, m: int, rng: np.random.Generator
-    ) -> Trajectory:
+    ) -> np.ndarray:
         return sample_trajectory_markov(profile, m, rng)
 
     def marginal(self, profile: TransitionMatrix, k: int) -> np.ndarray:
@@ -254,8 +254,8 @@ def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
 
 def sample_trajectory_markov(
     T: TransitionMatrix, m: int, rng: np.random.Generator
-) -> Trajectory:
-    """Length-m walk starting at state 0 (label 1 in external files).
+) -> np.ndarray:
+    """Length-m read-only int64 walk from state 0 (label 1 in external files).
 
     Step t inverts the current state's CDF at the uniform draw u[t-1].
     The successor of every state is tabulated for every draw up front
@@ -273,7 +273,7 @@ def sample_trajectory_markov(
     for t in range(m - 1):
         cur = nxt[cur][t]
         walk.append(cur)
-    return Trajectory(states=np.array(walk, dtype=np.int64))
+    return _readonly(walk, np.int64)
 
 
 def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.ndarray:
@@ -297,7 +297,7 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
 
 
 def fit_markov_profile(
-    trace: Trajectory, graph: MobilityGraph, smoothing: float = 1.0
+    trace: Sequence[int], graph: MobilityGraph, smoothing: float = 1.0
 ) -> TransitionMatrix:
     """Smoothed transition-frequency estimate on the graph's edges.
 
@@ -306,19 +306,19 @@ def fit_markov_profile(
     """
     if smoothing < 0:
         raise ValueError("smoothing must be nonnegative")
-    states = trace.states
+    r = graph.r
+    states = _trace_states(trace, r)
     if states.size < 2:
         raise ValueError("need at least two observations to fit transitions")
-    if states.max() >= graph.r:
-        raise ValueError(f"trace contains state >= r={graph.r}")
     support = graph.support_mask()
-    M = np.zeros((graph.r, graph.r))
-    for a, b in zip(states[:-1], states[1:]):
-        if not support[a, b]:
-            raise ValueError(f"trace uses transition ({a},{b}) not in the graph")
-        M[a, b] += 1.0
+    pair = states[:-1] * r + states[1:]  # transition a -> b as one index
+    off_graph = np.flatnonzero(~support.ravel()[pair])
+    if off_graph.size:
+        a, b = divmod(int(pair[off_graph[0]]), r)
+        raise ValueError(f"trace uses transition ({a},{b}) not in the graph")
+    M = np.bincount(pair, minlength=r * r).reshape(r, r).astype(float)
     T = np.zeros_like(M)
-    for i in range(graph.r):
+    for i in range(r):
         row_edges = support[i]
         denom = M[i].sum() + row_edges.sum() * smoothing
         if denom == 0.0:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import adversary
-from .anonymization import ObservationMatrix, anonymize, sample_permutation
+from .anonymization import anonymize, sample_permutation
 from .mobility import IidModel
 
 __all__ = [
@@ -69,27 +69,28 @@ def entropy(p: Sequence[float] | np.ndarray) -> float:
 
 
 def conditional_location_distribution(
-    Y: ObservationMatrix, post: adversary.AssignmentPosterior, k: int, r: int
+    Y: np.ndarray, post: adversary.AssignmentPosterior, k: int, r: int
 ) -> np.ndarray:
-    """P(X_1(k) = x | Y) = sum_j W_j * 1[column j is at x at time k]."""
-    if not 1 <= k <= Y.m:
-        raise ValueError(f"time index k={k} outside 1..{Y.m}")
-    if post.n != Y.n:
+    """P(X_1(k) = x | Y) = sum_j W_j * 1[column j of Y is at x at time k]."""
+    m, n = Y.shape
+    if not 1 <= k <= m:
+        raise ValueError(f"time index k={k} outside 1..{m}")
+    if post.n != n:
         raise ValueError("posterior size must match the number of pseudonyms")
     q = np.zeros(r)
-    np.add.at(q, Y.entries[k - 1], post.weights)
+    np.add.at(q, Y[k - 1], post.weights)
     return q
 
 
 @dataclass(frozen=True)
 class AttackTrial:
-    """One simulated epoch: observations, truth, and the adversary's
-    log-likelihood matrix ``L[u, j]`` (user u generated pseudonym j's
-    column), the evidence both attacks work from:
+    """One simulated epoch: the (m, n) observations, truth, and the
+    adversary's log-likelihood matrix ``L[u, j]`` (user u generated
+    pseudonym j's column), the evidence both attacks work from:
     ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``.
     """
 
-    Y: ObservationMatrix
+    Y: np.ndarray
     perm: object
     L: np.ndarray
 
@@ -132,6 +133,8 @@ def _resolve_profiles(
     the fixed list, or profile 1 followed by n - 1 fresh sampler draws.
     Draws profile 1 from the sampler up front when not pinned explicitly."""
     if profiles is not None:
+        if profile1 is not None or profile_sampler is not None:
+            raise ValueError("profiles excludes profile1 and profile_sampler")
         profiles = list(profiles)
         if len(profiles) != n:
             raise ValueError("fixed profile list must have length n")

@@ -19,7 +19,6 @@ __all__ = [
     "IidProfile",
     "Population",
     "ProfileDensity",
-    "Trajectory",
     "fit_iid_profile",
     "sample_profile",
     "sample_trajectory_iid",
@@ -33,10 +32,18 @@ BOUNDARY_MARGIN = 1e-9
 _SUM_TOL = 1e-12
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
+    arr = np.array(arr, dtype=dtype, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _trace_states(trace: Sequence[int], r: int) -> np.ndarray:
+    """A trace as an int64 array; raises unless every state is in 0..r-1."""
+    states = np.asarray(trace, dtype=np.int64)
+    if states.size and (states.min() < 0 or states.max() >= r):
+        raise ValueError(f"trace contains a state outside 0..{r - 1}")
+    return states
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class IidModel:
 
     def sample_trajectory(
         self, profile: IidProfile, m: int, rng: np.random.Generator
-    ) -> Trajectory:
+    ) -> np.ndarray:
         return sample_trajectory_iid(profile, m, rng)
 
     def marginal(self, profile: IidProfile, k: int) -> np.ndarray:
@@ -144,25 +151,6 @@ class ProfileDensity:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A user's observed location sequence; time_base is the first time index."""
-
-    states: np.ndarray
-    time_base: int = 1
-
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=np.int64)
-        if states.ndim != 1:
-            raise ValueError("trajectory states must be a flat sequence")
-        if states.size and states.min() < 0:
-            raise ValueError("state ids must be nonnegative")
-        object.__setattr__(self, "states", _readonly(states))
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-
-@dataclass(frozen=True)
 class Population:
     """n users sharing one model kind; profiles are per-user laws."""
 
@@ -196,16 +184,17 @@ def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProf
 
 def sample_trajectory_iid(
     profile: IidProfile, m: int, rng: np.random.Generator
-) -> Trajectory:
-    """m independent draws from the profile."""
+) -> np.ndarray:
+    """m independent draws from the profile, as a read-only int64 array."""
     if m < 0:
         raise ValueError("observation count must be nonnegative")
     states = rng.choice(profile.r, size=m, p=profile.probs)
-    return Trajectory(states=states)
+    states.flags.writeable = False
+    return states
 
 
 def fit_iid_profile(
-    trace: Trajectory | Sequence[int], r: int, smoothing: float = 1.0
+    trace: Sequence[int], r: int, smoothing: float = 1.0
 ) -> IidProfile:
     """Laplace-smoothed visit-frequency estimate of a profile.
 
@@ -215,11 +204,9 @@ def fit_iid_profile(
     """
     if smoothing < 0:
         raise ValueError("smoothing must be nonnegative")
-    states = trace.states if isinstance(trace, Trajectory) else np.asarray(trace, dtype=np.int64)
+    states = _trace_states(trace, r)
     if states.size == 0 and smoothing == 0.0:
         raise ValueError("cannot fit a profile from an empty trace without smoothing")
-    if states.size and states.max() >= r:
-        raise ValueError(f"trace contains state >= r={r}")
     counts = np.bincount(states, minlength=r).astype(float)
     probs = (counts + smoothing) / (states.size + r * smoothing)
     return IidProfile(probs)

@@ -20,7 +20,6 @@ from helpers import (
 )
 from locpriv import adversary, proofcheck
 from locpriv.anonymization import (
-    ObservationMatrix,
     ObservationSchedule,
     anonymize,
     sample_permutation,
@@ -148,12 +147,12 @@ def test_criterion_03_sufficiency():
         base = adversary.posterior_pi1(
             adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, 2))
         ).weights
-        shuffled = Y.entries.copy()
+        shuffled = Y.copy()
         for j in range(4):
             shuffled[:, j] = shuffled[rng.permutation(6), j]
         redo = adversary.posterior_pi1(
             adversary.likelihood_matrix_iid(
-                profiles, adversary.count_stats(ObservationMatrix(entries=shuffled), 2)
+                profiles, adversary.count_stats(shuffled, 2)
             )
         ).weights
         worst_iid = max(worst_iid, float(np.abs(redo - base).max()))
@@ -170,13 +169,13 @@ def test_criterion_03_sufficiency():
         base = adversary.posterior_pi1(
             adversary.likelihood_matrix_markov(chains, stats)
         ).weights
-        rewritten = Y.entries.copy()
+        rewritten = Y.copy()
         for j in range(4):
-            alt = _alternate_markov_column(Y.entries[:, j], 3)
+            alt = _alternate_markov_column(Y[:, j], 3)
             if alt is not None:
                 rewritten[:, j] = alt
                 rewritten_columns += 1
-        stats2 = adversary.transition_stats(ObservationMatrix(entries=rewritten), 3)
+        stats2 = adversary.transition_stats(rewritten, 3)
         assert np.array_equal(stats2, stats)
         redo = adversary.posterior_pi1(
             adversary.likelihood_matrix_markov(chains, stats2)

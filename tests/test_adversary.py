@@ -25,7 +25,7 @@ from locpriv.adversary import (
     posterior_pi1,
     transition_stats,
 )
-from locpriv.anonymization import ObservationMatrix, anonymize, sample_permutation
+from locpriv.anonymization import anonymize, sample_permutation
 from locpriv.markov import MobilityGraph, expand_free_params
 from locpriv.mobility import IidProfile, sample_trajectory_iid
 
@@ -38,7 +38,7 @@ THREE_STATE = MobilityGraph(
 
 
 def col_matrix(*cols):
-    return ObservationMatrix(entries=np.stack([np.asarray(c) for c in cols], axis=1))
+    return np.stack([np.asarray(c) for c in cols], axis=1)
 
 
 def test_count_stats_examples():
@@ -50,7 +50,7 @@ def test_count_stats_examples():
     assert stats[0].tolist() == [1, 1, 1, 1, 0]
 
     rng = np.random.default_rng(0)
-    Y = ObservationMatrix(entries=rng.integers(0, 3, size=(7, 4)))
+    Y = rng.integers(0, 3, size=(7, 4))
     stats = count_stats(Y, r=3)
     assert np.all(stats.sum(axis=1) == 7)
 
@@ -65,7 +65,7 @@ def test_transition_stats_examples():
     assert stats[0][2, 2] == 4
 
     rng = np.random.default_rng(1)
-    Y = ObservationMatrix(entries=rng.integers(0, 3, size=(9, 5)))
+    Y = rng.integers(0, 3, size=(9, 5))
     stats = transition_stats(Y, r=3)
     assert np.all(stats.sum(axis=(1, 2)) == 8)
 
@@ -73,13 +73,11 @@ def test_transition_stats_examples():
 @pytest.mark.parametrize("m, n, r", [(1, 5, 3), (2, 1, 4), (9, 6, 5), (400, 32, 3)])
 def test_stats_match_per_column_reference(m, n, r):
     # states 0..r-2 only, so the last state is never visited
-    Y = ObservationMatrix(
-        entries=np.random.default_rng(m + n + r).integers(0, r - 1, size=(m, n))
-    )
+    Y = np.random.default_rng(m + n + r).integers(0, r - 1, size=(m, n))
     counts = np.zeros((n, r), dtype=np.int64)
     mats = np.zeros((n, r, r), dtype=np.int64)
     for j in range(n):
-        col = Y.entries[:, j]
+        col = Y[:, j]
         for t in range(m):
             counts[j, col[t]] += 1
             if t + 1 < m:
@@ -100,11 +98,11 @@ def test_stats_are_read_only_int64_arrays():
 def test_stats_reject_states_out_of_range():
     for bad in (np.array([[0, 3]]), np.array([[0, -1]]), np.array([[1], [3]])):
         with pytest.raises(ValueError):
-            count_stats(ObservationMatrix(entries=bad), 3)
+            count_stats(bad, 3)
         with pytest.raises(ValueError):
-            transition_stats(ObservationMatrix(entries=bad), 3)
+            transition_stats(bad, 3)
     with pytest.raises(ValueError):
-        transition_stats(ObservationMatrix(entries=np.zeros((0, 2))), 3)
+        transition_stats(np.zeros((0, 2)), 3)
 
 
 def test_log_likelihood_iid():
@@ -479,12 +477,10 @@ def test_iid_sufficiency_time_permutation():
     L = likelihood_matrix_iid(profiles, count_stats(Y, 2))
     base = posterior_pi1(L).weights
 
-    shuffled = Y.entries.copy()
+    shuffled = Y.copy()
     for j in range(4):
         shuffled[:, j] = shuffled[rng.permutation(6), j]
-    L2 = likelihood_matrix_iid(
-        profiles, count_stats(ObservationMatrix(entries=shuffled), 2)
-    )
+    L2 = likelihood_matrix_iid(profiles, count_stats(shuffled, 2))
     assert np.abs(posterior_pi1(L2).weights - base).max() <= 1e-12
 
 
@@ -527,18 +523,18 @@ def test_markov_sufficiency_alternate_realizations():
     stats = transition_stats(Y, 3)
     base = posterior_pi1(likelihood_matrix_markov(T_users, stats)).weights
 
-    rewritten = Y.entries.copy()
+    rewritten = Y.copy()
     changed = 0
     for j in range(4):
         alternatives = _paths_with_transition_counts(stats[j], 8)
-        current = tuple(Y.entries[:, j].tolist())
+        current = tuple(Y[:, j].tolist())
         assert current in alternatives
         others = [p for p in alternatives if p != current]
         if others:
             rewritten[:, j] = others[0]
             changed += 1
     assert changed >= 1
-    stats2 = transition_stats(ObservationMatrix(entries=rewritten), 3)
+    stats2 = transition_stats(rewritten, 3)
     assert np.array_equal(stats2, stats)
     post2 = posterior_pi1(likelihood_matrix_markov(T_users, stats2)).weights
     assert np.abs(post2 - base).max() <= 1e-12

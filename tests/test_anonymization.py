@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from locpriv.adversary import count_stats, transition_stats
 from locpriv.anonymization import (
-    ObservationMatrix,
     ObservationSchedule,
     Permutation,
     anonymize,
@@ -13,8 +13,8 @@ from locpriv.anonymization import (
     schedule_observations,
     threshold_exponent,
 )
-from locpriv.markov import MarkovModel, MobilityGraph
-from locpriv.mobility import IidModel, Trajectory
+from locpriv.markov import MarkovModel, MobilityGraph, expand_free_params
+from locpriv.mobility import IidModel, IidProfile
 
 
 THREE_STATE = MobilityGraph(
@@ -54,31 +54,31 @@ def test_sample_permutation_uniform_chi_square():
 def test_anonymize_worked_example():
     # 1-based paths 1->2->3->4, 2->1->3->5, 4->5->1->3 with permutation
     # (1,2,3) -> (3,1,2); internally 0-based.
-    x1 = Trajectory(np.array([1, 2, 3, 4]) - 1)
-    x2 = Trajectory(np.array([2, 1, 3, 5]) - 1)
-    x3 = Trajectory(np.array([4, 5, 1, 3]) - 1)
+    x1 = np.array([1, 2, 3, 4]) - 1
+    x2 = np.array([2, 1, 3, 5]) - 1
+    x3 = np.array([4, 5, 1, 3]) - 1
     perm = Permutation.from_forward([2, 0, 1])
     Y = anonymize([x1, x2, x3], perm)
     expected = np.array([[2, 4, 1], [1, 5, 2], [3, 1, 3], [5, 3, 4]]) - 1
-    assert np.array_equal(Y.entries, expected)
+    assert np.array_equal(Y, expected)
 
 
 def test_anonymize_identity_and_recovery():
     rng = np.random.default_rng(2)
-    trajs = [Trajectory(rng.integers(0, 4, size=6)) for _ in range(5)]
+    trajs = [rng.integers(0, 4, size=6) for _ in range(5)]
     identity = Permutation.from_forward(range(5))
     Y = anonymize(trajs, identity)
-    assert np.array_equal(Y.entries, np.stack([t.states for t in trajs], axis=1))
+    assert np.array_equal(Y, np.stack(trajs, axis=1))
 
     perm = sample_permutation(5, rng)
     Y = anonymize(trajs, perm)
     for u, t in enumerate(trajs):
-        assert np.array_equal(Y.column(perm.forward[u]), t.states)
+        assert np.array_equal(Y[:, perm.forward[u]], t)
 
 
 def test_anonymize_rejects_mismatches():
-    t4 = Trajectory([0, 1, 0, 1])
-    t3 = Trajectory([0, 1, 0])
+    t4 = np.array([0, 1, 0, 1])
+    t3 = np.array([0, 1, 0])
     with pytest.raises(ValueError):
         anonymize([t4, t3], Permutation.from_forward([0, 1]))
     with pytest.raises(ValueError):
@@ -134,7 +134,25 @@ def test_iid_markov_exponent_equivalence():
 
 
 def test_observation_matrix_shape():
-    Y = ObservationMatrix(entries=np.zeros((4, 3), dtype=int))
-    assert Y.m == 4 and Y.n == 3
-    with pytest.raises(ValueError):
-        ObservationMatrix(entries=np.zeros(4, dtype=int))
+    Y = np.zeros((4, 3), dtype=np.int64)
+    assert count_stats(Y, 2).shape == (3, 2)
+    assert transition_stats(Y, 2).shape == (3, 2, 2)
+    for stats in (count_stats, transition_stats):
+        with pytest.raises(ValueError):
+            stats(np.zeros(4, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("model", [IidModel(3), MarkovModel(THREE_STATE)])
+def test_samplers_and_anonymize_return_read_only_int64_arrays(model):
+    rng = np.random.default_rng(7)
+    if isinstance(model, IidModel):
+        profile = IidProfile([0.2, 0.3, 0.5])
+    else:
+        profile = expand_free_params([0.2, 0.3, 0.4], THREE_STATE)
+    trajs = [model.sample_trajectory(profile, 6, rng) for _ in range(4)]
+    Y = anonymize(trajs, sample_permutation(4, rng))
+    for arr, shape in [(t, (6,)) for t in trajs] + [(Y, (6, 4))]:
+        assert arr.dtype == np.int64 and arr.shape == shape
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1

@@ -78,6 +78,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err.count("\n") >= 1 and "config error" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_empty_out_exits_2_before_running(tmp_path, capsys, monkeypatch, command):
+    ran = []
+    monkeypatch.setattr("locpriv.cli.run_sweep", lambda *a, **k: ran.append(1))
+    assert main([command, "--config", write_config(tmp_path), "--out", ""]) == 2
+    assert not ran
+    assert "config error" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_1(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "no_such_dir" / "x.csv")

@@ -461,7 +461,7 @@ def test_ingest_traces_three_user_example(tmp_path):
     dataset, pop = ingest_traces(str(path), "iid")
     assert dataset.n == 3
     assert pop.model == IidModel(5)
-    counts = [np.bincount(t.states, minlength=5).tolist() for t in dataset.trajectories]
+    counts = [np.bincount(t, minlength=5).tolist() for t in dataset.trajectories]
     assert counts == [
         [1, 1, 1, 1, 0],
         [1, 1, 1, 0, 1],
@@ -476,7 +476,6 @@ def test_ingest_traces_single_row(tmp_path):
     path.write_text("user_id,time,location\nu1,5,home\n")
     dataset, pop = ingest_traces(str(path), "iid")
     assert pop.profiles[0].probs.tolist() == [2 / 3, 1 / 3]
-    assert dataset.trajectories[0].time_base == 5
 
 
 def test_ingest_traces_rejects_bad_files(tmp_path):
@@ -511,7 +510,7 @@ def test_ingest_traces_markov_contract(tmp_path):
     )
     dataset, pop = ingest_traces(str(ok), "markov", graph=graph)
     assert pop.model.graph is graph
-    assert dataset.trajectories[0].states.tolist() == [0, 0, 1, 2, 0]
+    assert dataset.trajectories[0].tolist() == [0, 0, 1, 2, 0]
 
     with pytest.raises(ConfigError):
         ingest_traces(str(ok), "markov")  # graph required
@@ -533,6 +532,13 @@ def test_ingest_traces_markov_rejects_r(tmp_path):
     path.write_text("user_id,time,location\nu1,1,1\nu1,2,2\nu1,3,3\n")
     with pytest.raises(ConfigError, match="only meaningful for the iid model"):
         ingest_traces(str(path), "markov", r=3, graph=three_state_graph())
+
+
+def test_ingest_traces_iid_rejects_graph():
+    # the iid model has no graph; a given one would be silently ignored
+    path = os.path.join(CONFIGS, "demo_traces.csv")
+    with pytest.raises(ConfigError, match="only meaningful for the markov model"):
+        ingest_traces(path, "iid", graph=three_state_graph())
 
 
 def test_audit_iid_thresholds(tmp_path):

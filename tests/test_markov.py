@@ -15,7 +15,7 @@ from locpriv.markov import (
     stationary_distribution,
     validate_chain,
 )
-from locpriv.mobility import Trajectory
+from locpriv.mobility import fit_iid_profile
 
 
 def three_state_graph() -> MobilityGraph:
@@ -223,9 +223,9 @@ def test_sample_trajectory_deterministic_cycle():
         matrix=[[0, 1, 0], [0, 0, 1], [1, 0, 0]], graph=g
     )
     t = sample_trajectory_markov(T, 5, np.random.default_rng(0))
-    assert t.states.tolist() == [0, 1, 2, 0, 1]
+    assert t.tolist() == [0, 1, 2, 0, 1]
     t1 = sample_trajectory_markov(T, 1, np.random.default_rng(0))
-    assert t1.states.tolist() == [0]
+    assert t1.tolist() == [0]
 
 
 def test_sample_trajectory_matches_stepwise_walk():
@@ -244,14 +244,14 @@ def test_sample_trajectory_matches_stepwise_walk():
         m = 1 if seed % 10 == 0 else int(rng.integers(2, 300))
         got = sample_trajectory_markov(T, m, np.random.default_rng(seed))
         want = sample_trajectory_markov_stepwise(T, m, np.random.default_rng(seed))
-        assert got.states.tolist() == want.tolist()
+        assert got.tolist() == want.tolist()
 
 
 def test_sample_trajectory_transition_frequencies():
     T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     t = sample_trajectory_markov(T, 100_000, np.random.default_rng(13))
     counts = np.zeros((3, 3))
-    np.add.at(counts, (t.states[:-1], t.states[1:]), 1)
+    np.add.at(counts, (t[:-1], t[1:]), 1)
     departures = counts.sum(axis=1)
     for i in range(3):
         for j in range(3):
@@ -267,7 +267,7 @@ def test_long_run_occupancy_matches_stationary():
     T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     pi = stationary_distribution(T)
     t = sample_trajectory_markov(T, 100_000, np.random.default_rng(14))
-    occ = np.bincount(t.states, minlength=3) / len(t)
+    occ = np.bincount(t, minlength=3) / len(t)
     sigma = np.sqrt(pi * (1 - pi) / len(t))
     # correlated samples: allow triple the iid band plus mixing slack
     assert np.all(np.abs(occ - pi) <= 9 * sigma + 1e-3)
@@ -277,14 +277,14 @@ def test_fit_markov_profile():
     g = MobilityGraph(
         r=3, edges=[(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
     )
-    T = fit_markov_profile(Trajectory([0, 1, 2, 0]), g, smoothing=0.0)
+    T = fit_markov_profile([0, 1, 2, 0], g, smoothing=0.0)
     assert T.matrix[0, 1] == 1.0 and T.matrix[1, 2] == 1.0 and T.matrix[2, 0] == 1.0
 
     # unvisited state with smoothing: uniform over its out-edges
     g2 = three_state_graph()
-    T2 = fit_markov_profile(Trajectory([0, 0, 1, 2, 1]), g2, smoothing=1.0)
+    T2 = fit_markov_profile([0, 0, 1, 2, 1], g2, smoothing=1.0)
     assert np.abs(T2.matrix.sum(axis=1) - 1).max() <= 1e-12
-    T3 = fit_markov_profile(Trajectory([0, 0]), g2, smoothing=1.0)
+    T3 = fit_markov_profile([0, 0], g2, smoothing=1.0)
     assert np.allclose(T3.matrix[1], [0, 0, 1])
     assert np.allclose(T3.matrix[2], [0.5, 0.5, 0])
 
@@ -292,9 +292,39 @@ def test_fit_markov_profile():
 def test_fit_markov_profile_rejects_off_graph_transition():
     g = three_state_graph()
     with pytest.raises(ValueError):
-        fit_markov_profile(Trajectory([0, 1, 0]), g, smoothing=1.0)  # (1,0) not in E
+        fit_markov_profile([0, 1, 0], g, smoothing=1.0)  # (1,0) not in E
     with pytest.raises(ValueError):
-        fit_markov_profile(Trajectory([0]), g, smoothing=1.0)
+        fit_markov_profile([0], g, smoothing=1.0)
+
+
+def test_fit_markov_profile_names_first_off_graph_transition():
+    # (2,2) at step 3 comes before (1,0) at step 5
+    with pytest.raises(ValueError, match=r"transition \(2,2\) not in the graph"):
+        fit_markov_profile([0, 1, 2, 2, 1, 0], three_state_graph())
+
+
+def test_fits_reject_states_outside_range():
+    for bad in ([0, -1, 0], [0, 3, 0]):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            fit_markov_profile(bad, three_state_graph())
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            fit_iid_profile(bad, 3)
+
+
+def test_fit_markov_profile_matches_stepwise_counts():
+    # the one-bincount transition count against a per-step loop, bit for bit
+    g = three_state_graph()
+    support = g.support_mask()
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        T = expand_free_params(sample_free_params(g, rng), g)
+        trace = sample_trajectory_markov(T, int(rng.integers(2, 400)), rng)
+        M = np.zeros((3, 3))
+        for a, b in zip(trace[:-1], trace[1:]):
+            M[a, b] += 1.0
+        denom = M.sum(axis=1) + support.sum(axis=1)
+        want = np.where(support, M + 1.0, 0.0) / denom[:, None]
+        assert np.array_equal(fit_markov_profile(trace, g).matrix, want)
 
 
 def test_fit_markov_row_stochastic_random():

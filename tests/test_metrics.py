@@ -12,7 +12,6 @@ from helpers import (
 )
 from locpriv import adversary
 from locpriv.adversary import AssignmentPosterior
-from locpriv.anonymization import ObservationMatrix
 from locpriv.markov import MarkovModel, expand_free_params, stationary_distribution
 from locpriv.metrics import (
     AttackTrial,
@@ -41,12 +40,12 @@ def test_entropy_values():
 
 
 def test_conditional_location_distribution():
-    Y = ObservationMatrix(entries=np.array([[0], [1], [1]]))
+    Y = np.array([[0], [1], [1]])
     post = AssignmentPosterior(weights=np.array([1.0]), normalization_residual=0.0)
     q = conditional_location_distribution(Y, post, 2, r=2)
     assert q.tolist() == [0.0, 1.0]
 
-    Y = ObservationMatrix(entries=np.array([[0, 1, 1, 2]]))
+    Y = np.array([[0, 1, 1, 2]])
     post = AssignmentPosterior(
         weights=np.full(4, 0.25), normalization_residual=0.0
     )
@@ -131,6 +130,21 @@ def test_mi_rejects_bad_arguments():
         mutual_information_mc(model, 2, 4, 9, 10, rng, profiles=[p, p])
     with pytest.raises(ValueError):
         mutual_information_mc(model, 2, 4, 1, 10, rng)
+
+
+def test_fixed_profiles_exclude_profile1_and_sampler():
+    # profiles pins every user, so a second source for user 1 is ambiguous
+    model = IidModel(2)
+    q = IidProfile([0.4, 0.6])
+    rng = np.random.default_rng(4)
+    for extra in (
+        {"profile1": IidProfile([0.3, 0.7])},
+        {"profile_sampler": uniform2_sampler()},
+    ):
+        with pytest.raises(ValueError, match="excludes"):
+            mutual_information_mc(model, 2, 4, 1, 10, rng, profiles=[q, q], **extra)
+        with pytest.raises(ValueError, match="excludes"):
+            deanonymization_accuracy(model, 2, 4, 10, rng, profiles=[q, q], **extra)
 
 
 def test_mi_nonnegative_within_noise():

@@ -6,7 +6,6 @@ from locpriv.mobility import (
     IidProfile,
     Population,
     ProfileDensity,
-    Trajectory,
     fit_iid_profile,
     sample_profile,
     sample_trajectory_iid,
@@ -105,35 +104,35 @@ def test_trajectory_empty_and_support():
     assert len(sample_trajectory_iid(p, 0, rng)) == 0
     t = sample_trajectory_iid(p, 1000, rng)
     assert len(t) == 1000
-    assert t.states.max() < 3 and t.states.min() >= 0
+    assert t.max() < 3 and t.min() >= 0
 
 
 def test_trajectory_frequency():
     rng = np.random.default_rng(5)
     p = IidProfile([0.5, 0.5])
     t = sample_trajectory_iid(p, 100_000, rng)
-    assert abs(t.states.mean() - 0.5) < 0.005
+    assert abs(t.mean() - 0.5) < 0.005
 
 
 def test_fit_iid_profile_formula():
-    p = fit_iid_profile(Trajectory([0, 0, 0, 1]), r=2, smoothing=1.0)
+    p = fit_iid_profile([0, 0, 0, 1], r=2, smoothing=1.0)
     assert np.allclose(p.probs, [4 / 6, 2 / 6])
-    p = fit_iid_profile(Trajectory([0, 0, 1, 1]), r=2, smoothing=0.0)
+    p = fit_iid_profile([0, 0, 1, 1], r=2, smoothing=0.0)
     assert np.allclose(p.probs, [0.5, 0.5])
 
 
 def test_fit_iid_profile_boundary_rejected():
     with pytest.raises(ValueError):
-        fit_iid_profile(Trajectory([1, 1, 1, 1, 1]), r=2, smoothing=0.0)
+        fit_iid_profile([1, 1, 1, 1, 1], r=2, smoothing=0.0)
     with pytest.raises(ValueError):
-        fit_iid_profile(Trajectory([]), r=2, smoothing=0.0)
+        fit_iid_profile([], r=2, smoothing=0.0)
 
 
 def test_fit_iid_profile_smoothed_always_interior():
     rng = np.random.default_rng(6)
     for _ in range(50):
         states = rng.integers(0, 4, size=rng.integers(0, 30))
-        p = fit_iid_profile(Trajectory(states), r=4, smoothing=1.0)
+        p = fit_iid_profile(states, r=4, smoothing=1.0)
         assert np.all(p.probs > 0) and np.all(p.probs < 1)
 
 
