@@ -67,6 +67,8 @@ class AssignmentPosterior:
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(weights).all():
+            raise ValueError("posterior weights must be finite")
         if weights.min() < 0.0:
             raise ValueError("posterior weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-10:

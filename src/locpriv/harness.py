@@ -528,6 +528,17 @@ class TraceDataset:
         return len(self.user_ids)
 
 
+def _row_record(header: list[str], row: list[str]) -> dict:
+    """A trace row as csv.DictReader gives it, for error messages: fields
+    keyed by header name, missing ones None, extra ones as a list under None."""
+    record = dict(zip(header, row))
+    if len(row) > len(header):
+        record[None] = row[len(header):]
+    for key in header[len(row):]:
+        record[key] = None
+    return record
+
+
 def ingest_traces(
     path: str,
     model_kind: str,
@@ -550,40 +561,53 @@ def ingest_traces(
         raise ConfigError("r is only meaningful for the iid model")
     if model_kind == "iid" and graph is not None:
         raise ConfigError("a graph is only meaningful for the markov model")
-    per_user: dict[str, list[tuple[int, str]]] = {}
+    per_user: dict[str, list[str]] = {}  # user -> locations in time order
+    last_time: dict[str, int] = {}
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read traces: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != [
             "user_id",
             "time",
             "location",
         ]:
             raise ConfigError("trace file must have header 'user_id,time,location'")
-        for rec in reader:
-            uid = rec["user_id"]
+        for row in reader:
+            fields = row
+            if len(row) < 3:
+                if not row:  # blank line
+                    continue
+                fields = row + [None] * (3 - len(row))
+            uid, stamp, loc = fields[0], fields[1], fields[2]
             try:
-                t = int(rec["time"])
+                t = int(stamp)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"non-integer time in row {rec!r}") from exc
-            loc = rec["location"]
-            if loc is None or loc == "":
-                raise ConfigError(f"missing location in row {rec!r}")
-            seq = per_user.setdefault(uid, [])
-            if seq and t <= seq[-1][0]:
                 raise ConfigError(
-                    f"times for user {uid!r} must be strictly increasing"
+                    f"non-integer time in row {_row_record(header, row)!r}"
+                ) from exc
+            if loc is None or loc == "":
+                raise ConfigError(
+                    f"missing location in row {_row_record(header, row)!r}"
                 )
-            seq.append((t, loc))
+            if uid in last_time:
+                if t <= last_time[uid]:
+                    raise ConfigError(
+                        f"times for user {uid!r} must be strictly increasing"
+                    )
+                per_user[uid].append(loc)
+            else:
+                per_user[uid] = [loc]
+            last_time[uid] = t
     if not per_user:
         raise ConfigError("trace file has no rows")
 
     label_map: dict[str, int] = {}
     for seq in per_user.values():
-        for _, loc in seq:
+        for loc in seq:
             if loc in label_map:
                 continue
             if model_kind == "iid":
@@ -611,7 +635,7 @@ def ingest_traces(
         model = IidModel(r=r_eff)
         fit, space = fit_iid_profile, r_eff
     trajectories = tuple(
-        _readonly([label_map[loc] for _, loc in seq], np.int64)
+        _readonly([label_map[loc] for loc in seq], np.int64)
         for seq in per_user.values()
     )
     try:

@@ -11,14 +11,14 @@ probability = 1 - sum of the row's free entries).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .mobility import BOUNDARY_MARGIN, _readonly, _trace_states
+from .mobility import BOUNDARY_MARGIN, _dirichlet, _readonly, _trace_states
 
 __all__ = [
     "ChainReport",
@@ -46,12 +46,14 @@ class MobilityGraph:
     subset carrying the free parameters (order inherited from ``edges``).
     If ``free_edges`` is None the canonical rule applies: in every row,
     all out-edges except the one with the lexicographically largest
-    target are free.
+    target are free. ``free_counts[i]`` is the number of free out-edges
+    of state i.
     """
 
     r: int
     edges: tuple
     free_edges: tuple = None
+    free_counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -72,14 +74,15 @@ class MobilityGraph:
             free = sorted(set((int(i), int(j)) for i, j in self.free_edges))
             if not set(free) <= set(edges):
                 raise ValueError("free edges must be a subset of the edge set")
-            for i, targets in enumerate(out):
-                n_free = sum(1 for (a, _) in free if a == i)
-                if n_free != len(targets) - 1:
-                    raise ValueError(
-                        f"state {i} must have exactly one dependent out-edge"
-                    )
+        counts = [0] * self.r
+        for i, _ in free:
+            counts[i] += 1
+        for i, targets in enumerate(out):
+            if counts[i] != len(targets) - 1:
+                raise ValueError(f"state {i} must have exactly one dependent out-edge")
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "free_edges", tuple(free))
+        object.__setattr__(self, "free_counts", tuple(counts))
 
     @property
     def d(self) -> int:
@@ -282,12 +285,11 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     read-only (d,) array ordered like graph.free_edges."""
     values = np.empty(len(graph.free_edges))
     pos = 0
-    for i in range(graph.r):
-        n_free = sum(1 for (a, _) in graph.free_edges if a == i)
+    for n_free in graph.free_counts:
         if n_free == 0:
             continue
         while True:
-            x = rng.dirichlet(np.ones(n_free + 1))
+            x = _dirichlet(rng, n_free + 1)
             if x.min() >= BOUNDARY_MARGIN:
                 break
         values[pos : pos + n_free] = x[:-1]

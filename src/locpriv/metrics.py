@@ -60,6 +60,8 @@ class AccuracyResult:
 def entropy(p: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     if p.min() < 0.0:
         raise ValueError("probabilities must be nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-9:

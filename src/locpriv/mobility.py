@@ -48,19 +48,33 @@ def _trace_states(trace: Sequence[int], r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IidProfile:
-    """Probability vector over the r locations; strictly interior."""
+    """Probability vector over the r locations; strictly interior.
+
+    ``cdf`` is the read-only cumulative vector ``Generator.choice`` builds
+    from ``probs`` (``probs.cumsum()`` over its last entry, which is
+    exactly 1), kept for trajectory draws. The sum check reads the
+    sequential sum off the unnormalized cumulative vector.
+    """
 
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("profile needs at least two locations")
-        if not np.all((probs > 0.0) & (probs < 1.0)):
+        # a chained comparison is False for NaN, so NaN entries fail too;
+        # on a list this beats two numpy reductions for the small r used
+        if not all(0.0 < p < 1.0 for p in probs.tolist()):
             raise ValueError("profile entries must lie strictly in (0, 1)")
-        if abs(float(probs.sum()) - 1.0) > _SUM_TOL:
+        cdf = probs.cumsum()
+        if abs(float(cdf[-1]) - 1.0) > _SUM_TOL:
             raise ValueError("profile entries must sum to 1 within 1e-12")
-        object.__setattr__(self, "probs", _readonly(probs))
+        cdf /= cdf[-1]
+        probs.flags.writeable = False
+        cdf.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def r(self) -> int:
@@ -167,17 +181,35 @@ class Population:
         return len(self.profiles)
 
 
+def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> np.ndarray:
+    """``rng.dirichlet(np.full(r, alpha))`` bit for bit, for alpha >= 0.1.
+
+    numpy draws one shape-alpha gamma per entry (shape 1 is the standard
+    exponential) and scales them by the reciprocal of their sequential
+    sum; below alpha 0.1 it switches to stick-breaking, which this does
+    not reproduce. Skips ``dirichlet``'s per-call argument handling.
+    """
+    if alpha == 1.0:
+        g = rng.standard_exponential(r)
+    else:
+        g = rng.standard_gamma(alpha, r)
+    return g * (1.0 / g.cumsum()[-1])
+
+
 def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProfile:
-    """Draw one profile from the prior, rejecting near-boundary draws."""
+    """Draw one profile from the prior, rejecting near-boundary draws.
+
+    Each attempt consumes the stream exactly as ``rng.dirichlet(np.ones(r))``
+    does, after a ``rng.random()`` mixture coin for ``bounded-mixture``
+    (``rng.dirichlet(np.full(r, bump_alpha))`` when the coin falls below
+    ``bump_weight``).
+    """
     r = density.r
     while True:
-        if density.kind == "uniform-simplex":
-            probs = rng.dirichlet(np.ones(r))
+        if density.kind == "bounded-mixture" and rng.random() < density.bump_weight:
+            probs = _dirichlet(rng, r, density.bump_alpha)
         else:
-            if rng.random() < density.bump_weight:
-                probs = rng.dirichlet(np.full(r, density.bump_alpha))
-            else:
-                probs = rng.dirichlet(np.ones(r))
+            probs = _dirichlet(rng, r)
         if probs.min() >= BOUNDARY_MARGIN:
             return IidProfile(probs / probs.sum())
 
@@ -185,10 +217,15 @@ def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProf
 def sample_trajectory_iid(
     profile: IidProfile, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m independent draws from the profile, as a read-only int64 array."""
+    """m independent draws from the profile, as a read-only int64 array.
+
+    Equal bit for bit to ``rng.choice(profile.r, size=m, p=profile.probs)``:
+    the lines ``choice`` runs once ``p`` is validated, which ``IidProfile``
+    already guarantees, against the profile's cached CDF.
+    """
     if m < 0:
         raise ValueError("observation count must be nonnegative")
-    states = rng.choice(profile.r, size=m, p=profile.probs)
+    states = profile.cdf.searchsorted(rng.random(m), side="right")
     states.flags.writeable = False
     return states
 

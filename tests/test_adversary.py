@@ -15,6 +15,7 @@ from helpers import (
 )
 from locpriv import adversary
 from locpriv.adversary import (
+    AssignmentPosterior,
     count_stats,
     likelihood_matrix_iid,
     likelihood_matrix_markov,
@@ -39,6 +40,12 @@ THREE_STATE = MobilityGraph(
 
 def col_matrix(*cols):
     return np.stack([np.asarray(c) for c in cols], axis=1)
+
+
+def test_assignment_posterior_rejects_non_finite_weights():
+    for bad in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [np.inf, 1.0], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            AssignmentPosterior(weights=bad, normalization_residual=0.0)
 
 
 def test_count_stats_examples():

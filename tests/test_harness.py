@@ -500,6 +500,77 @@ def test_ingest_traces_rejects_bad_files(tmp_path):
         ingest_traces(str(bad_time), "iid")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "trace file must have header 'user_id,time,location'"),
+        ("user,time,loc\nu1,1,a\n", "trace file must have header 'user_id,time,location'"),
+        ("\nuser_id,time,location\nu1,1,a\n", "trace file must have header 'user_id,time,location'"),
+        ("user_id,time,location\n", "trace file has no rows"),
+        ("user_id,time,location\n\n\n", "trace file has no rows"),
+        (
+            "user_id,time,location\nu1\n",
+            "non-integer time in row {'user_id': 'u1', 'time': None, 'location': None}",
+        ),
+        (
+            "user_id,time,location\nu1,5\n",
+            "missing location in row {'user_id': 'u1', 'time': '5', 'location': None}",
+        ),
+        (
+            "user_id,time,location\nu1,noon,a\n",
+            "non-integer time in row {'user_id': 'u1', 'time': 'noon', 'location': 'a'}",
+        ),
+        (
+            "user_id,time,location\nu1,1.5,a,extra,more\n",
+            "non-integer time in row {'user_id': 'u1', 'time': '1.5', "
+            "'location': 'a', None: ['extra', 'more']}",
+        ),
+        (
+            "user_id,time,location\nu1,5,\n",
+            "missing location in row {'user_id': 'u1', 'time': '5', 'location': ''}",
+        ),
+        (
+            "user_id,time,location\nu1,2,a\nu1,2,b\n",
+            "times for user 'u1' must be strictly increasing",
+        ),
+        (
+            "user_id,time,location\nu1,2,a\nu2,1,a\nu1,1,b\n",
+            "times for user 'u1' must be strictly increasing",
+        ),
+        # the first failing row decides, and within a row the time check
+        # runs before the location check, which runs before the order check
+        (
+            "user_id,time,location\nu1,x,\n",
+            "non-integer time in row {'user_id': 'u1', 'time': 'x', 'location': ''}",
+        ),
+        (
+            "user_id,time,location\nu1,2,a\nu1,1,\n",
+            "missing location in row {'user_id': 'u1', 'time': '1', 'location': ''}",
+        ),
+        (
+            "user_id,time,location\nu1,2,a\nu1,1,b\nu1,x,c\n",
+            "times for user 'u1' must be strictly increasing",
+        ),
+    ],
+)
+def test_ingest_traces_error_messages_pinned(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ConfigError) as info:
+        ingest_traces(str(path), "iid")
+    assert str(info.value) == message
+
+
+def test_ingest_traces_skips_blank_lines_and_extra_columns(tmp_path):
+    # the header check strips names, so padded ones must read too
+    path = tmp_path / "ok.csv"
+    path.write_text("user_id, time ,location\n\nu1,1,a,note\n\nu1, 2,b\n")
+    dataset, pop = ingest_traces(str(path), "iid")
+    assert dataset.user_ids == ("u1",)
+    assert dataset.label_map == {"a": 0, "b": 1}
+    assert dataset.trajectories[0].tolist() == [0, 1]
+
+
 def test_ingest_traces_markov_contract(tmp_path):
     graph = three_state_graph()
     ok = tmp_path / "m.csv"

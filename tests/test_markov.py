@@ -106,6 +106,29 @@ def test_free_params_are_checked_read_only_arrays():
         contract_transition_matrix(T, g)
 
 
+def test_graph_counts_free_edges_per_state():
+    assert three_state_graph().free_counts == (2, 0, 1)
+    g = MobilityGraph(r=3, edges=[(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+    assert g.free_counts == (0, 1, 2)
+    assert g == MobilityGraph(r=3, edges=list(reversed(g.edges)))
+
+
+def test_sample_free_params_matches_per_row_dirichlet():
+    """Each row with k free edges consumes the stream as
+    rng.dirichlet(np.ones(k + 1)) does and keeps its first k entries."""
+    rng = np.random.default_rng(11)
+    for seed in range(30):
+        g = random_graph(rng, int(rng.integers(2, 7)))
+        ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for i in range(g.r):
+            k = sum(1 for a, _ in g.free_edges if a == i)
+            if k:
+                expected.extend(ref.dirichlet(np.ones(k + 1))[:-1])
+        assert np.array_equal(sample_free_params(g, ours), expected)
+        assert ours.random() == ref.random()
+
+
 def test_roundtrip_random_graphs():
     rng = np.random.default_rng(10)
     for _ in range(100):

@@ -39,6 +39,12 @@ def test_entropy_values():
         entropy([0.5, 0.4])
 
 
+def test_entropy_rejects_non_finite_probabilities():
+    for bad in ([np.nan, 0.5], [np.nan, 1.0], [0.5, 0.5, np.inf], [1.0, -np.inf]):
+        with pytest.raises(ValueError):
+            entropy(bad)
+
+
 def test_conditional_location_distribution():
     Y = np.array([[0], [1], [1]])
     post = AssignmentPosterior(weights=np.array([1.0]), normalization_residual=0.0)

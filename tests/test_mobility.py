@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locpriv.mobility import (
+    BOUNDARY_MARGIN,
     IidModel,
     IidProfile,
     Population,
@@ -10,6 +11,7 @@ from locpriv.mobility import (
     sample_profile,
     sample_trajectory_iid,
 )
+from locpriv.mobility import _dirichlet
 
 
 def test_profile_validation():
@@ -23,10 +25,27 @@ def test_profile_validation():
         IidProfile([1.2, -0.2])
 
 
+def test_profile_rejects_non_finite_entries():
+    for bad in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [0.5, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="strictly in"):
+            IidProfile(bad)
+
+
 def test_profile_is_immutable():
     p = IidProfile([0.3, 0.7])
     with pytest.raises(ValueError):
         p.probs[0] = 0.5
+    with pytest.raises(ValueError):
+        p.cdf[0] = 0.5
+
+
+def test_profile_cdf_is_the_normalized_cumulative_sum():
+    source = [0.1, 0.2, 0.3, 0.4]
+    p = IidProfile(source)
+    expected = np.cumsum(source)
+    expected /= expected[-1]
+    assert np.array_equal(p.cdf, expected) and p.cdf[-1] == 1.0
+    assert p.probs is not source and p.probs.tolist() == source
 
 
 def test_uniform_density_bounds_r2_are_exactly_one():
@@ -141,3 +160,96 @@ def test_population_requires_users():
         Population(model=IidModel(2), profiles=())
     pop = Population(model=IidModel(2), profiles=(IidProfile([0.4, 0.6]),))
     assert pop.n == 1
+
+
+def _dirichlet_profile_reference(density, rng):
+    """sample_profile as written against Generator.dirichlet."""
+    r = density.r
+    while True:
+        if density.kind == "uniform-simplex":
+            probs = rng.dirichlet(np.ones(r))
+        elif rng.random() < density.bump_weight:
+            probs = rng.dirichlet(np.full(r, density.bump_alpha))
+        else:
+            probs = rng.dirichlet(np.ones(r))
+        if probs.min() >= BOUNDARY_MARGIN:
+            return probs / probs.sum()
+
+
+# These pin the numpy internals the samplers rely on (a shape-1 gamma is
+# the standard exponential, Dirichlet rows scale by the reciprocal of a
+# sequential sum, choice inverts cumsum / cumsum[-1]): a numpy upgrade
+# that changes them fails here rather than drifting the pinned CSVs.
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_dirichlet_helper_matches_numpy_bit_for_bit(alpha):
+    for seed in range(60):
+        for r in (2, 3, 5, 8, 9, 12, 17):
+            ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = ref.dirichlet(np.ones(r) if alpha == 1.0 else np.full(r, alpha))
+            assert np.array_equal(_dirichlet(ours, r, alpha), expected)
+            assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("kind", ["uniform-simplex", "bounded-mixture"])
+def test_sample_profile_matches_dirichlet_reference(kind):
+    for r in (2, 3, 5, 17):
+        density = ProfileDensity(kind, r)
+        ref, ours = np.random.default_rng(r), np.random.default_rng(r)
+        for _ in range(100):
+            expected = _dirichlet_profile_reference(density, ref)
+            assert np.array_equal(sample_profile(density, ours).probs, expected)
+        assert ours.random() == ref.random()
+
+
+def test_sample_trajectory_matches_numpy_choice_bit_for_bit():
+    profiles = np.random.default_rng(99)
+    for seed in range(40):
+        for r in (2, 3, 5, 8, 17):
+            profile = sample_profile(ProfileDensity("uniform-simplex", r), profiles)
+            for m in (0, 1, 147):
+                ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = ref.choice(r, size=m, p=profile.probs)
+                got = sample_trajectory_iid(profile, m, ours)
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert np.array_equal(got, expected)
+                assert ours.random() == ref.random()
+
+
+def test_sample_trajectory_rejects_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_trajectory_iid(IidProfile([0.5, 0.5]), -1, np.random.default_rng(0))
+
+
+class _ScriptedRng:
+    """Hands out scripted draws in order; what is left shows what went unused."""
+
+    def __init__(self, coins=(), exponentials=(), gammas=()):
+        self.coins = list(coins)
+        self.exponentials = list(exponentials)
+        self.gammas = list(gammas)
+
+    def random(self):
+        return self.coins.pop(0)
+
+    def standard_exponential(self, size):
+        block = np.array(self.exponentials.pop(0), dtype=float)
+        assert block.shape == (size,)
+        return block
+
+    def standard_gamma(self, shape, size):
+        assert shape == 2.0
+        block = np.array(self.gammas.pop(0), dtype=float)
+        assert block.shape == (size,)
+        return block
+
+
+def test_sample_profile_rejects_near_boundary_draws():
+    # first attempt puts 1e-12 of the mass on location 0: below the margin
+    rng = _ScriptedRng(exponentials=[[1e-12, 1.0], [1.0, 3.0]])
+    p = sample_profile(ProfileDensity("uniform-simplex", 2), rng)
+    assert p.probs.tolist() == [0.25, 0.75] and rng.exponentials == []
+    # the mixture coin is redrawn on every attempt, before its block
+    rng = _ScriptedRng(coins=[0.9, 0.1], exponentials=[[1.0, 1e-12]], gammas=[[1.0, 1.0]])
+    p = sample_profile(ProfileDensity("bounded-mixture", 2), rng)
+    assert p.probs.tolist() == [0.5, 0.5]
+    assert rng.coins == [] and rng.exponentials == [] and rng.gammas == []
