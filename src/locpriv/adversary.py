@@ -23,18 +23,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .anonymization import Permutation
-from .markov import TransitionMatrix
-from .mobility import IidProfile, _readonly
+from .mobility import _readonly
 
 __all__ = [
     "AssignmentPosterior",
     "count_stats",
     "likelihood_matrix_iid",
     "likelihood_matrix_markov",
-    "log_likelihood_iid",
-    "log_likelihood_markov",
     "map_assignment",
-    "permanent",
     "posterior_pi1",
     "transition_stats",
 ]
@@ -111,24 +107,6 @@ def transition_stats(Y: np.ndarray, r: int) -> np.ndarray:
     return mats
 
 
-def log_likelihood_iid(profile: IidProfile, counts: np.ndarray) -> float:
-    """Multinomial kernel: sum_i counts[i] * ln p(i)."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.size != profile.r:
-        raise ValueError("counts length must equal the number of states")
-    return float(counts @ np.log(profile.probs))
-
-
-def log_likelihood_markov(T: TransitionMatrix, M: np.ndarray) -> float:
-    """Markov kernel: sum_{i,k} M(i,k) * ln T(i,k); -inf if M puts mass on
-    a zero-probability transition (this user cannot have produced it)."""
-    M = np.asarray(M, dtype=float)
-    mask = M > 0
-    if np.any(T.matrix[mask] == 0.0):
-        return float("-inf")
-    return float(np.sum(M[mask] * np.log(T.matrix[mask])))
-
-
 def likelihood_matrix_iid(profiles, counts: np.ndarray) -> np.ndarray:
     """L[u, j] = log-likelihood that user u generated pseudonym j's counts
     (the (n, r) array from count_stats)."""
@@ -158,20 +136,6 @@ def _sign_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     signs = np.ones((idx.size, k))
     signs[:, 1:] -= 2.0 * bits
     return _readonly(signs), _readonly(np.prod(signs, axis=1))
-
-
-def permanent(A: np.ndarray) -> float:
-    """Glynn permanent of a square matrix, expanded along row 0:
-    perm(A) = sum_j A[0, j] * (row-0 minor j)."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("permanent needs a square matrix")
-    if n == 0:
-        return 1.0
-    if n > PERMANENT_FEASIBILITY_BOUND:
-        raise ValueError(f"permanent limited to n <= {PERMANENT_FEASIBILITY_BOUND}")
-    return float(A[0] @ _glynn_row0_minors(A))
 
 
 def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:

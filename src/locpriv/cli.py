@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .harness import (
@@ -51,13 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and checked (>= 1) but has no effect: sweeps run "
-        "serially (LOCPRIV_THREADS overrides it)",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_lemma = sub.add_parser("lemma", help="proof-machinery numerical battery")
@@ -105,19 +97,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("LOCPRIV_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"LOCPRIV_THREADS is not an integer: {env!r}")
-    return args.threads
-
-
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args.seed, args.out)
-    rows = run_sweep(config, threads=_resolve_threads(args))
+    rows = run_sweep(config)
     write_results_csv(rows, config.out_path)
     print(f"wrote {len(rows)} rows to {config.out_path}")
     return 0

@@ -49,7 +49,6 @@ __all__ = [
     "ingest_traces",
     "load_config",
     "parse_config",
-    "read_results_csv",
     "run_lemma_battery",
     "run_sweep",
     "substream_seed",
@@ -362,30 +361,6 @@ def write_results_csv(rows, path: str) -> None:
         fh.write(RESULT_HEADER + "\n")
         for row in rows:
             fh.write(",".join(row.to_csv_fields()) + "\n")
-
-
-def read_results_csv(path: str) -> list[ResultRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULT_HEADER.split(","):
-            raise ConfigError("unexpected results header")
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    experiment_id=rec["experiment_id"],
-                    model=rec["model"],
-                    n=int(rec["n"]),
-                    m=int(rec["m"]),
-                    beta=float(rec["beta"]),
-                    trial=int(rec["trial"]),
-                    metric=rec["metric"],
-                    value=float(rec["value"]),
-                    std_error=None if rec["std_error"] == "" else float(rec["std_error"]),
-                    seed=int(rec["seed"]),
-                )
-            )
-    return rows
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
@@ -788,12 +763,14 @@ def run_lemma_battery(
             )
         )
 
-    for m in m_grid:
-        product = m * params.beta(m) * params.eps(m)
-        power = float(m) ** (theta - phi)
-        emit(0, m, "identity_product", product)
-        emit(0, m, "identity_power", power)
-        emit(0, m, "identity_gap", abs(product - power))
+    rng = np.random.default_rng(substream_seed(seed, 2, 0))
+    records = proofcheck.delta_uniformity_experiment(
+        params, m_grid, delta_samples, rng
+    )
+    for rec in records:
+        emit(0, rec.m, "identity_product", rec.product_identity)
+        emit(0, rec.m, "identity_power", rec.power_identity)
+        emit(0, rec.m, "identity_gap", abs(rec.product_identity - rec.power_identity))
 
     for idx, n in enumerate(n_grid):
         m = schedule_observations(n, sched)
@@ -808,10 +785,7 @@ def run_lemma_battery(
         emit(n, m, "critical_set_mean", float(sizes.mean()))
         emit(n, m, "critical_set_predicted", 2.0 * n * eps)
 
-    rng = np.random.default_rng(substream_seed(seed, 2, 0))
-    for rec in proofcheck.delta_uniformity_experiment(
-        params, m_grid, delta_samples, rng
-    ):
+    for rec in records:
         emit(0, rec.m, "delta_max_abs_log", rec.max_abs_log_delta)
         emit(0, rec.m, "delta_envelope", rec.envelope)
 

@@ -15,24 +15,18 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .mobility import BOUNDARY_MARGIN, _dirichlet, _readonly, _trace_states
 
 __all__ = [
-    "ChainReport",
     "MarkovModel",
     "MobilityGraph",
     "TransitionMatrix",
-    "contract_transition_matrix",
     "expand_free_params",
     "fit_markov_profile",
     "load_graph_csv",
     "sample_free_params",
     "sample_trajectory_markov",
-    "stationary_distribution",
-    "validate_chain",
 ]
 
 _ROW_SUM_TOL = 1e-12
@@ -54,6 +48,8 @@ class MobilityGraph:
     edges: tuple
     free_edges: tuple = None
     free_counts: tuple = field(init=False, repr=False, compare=False)
+    _dependent: tuple = field(init=False, repr=False, compare=False)
+    _support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -80,27 +76,32 @@ class MobilityGraph:
         for i, targets in enumerate(out):
             if counts[i] != len(targets) - 1:
                 raise ValueError(f"state {i} must have exactly one dependent out-edge")
+        free_set = set(free)
+        dependent = tuple(
+            next((i, j) for j in targets if (i, j) not in free_set)
+            for i, targets in enumerate(out)
+        )
+        support = np.zeros((self.r, self.r), dtype=bool)
+        for i, j in edges:
+            support[i, j] = True
+        support.flags.writeable = False
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "free_counts", tuple(counts))
+        object.__setattr__(self, "_dependent", dependent)
+        object.__setattr__(self, "_support", support)
 
     @property
     def d(self) -> int:
         return len(self.edges) - self.r
 
-    def out_edges(self, i: int) -> list[tuple[int, int]]:
-        return [(a, b) for (a, b) in self.edges if a == i]
-
     def dependent_edge(self, i: int) -> tuple[int, int]:
-        free = set(self.free_edges)
-        dep = [e for e in self.out_edges(i) if e not in free]
-        return dep[0]
+        """State i's one out-edge outside free_edges."""
+        return self._dependent[i]
 
     def support_mask(self) -> np.ndarray:
-        mask = np.zeros((self.r, self.r), dtype=bool)
-        for i, j in self.edges:
-            mask[i, j] = True
-        return mask
+        """Read-only (r, r) bool array, True on the edges of E."""
+        return self._support
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ class TransitionMatrix:
     """Row-stochastic matrix supported on the graph's edge set.
 
     Rows sum to 1 within 1e-12 and positive entries stay inside E;
-    whether the chain is irreducible/aperiodic is reported separately by
-    validate_chain (fitted matrices may leave some edges of E unused).
+    the chain need not be irreducible or aperiodic (fitted matrices may
+    leave some edges of E unused).
     """
 
     matrix: np.ndarray
@@ -168,12 +169,6 @@ class TransitionMatrix:
     @property
     def r(self) -> int:
         return self.graph.r
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    irreducible: bool
-    aperiodic: bool
 
 
 def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
@@ -209,50 +204,6 @@ def expand_free_params(
             )
         T[dep_i, dep_j] = residual
     return TransitionMatrix(matrix=T, graph=graph)
-
-
-def contract_transition_matrix(T: TransitionMatrix, graph: MobilityGraph) -> np.ndarray:
-    """Read the free-edge probabilities back out of a transition matrix, as
-    a read-only (d,) array ordered like graph.free_edges."""
-    return _free_params([T.matrix[i, j] for (i, j) in graph.free_edges], graph)
-
-
-def validate_chain(T: TransitionMatrix) -> ChainReport:
-    """Report irreducibility (one SCC) and aperiodicity (cycle gcd 1).
-
-    A component's period is the gcd of depth[u] + 1 - depth[v] over its
-    internal edges u -> v, with depths from a BFS inside the component.
-    """
-    adj = csr_matrix(T.matrix > 0.0)
-    n_comps, labels = connected_components(adj, directed=True, connection="strong")
-    g = 0
-    for c in range(n_comps):
-        members = np.flatnonzero(labels == c)
-        sub = adj[members][:, members]
-        if sub.nnz == 0:
-            continue
-        depth = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
-        u, v = sub.nonzero()
-        g = np.gcd(g, np.gcd.reduce(depth[u] + 1 - depth[v]))
-    return ChainReport(irreducible=n_comps == 1, aperiodic=bool(g == 1))
-
-
-def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
-    """Solve pi T = pi, sum(pi) = 1 for an irreducible aperiodic chain."""
-    report = validate_chain(T)
-    if not (report.irreducible and report.aperiodic):
-        raise ValueError(f"chain is not irreducible+aperiodic: {report}")
-    r = T.r
-    A = T.matrix.T - np.eye(r)
-    A[-1, :] = 1.0
-    b = np.zeros(r)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    residual = np.abs(pi @ T.matrix - pi).max()
-    if residual > 1e-10:
-        raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
 
 
 def sample_trajectory_markov(

@@ -31,10 +31,6 @@ __all__ = [
     "crowd_deviation",
     "delta_uniformity_experiment",
     "derive_lemma_params",
-    "interval_event_prob",
-    "kl_bernoulli",
-    "kl_bernoulli_quadratic",
-    "likelihood_ratio_delta",
     "weight_uniformity",
 ]
 
@@ -100,41 +96,6 @@ def crowd_deviation(weights: np.ndarray, crowd_pseudonyms: np.ndarray) -> float 
     if mass <= 0.0:
         return None
     return float(np.abs(crowd_pseudonyms.size * (w / mass) - 1.0).max())
-
-
-def interval_event_prob(
-    p_values: np.ndarray,
-    p1: float,
-    m: int,
-    beta_m: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical probability that every crowd member's state-1 count falls
-    in A(m) = [m(p1-beta), m(p1+beta)]."""
-    p_values = np.asarray(p_values, dtype=float)
-    if p_values.size == 0:
-        raise ValueError("crowd is empty")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    lo = m * (p1 - beta_m)
-    hi = m * (p1 + beta_m)
-    counts = rng.binomial(m, p_values, size=(trials, p_values.size))
-    inside = (counts >= lo) & (counts <= hi)
-    return float(inside.all(axis=1).mean())
-
-
-def likelihood_ratio_delta(
-    p_i: float, p_j: float, a: float, b: float
-) -> tuple[float, float]:
-    """Delta = (p_i/p_j)^(a-b) * ((1-p_j)/(1-p_i))^(a-b), returned as
-    (Delta, ln Delta). Swapping a and b inverts it exactly."""
-    if not (0.0 < p_i < 1.0 and 0.0 < p_j < 1.0):
-        raise ValueError("probabilities must lie in (0, 1)")
-    log_delta = (a - b) * (
-        math.log(p_i / p_j) + math.log((1.0 - p_j) / (1.0 - p_i))
-    )
-    return math.exp(log_delta), log_delta
 
 
 @dataclass(frozen=True)
@@ -264,21 +225,3 @@ def weight_uniformity(
         degenerate_trials=degenerate,
         trials=trials,
     )
-
-
-def kl_bernoulli(p: float, q: float) -> float:
-    """Exact KL divergence D(Bernoulli(p) || Bernoulli(q)) in bits."""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("KL arguments must lie in (0, 1)")
-    return p * math.log2(p / q) + (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
-
-
-def kl_bernoulli_quadratic(p: float, eps: float) -> float:
-    """Leading quadratic term eps^2 / (2 p (1-p) ln 2), in bits.
-
-    The ln 2 denominator is the dimensionally consistent one for a
-    base-2 divergence; verified against kl_bernoulli numerically.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    return eps * eps / (2.0 * p * (1.0 - p) * math.log(2.0))

@@ -1,20 +1,31 @@
 """Shared oracles for the test suite.
 
-Everything here is deliberately brute-force and independent of the
-library's computational paths: exhaustive enumeration over location
+Everything here is deliberately brute-force or scalar and independent of
+the library's computational paths: exhaustive enumeration over location
 matrices and permutations (among them the exact-posterior and MAP
 oracles), binomial tail sums, a step-by-step Markov walk, and the
-worked 3-state graph used across the Markov tests.
+worked 3-state graph used across the Markov tests. The references that
+library code is checked against live here too: the per-user scalar
+log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
+and the stationary law (for ``MarkovModel.marginal``), the free-parameter
+read-back (for ``expand_free_params``) and the results-CSV reader (for
+``write_results_csv``).
 """
+import csv
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import binom
 
 from locpriv.adversary import AssignmentPosterior
 from locpriv.anonymization import Permutation
-from locpriv.markov import MobilityGraph, TransitionMatrix
+from locpriv.harness import RESULT_HEADER, ConfigError, ResultRow
+from locpriv.markov import MobilityGraph, TransitionMatrix, _free_params
+from locpriv.mobility import IidProfile
 
 
 def three_state_graph() -> MobilityGraph:
@@ -185,3 +196,95 @@ def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
     np.add.at(w, np.asarray(firsts), np.exp(totals - shift))
     w /= w.sum()
     return AssignmentPosterior(weights=w, normalization_residual=abs(float(w.sum()) - 1.0))
+
+
+def log_likelihood_iid(profile: IidProfile, counts: np.ndarray) -> float:
+    """Multinomial kernel: sum_i counts[i] * ln p(i)."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.size != profile.r:
+        raise ValueError("counts length must equal the number of states")
+    return float(counts @ np.log(profile.probs))
+
+
+def log_likelihood_markov(T: TransitionMatrix, M: np.ndarray) -> float:
+    """Markov kernel: sum_{i,k} M(i,k) * ln T(i,k); -inf if M puts mass on
+    a zero-probability transition (this user cannot have produced it)."""
+    M = np.asarray(M, dtype=float)
+    mask = M > 0
+    if np.any(T.matrix[mask] == 0.0):
+        return float("-inf")
+    return float(np.sum(M[mask] * np.log(T.matrix[mask])))
+
+
+@dataclass(frozen=True)
+class ChainReport:
+    irreducible: bool
+    aperiodic: bool
+
+
+def contract_transition_matrix(T: TransitionMatrix, graph: MobilityGraph) -> np.ndarray:
+    """Read the free-edge probabilities back out of a transition matrix, as
+    a read-only (d,) array ordered like graph.free_edges."""
+    return _free_params([T.matrix[i, j] for (i, j) in graph.free_edges], graph)
+
+
+def validate_chain(T: TransitionMatrix) -> ChainReport:
+    """Report irreducibility (one SCC) and aperiodicity (cycle gcd 1).
+
+    A component's period is the gcd of depth[u] + 1 - depth[v] over its
+    internal edges u -> v, with depths from a BFS inside the component.
+    """
+    adj = csr_matrix(T.matrix > 0.0)
+    n_comps, labels = connected_components(adj, directed=True, connection="strong")
+    g = 0
+    for c in range(n_comps):
+        members = np.flatnonzero(labels == c)
+        sub = adj[members][:, members]
+        if sub.nnz == 0:
+            continue
+        depth = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
+        u, v = sub.nonzero()
+        g = np.gcd(g, np.gcd.reduce(depth[u] + 1 - depth[v]))
+    return ChainReport(irreducible=n_comps == 1, aperiodic=bool(g == 1))
+
+
+def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
+    """Solve pi T = pi, sum(pi) = 1 for an irreducible aperiodic chain."""
+    report = validate_chain(T)
+    if not (report.irreducible and report.aperiodic):
+        raise ValueError(f"chain is not irreducible+aperiodic: {report}")
+    r = T.r
+    A = T.matrix.T - np.eye(r)
+    A[-1, :] = 1.0
+    b = np.zeros(r)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    residual = np.abs(pi @ T.matrix - pi).max()
+    if residual > 1e-10:
+        raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def read_results_csv(path: str) -> list[ResultRow]:
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RESULT_HEADER.split(","):
+            raise ConfigError("unexpected results header")
+        for rec in reader:
+            rows.append(
+                ResultRow(
+                    experiment_id=rec["experiment_id"],
+                    model=rec["model"],
+                    n=int(rec["n"]),
+                    m=int(rec["m"]),
+                    beta=float(rec["beta"]),
+                    trial=int(rec["trial"]),
+                    metric=rec["metric"],
+                    value=float(rec["value"]),
+                    std_error=None if rec["std_error"] == "" else float(rec["std_error"]),
+                    seed=int(rec["seed"]),
+                )
+            )
+    return rows

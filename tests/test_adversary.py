@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
+    log_likelihood_iid,
+    log_likelihood_markov,
     map_assignment_bruteforce,
     posterior_pi1_bruteforce,
     row0_minors_dp,
@@ -19,10 +21,7 @@ from locpriv.adversary import (
     count_stats,
     likelihood_matrix_iid,
     likelihood_matrix_markov,
-    log_likelihood_iid,
-    log_likelihood_markov,
     map_assignment,
-    permanent,
     posterior_pi1,
     transition_stats,
 )
@@ -40,6 +39,12 @@ THREE_STATE = MobilityGraph(
 
 def col_matrix(*cols):
     return np.stack([np.asarray(c) for c in cols], axis=1)
+
+
+def permanent(A):
+    """Glynn's permanent expanded along row 0, from the posterior's minors."""
+    A = np.asarray(A, dtype=float)
+    return float(A[0] @ adversary._glynn_row0_minors(A))
 
 
 def test_assignment_posterior_rejects_non_finite_weights():
@@ -160,7 +165,6 @@ def test_permanent_matches_enumeration():
             for p in itertools.permutations(range(n))
         )
         assert permanent(A) == pytest.approx(brute, rel=1e-10)
-    assert permanent(np.zeros((0, 0))) == 1.0
 
 
 def test_map_assignment_trivial_cases():
@@ -445,8 +449,6 @@ def test_posterior_feasibility_bound():
     L = np.zeros((21, 21))
     with pytest.raises(ValueError):
         posterior_pi1(L)
-    with pytest.raises(ValueError):
-        permanent(np.zeros((21, 21)))
 
 
 def test_posterior_weights_sum_to_one():

@@ -2,12 +2,26 @@
 
 A stale entry in ``__all__`` fails only when someone imports it (or on
 ``from module import *``), so deletions are checked here, along with the
-annotations of every exported function and class.
+annotations of every exported function and class. Every exported function
+must also be reached from the library or the benchmark, so test-only
+references live in ``tests/helpers.py`` instead.
 """
+import ast
+import glob
 import inspect
+import os
 import typing
 
 import locpriv
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+# Exported functions that nothing in src/ or bench/ calls, with the reason.
+UNREACHED_ALLOWED = {
+    "mutual_information_mc": "acceptance criteria 04, 05 and 07 measure the "
+    "paper's MI claims through it, and it shares _resolve_profiles with "
+    "deanonymization_accuracy, which audit runs",
+}
 
 
 def test_all_names_exist():
@@ -30,3 +44,57 @@ def test_public_annotations_resolve():
             if inspect.isclass(obj):
                 for _, method in inspect.getmembers(obj, inspect.isfunction):
                     typing.get_type_hints(method)
+
+
+def _exported_functions(tree: ast.Module) -> set[str]:
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in exported
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names and attributes used in the module, each outside the top-level
+    def of the same name (so recursion does not count as a caller)."""
+    found = set()
+
+    def walk(node, inside):
+        if isinstance(node, ast.Name) and node.id != inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    for node in tree.body:
+        walk(node, node.name if isinstance(node, ast.FunctionDef) else None)
+    return found
+
+
+def test_exported_functions_are_reached_from_src_or_bench():
+    paths = sorted(
+        glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))
+        + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    )
+    exported, referenced = {}, set()
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if os.sep + "locpriv" + os.sep in path:
+            for name in _exported_functions(tree):
+                exported[name] = os.path.basename(path)
+        referenced |= _references(tree)
+    assert set(UNREACHED_ALLOWED) <= set(exported)
+    unreached = sorted(
+        f"{module}:{name}"
+        for name, module in exported.items()
+        if name not in referenced and name not in UNREACHED_ALLOWED
+    )
+    assert unreached == [], "exported but only the tests reach them"

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import three_state_graph
+from helpers import read_results_csv, three_state_graph
 from locpriv import harness
 from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND, posterior_pi1
 from locpriv.harness import (
@@ -15,7 +15,6 @@ from locpriv.harness import (
     ingest_traces,
     load_config,
     parse_config,
-    read_results_csv,
     run_lemma_battery,
     run_sweep,
     substream_seed,

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import sample_trajectory_markov_stepwise
+from helpers import (
+    contract_transition_matrix,
+    sample_trajectory_markov_stepwise,
+    stationary_distribution,
+    validate_chain,
+)
 from locpriv.markov import (
     MarkovModel,
     MobilityGraph,
     TransitionMatrix,
-    contract_transition_matrix,
     expand_free_params,
     fit_markov_profile,
     load_graph_csv,
     sample_free_params,
     sample_trajectory_markov,
-    stationary_distribution,
-    validate_chain,
 )
 from locpriv.mobility import fit_iid_profile
 
@@ -259,7 +261,7 @@ def test_sample_trajectory_matches_stepwise_walk():
         g = random_graph(rng, int(rng.integers(2, 6)))
         matrix = np.zeros((g.r, g.r))
         for i in range(g.r):
-            targets = [j for _, j in g.out_edges(i)]
+            targets = [j for a, j in g.edges if a == i]
             w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
             w[int(rng.integers(len(targets)))] += 0.1
             matrix[i, targets] = w / w.sum()
@@ -366,8 +368,8 @@ def test_exactly_one_dependent_edge_per_state():
         g = random_graph(rng, int(rng.integers(2, 7)))
         free = set(g.free_edges)
         for i in range(g.r):
-            dep = [e for e in g.out_edges(i) if e not in free]
-            assert len(dep) == 1
+            dep = [(a, j) for a, j in g.edges if a == i and (a, j) not in free]
+            assert dep == [g.dependent_edge(i)]
 
 
 def test_load_graph_csv(tmp_path):

@@ -9,10 +9,11 @@ from helpers import (
     exact_two_user_map_accuracy,
     three_state_graph,
     mi_identical_profiles_shortcut,
+    stationary_distribution,
 )
 from locpriv import adversary
 from locpriv.adversary import AssignmentPosterior
-from locpriv.markov import MarkovModel, expand_free_params, stationary_distribution
+from locpriv.markov import MarkovModel, expand_free_params
 from locpriv.metrics import (
     AttackTrial,
     conditional_location_distribution,

@@ -2,17 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
 from locpriv.mobility import BOUNDARY_MARGIN
 from locpriv.proofcheck import (
     critical_set,
     delta_uniformity_experiment,
     derive_lemma_params,
-    interval_event_prob,
-    kl_bernoulli,
-    kl_bernoulli_quadratic,
-    likelihood_ratio_delta,
     weight_uniformity,
 )
 
@@ -78,54 +73,6 @@ def test_critical_set_size_matches_binomial_oracle():
     predicted = 2 * n * eps
     sigma_mean = math.sqrt(n * 2 * eps * (1 - 2 * eps)) / math.sqrt(draws)
     assert abs(sizes.mean() - predicted) <= 3 * sigma_mean
-
-
-def test_interval_event_prob_extremes():
-    rng = np.random.default_rng(2)
-    ps = [0.48, 0.5, 0.53]
-    assert interval_event_prob(ps, 0.5, 100, 0.6, 50, rng) == 1.0
-    assert interval_event_prob(ps, 0.5, 1000, 0.0, 200, rng) <= 0.05
-    with pytest.raises(ValueError):
-        interval_event_prob([], 0.5, 100, 0.1, 10, rng)
-
-
-def test_interval_event_prob_against_binomial_tails():
-    # 20 users exactly at p1: exact per-user interval mass from the
-    # binomial CDF, empirical estimate within Monte Carlo noise of it
-    params = derive_lemma_params(1.0, 0.05, 0.1)
-    m = 10**5
-    p1 = 0.5
-    beta_m = params.beta(m)
-    ps = np.full(20, p1)
-    lo, hi = m * (p1 - beta_m), m * (p1 + beta_m)
-    per_user = binom.cdf(math.floor(hi), m, p1) - binom.cdf(math.ceil(lo) - 1, m, p1)
-    exact = per_user**20
-    assert exact >= 0.99
-
-    trials = 3000
-    est = interval_event_prob(ps, p1, m, beta_m, trials, np.random.default_rng(3))
-    se = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(est - exact) <= 4 * se + 1e-12
-    assert est >= 0.99
-
-
-def test_likelihood_ratio_delta():
-    delta, log_delta = likelihood_ratio_delta(0.5, 0.6, 5, 3)
-    assert delta == pytest.approx(4 / 9, rel=1e-12)
-    assert log_delta == pytest.approx(math.log(4 / 9), rel=1e-12)
-    assert likelihood_ratio_delta(0.42, 0.77, 9, 9)[0] == 1.0
-    assert likelihood_ratio_delta(0.3, 0.3, 4, 11)[0] == 1.0
-
-
-def test_delta_antisymmetry_exact():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        p_i, p_j = rng.uniform(0.05, 0.95, size=2)
-        a, b = rng.integers(0, 50, size=2)
-        d1, l1 = likelihood_ratio_delta(p_i, p_j, a, b)
-        d2, l2 = likelihood_ratio_delta(p_i, p_j, b, a)
-        assert l1 == -l2
-        assert d1 * d2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_delta_uniformity_identity_and_trend():
@@ -216,24 +163,6 @@ def test_weight_uniformity_basic_run():
     assert res.deviations.size + res.degenerate_trials == 50
     assert res.median >= 0.0
     assert np.isfinite(res.deviations).all()
-
-
-def test_kl_bernoulli():
-    assert kl_bernoulli(0.3, 0.3) == 0.0
-    expected = 0.6 * math.log2(1.2) + 0.4 * math.log2(0.8)
-    assert kl_bernoulli(0.6, 0.5) == pytest.approx(expected, rel=1e-12)
-    assert kl_bernoulli(0.6, 0.5) == pytest.approx(0.029049, abs=1e-6)
-    with pytest.raises(ValueError):
-        kl_bernoulli(0.0, 0.5)
-    with pytest.raises(ValueError):
-        kl_bernoulli(0.5, 1.0)
-
-
-def test_kl_quadratic_approximation_limit():
-    p, eps = 0.5, 1e-3
-    exact = kl_bernoulli(p + eps, p)
-    approx = kl_bernoulli_quadratic(p, eps)
-    assert abs(exact / approx - 1.0) <= 0.01
 
 
 def test_weight_uniformity_large_m_needs_posterior_bound():
