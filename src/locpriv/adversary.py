@@ -12,11 +12,14 @@ the likelihood matrix the adversary offers two attacks:
   Sinkhorn-balanced matrix. All n row-0 minors come out of a single
   pass over column sign vectors (the permanent is multilinear, so
   each minor is the partial derivative of the full permanent with
-  respect to a first-row entry).
+  respect to a first-row entry). Pseudonyms with equal statistics have
+  identical columns; a class of mu of them is summed over its mu + 1
+  sign counts instead of its 2^mu sign vectors.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +43,25 @@ __all__ = [
 _NEG_SENTINEL = -1e18
 _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 
-# Hard cap on exact-posterior size: the row-0 minors sum over 2^(n-1)
-# sign vectors at O(n) each (see _glynn_row0_minors), so each further
-# user doubles the time; n = 20 takes about 25 ms on a 2-vCPU Xeon.
+# Hard cap on exact-posterior size: the row-0 minors sum over prod(mu + 1)
+# terms at O(n) each, mu running over the sizes of the classes of equal
+# columns among columns 1..n-1 (see _glynn_row0_minors): 2^(n-1) when
+# all columns differ, so each further distinct user doubles the time.
+# On a 2-vCPU Xeon n = 20 takes 9-11 ms on iid2 sweep inputs at
+# m = n^1.2 and about 20 ms when no two columns are equal.
 PERMANENT_FEASIBILITY_BOUND = 20
 
-# Columns whose signed row sums _glynn_row0_minors tabulates in one
-# matrix product; the signs of any further columns are looped over.
-_TABLE_BITS = 12
+# _glynn_row0_minors tabulates the row sums of at most 2^_TABLE_BITS
+# level combinations in one matrix product (with every column class of
+# size 1: column 0 and the sign vectors of the next 11 columns) and loops
+# over the levels of any further classes.
+_TABLE_BITS = 11
+
+# Level tables kept by _level_table. Up to n = PERMANENT_FEASIBILITY_BOUND
+# none exceeds 2^_TABLE_BITS rows of 12 int8 multipliers and a float
+# weight (40 kB), so the cache stays under 0.7 MB however many class-size
+# tuples occur.
+_TABLE_CACHE = 16
 
 # Per-user relative size a negative minor may reach before posterior_pi1
 # reports cancellation instead of reading it as a rounded zero.
@@ -127,15 +141,28 @@ def likelihood_matrix_markov(chains, mats: np.ndarray) -> np.ndarray:
     return L
 
 
-@functools.lru_cache(maxsize=None)
-def _sign_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every +-1 vector over k columns with column 0 fixed at +1, as
-    read-only rows, plus the product of each row's signs."""
-    idx = np.arange(2 ** (k - 1), dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(k - 1)[None, :]) & 1
-    signs = np.ones((idx.size, k))
-    signs[:, 1:] -= 2.0 * bits
-    return _readonly(signs), _readonly(np.prod(signs, axis=1))
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _level_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every level combination of column classes of the given sizes, after
+    a leading column fixed at +1, as read-only int8 rows (int8 keeps the
+    cache small and holds every multiplier for sizes up to 127; callers
+    compute with a float copy), plus their weights.
+
+    Row t reads t in mixed radix (mu_g + 1 for class g, first class
+    fastest): k_g of class g's mu_g columns carry -1, so the class's
+    columns sum with multiplier mu_g - 2 k_g, and the C(mu_g, k_g) sign
+    vectors that do so each carry the sign (-1)^k_g. With every size 1
+    these are the +-1 sign vectors and their sign products.
+    """
+    idx = np.arange(math.prod(mu + 1 for mu in sizes), dtype=np.int64)
+    mult = np.ones((idx.size, len(sizes) + 1), dtype=np.int8)
+    weight = np.ones(idx.size)
+    for g, mu in enumerate(sizes, 1):
+        idx, k = np.divmod(idx, mu + 1)
+        mult[:, g] = mu - 2 * k
+        weight *= np.array([(-1) ** i * math.comb(mu, i) for i in range(mu + 1)])[k]
+    mult.flags.writeable = weight.flags.writeable = False
+    return mult, weight
 
 
 def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
@@ -144,29 +171,54 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     Glynn's formula differentiated by A[0, c]:
     minor_c = 2^-(n-1) sum over sign vectors d with d_0 = +1 of
     (prod d) d_c prod_{i >= 1} sum_j d_j A[i, j].
-    The signed row sums over the first k = min(n, 12) columns come from
-    one matrix product with the sign table (a row of sums per matrix row,
-    so the product over rows runs along contiguous memory); each sign
-    vector h of the other columns then shifts them by h's own signed row
-    sums, so n > 12 costs 2^(n-12) cheap passes.
+    Bitwise-identical columns among 1..n-1 form a class. The row sums
+    depend only on how many of a class's mu columns carry -1, so the
+    class adds mu + 1 levels instead of 2^mu sign patterns (see
+    _level_table), and each of its columns takes (mu - 2k) / mu of a
+    level's term. Column 0 stays a fixed +1 singleton and the columns
+    equal to it share its minor, so equal columns get equal minors bit
+    for bit. The level sums of column 0 and the smallest classes, at most
+    2^_TABLE_BITS of them, come from one matrix product (a row of sums
+    per matrix row, so the product over rows runs along contiguous
+    memory); each level of the remaining classes shifts them by its own
+    row sums, one cheap pass each. When no two columns are equal this is
+    the plain sum over 2^(n-1) sign vectors, term for term.
     """
     n = A.shape[0]
-    k = min(n, _TABLE_BITS)
-    signs, sign_prod = _sign_table(k)
-    low_sums = A[1:, :k] @ signs.T
-    high = A[1:, k:]
-    out = np.zeros(n)
+    raw = A.T.tobytes()
+    w = len(raw) // n
+    classes: dict[bytes, list[int]] = {}
+    for j in range(1, n):
+        classes.setdefault(raw[j * w : (j + 1) * w], []).append(j)
+    groups = sorted(classes.values(), key=len)
+    sizes = tuple(map(len, groups))
+    rows, split = 1, 0
+    while split < len(sizes) and rows * (sizes[split] + 1) <= 2**_TABLE_BITS:
+        rows *= sizes[split] + 1
+        split += 1
+    low_mult, low_weight = _level_table(sizes[:split])
+    high_mult, high_weight = _level_table(sizes[split:])
+    low_mult, high_mult = low_mult.astype(float), high_mult.astype(float)
+    C = A[1:].take([0] + [cols[0] for cols in groups], axis=1)
+    low_sums = C[:, : split + 1] @ low_mult.T
+    high = C[:, split + 1 :]
+    out = np.zeros(C.shape[1])
+    out_low, out_high = out[: split + 1], out[split + 1 :]
     sums = np.empty_like(low_sums)
-    v = np.empty_like(sign_prod)
-    for h in range(2 ** (n - k)):
-        h_signs = 1.0 - 2.0 * ((h >> np.arange(n - k)) & 1)
-        np.add(low_sums, (high @ h_signs)[:, None], out=sums)
-        np.prod(sums, axis=0, out=v)
-        v *= sign_prod
-        parity = h_signs.prod()
-        out[:k] += parity * (v @ signs)
-        out[k:] += parity * v.sum() * h_signs
-    return out / 2.0 ** (n - 1)
+    v = np.empty_like(low_weight)
+    for h_mult, h_weight in zip(high_mult[:, 1:], high_weight):
+        np.add(low_sums, (high @ h_mult)[:, None], out=sums)
+        np.multiply.reduce(sums, axis=0, out=v)
+        v *= low_weight
+        out_low += h_weight * (v @ low_mult)
+        out_high += h_weight * np.add.reduce(v) * h_mult
+    owner = [0] * n
+    for g, cols in enumerate(groups, 1):
+        for j in cols:
+            owner[j] = g
+    for j in classes.get(raw[:w], ()):
+        owner[j] = 0
+    return (out / (1, *sizes)).take(owner) / 2.0 ** (n - 1)
 
 
 def _tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:

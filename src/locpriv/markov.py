@@ -32,6 +32,12 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 
 
+def _index_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column index arrays of a list of (i, j) edges."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return _readonly(pairs[:, 0]), _readonly(pairs[:, 1])
+
+
 @dataclass(frozen=True)
 class MobilityGraph:
     """Directed graph of permitted transitions plus the free-edge choice.
@@ -50,6 +56,9 @@ class MobilityGraph:
     free_counts: tuple = field(init=False, repr=False, compare=False)
     _dependent: tuple = field(init=False, repr=False, compare=False)
     _support: np.ndarray = field(init=False, repr=False, compare=False)
+    # (rows, columns) index arrays of free_edges and of the dependent edges
+    _free_index: tuple = field(init=False, repr=False, compare=False)
+    _dependent_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -85,6 +94,8 @@ class MobilityGraph:
         for i, j in edges:
             support[i, j] = True
         support.flags.writeable = False
+        object.__setattr__(self, "_free_index", _index_arrays(free))
+        object.__setattr__(self, "_dependent_index", _index_arrays(dependent))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "free_counts", tuple(counts))
@@ -192,17 +203,16 @@ def expand_free_params(
     not strictly positive.
     """
     T = np.zeros((graph.r, graph.r))
-    for (i, j), p in zip(graph.free_edges, _free_params(params, graph)):
-        T[i, j] = p
-    for i in range(graph.r):
+    T[graph._free_index] = _free_params(params, graph)
+    residual = 1.0 - T.sum(axis=1)
+    if residual.min() <= 0.0:
+        i = int(np.argmax(residual <= 0.0))
         dep_i, dep_j = graph.dependent_edge(i)
-        residual = 1.0 - T[i].sum()
-        if residual <= 0.0:
-            raise ValueError(
-                f"free parameters of state {i} leave no probability for the "
-                f"dependent edge ({dep_i},{dep_j})"
-            )
-        T[dep_i, dep_j] = residual
+        raise ValueError(
+            f"free parameters of state {i} leave no probability for the "
+            f"dependent edge ({dep_i},{dep_j})"
+        )
+    T[graph._dependent_index] = residual
     return TransitionMatrix(matrix=T, graph=graph)
 
 

@@ -8,8 +8,8 @@ worked 3-state graph used across the Markov tests. The references that
 library code is checked against live here too: the per-user scalar
 log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
 and the stationary law (for ``MarkovModel.marginal``), the free-parameter
-read-back (for ``expand_free_params``) and the results-CSV reader (for
-``write_results_csv``).
+read-back and the edge-by-edge expansion (for ``expand_free_params``) and
+the results-CSV reader (for ``write_results_csv``).
 """
 import csv
 import itertools
@@ -34,6 +34,26 @@ def three_state_graph() -> MobilityGraph:
         edges=[(0, 0), (0, 1), (0, 2), (1, 2), (2, 0), (2, 1)],
         free_edges=[(0, 0), (0, 1), (2, 1)],
     )
+
+
+def expand_free_params_stepwise(params, graph: MobilityGraph) -> np.ndarray:
+    """Transition matrix from free parameters, one edge and one row at a
+    time (reference for locpriv.markov.expand_free_params): raises the
+    same ValueError for the first state whose free entries leave no
+    probability for its dependent edge."""
+    T = np.zeros((graph.r, graph.r))
+    for (i, j), p in zip(graph.free_edges, _free_params(params, graph)):
+        T[i, j] = p
+    for i in range(graph.r):
+        dep_i, dep_j = graph.dependent_edge(i)
+        residual = 1.0 - T[i].sum()
+        if residual <= 0.0:
+            raise ValueError(
+                f"free parameters of state {i} leave no probability for the "
+                f"dependent edge ({dep_i},{dep_j})"
+            )
+        T[dep_i, dep_j] = residual
+    return T
 
 
 def sample_trajectory_markov_stepwise(

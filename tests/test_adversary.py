@@ -351,26 +351,27 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
 
 
 def test_posterior_weights_pinned_n16():
-    # Frozen when the minors moved from Ryser's to Glynn's sum: the
-    # weights must replay bit for bit.
+    # Frozen when the minors began summing over classes of identical
+    # columns: the weights must replay bit for bit. Pseudonyms 5 and 8,
+    # and 6 and 7, have equal statistics and so equal weights.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
     assert posterior_pi1(L).weights.tolist() == [
-        0.30222064295498496,
-        0.0937047947545402,
-        4.215547685475758e-08,
-        0.013766468863780875,
-        0.5196920845590893,
-        5.569785607031433e-11,
-        0.0001730680541743039,
-        0.00017306805417430373,
-        5.5697856070314135e-11,
-        0.000752095512295611,
-        0.0024870875168684133,
-        0.02383340709371206,
-        6.061102335873011e-05,
-        0.04313653516633127,
-        3.1638133809251397e-09,
-        9.101600402969928e-08,
+        0.30222064295498513,
+        0.09370479475454027,
+        4.215547685475795e-08,
+        0.013766468863780865,
+        0.519692084559089,
+        5.569785607031399e-11,
+        0.00017306805417430365,
+        0.00017306805417430365,
+        5.569785607031399e-11,
+        0.0007520955122956111,
+        0.0024870875168684034,
+        0.023833407093712074,
+        6.061102335873016e-05,
+        0.04313653516633128,
+        3.163813380925198e-09,
+        9.101600402969952e-08,
     ]
 
 
@@ -379,6 +380,41 @@ def test_posterior_matches_sign_free_reference_tightly(n):
     for seed in range(3):
         L = _sweep_like_iid2(n, np.random.default_rng(1000 * n + seed))
         assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+
+
+def _with_classes(L, sizes, rng):
+    """L with its columns overwritten so that disjoint random column sets of
+    the given sizes are each one repeated column."""
+    L = L.copy()
+    cols = rng.permutation(L.shape[1])
+    start = 0
+    for size in sizes:
+        group = cols[start : start + size]
+        L[:, group] = L[:, group[:1]]
+        start += size
+    return L
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_posterior_with_column_classes_matches_sign_free_reference(n):
+    # classes of 2, 2, 3 and 4 identical pseudonym columns, the rest distinct
+    for seed in range(2):
+        rng = np.random.default_rng(2000 * n + seed)
+        L = _with_classes(_sweep_like_iid2(n, rng), (2, 2, 3, 4), rng)
+        assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+
+
+def test_identical_columns_get_identical_weights():
+    # pseudonyms with equal statistics are exchangeable: their weights
+    # must agree bit for bit, whether or not column 0 is among them
+    rng = np.random.default_rng(31)
+    L = _sweep_like_iid2(12, rng)
+    L[:, [3, 7, 9]] = L[:, [3]]
+    L[:, [0, 5]] = L[:, [0]]
+    w = posterior_pi1(L).weights
+    assert w[3] == w[7] == w[9]
+    assert w[0] == w[5]
+    assert len(set(w.tolist())) == 12 - 3
 
 
 @pytest.mark.parametrize("n", range(12, 21))
@@ -442,6 +478,33 @@ def test_posterior_permutation_property(L, rnd):
 @_properties
 @given(_likelihoods())
 def test_posterior_matches_sign_free_reference_property(L):
+    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+
+
+@st.composite
+def _classed_likelihoods(draw):
+    """A random L whose columns are copies of random columns of another:
+    class sizes are whatever the draw of sources makes them."""
+    base = draw(_likelihoods())
+    n = base.shape[0]
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return base[:, sources], sources
+
+
+@_properties
+@given(_classed_likelihoods())
+def test_posterior_identical_columns_property(case):
+    L, sources = case
+    w = posterior_pi1(L).weights
+    for i, j in itertools.combinations(range(len(sources)), 2):
+        if sources[i] == sources[j]:
+            assert w[i] == w[j]
+
+
+@_properties
+@given(_classed_likelihoods())
+def test_posterior_with_column_classes_property(case):
+    L, _ = case
     assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
 
 

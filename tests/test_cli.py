@@ -136,7 +136,7 @@ def test_lemma_csv_bytes_pinned(tmp_path):
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 18
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "a315a59528550fcd373b032c061c02c982e02147a41b3cc86c2dca853f5aa0cc"
+        "ec5935a8b40ea8961a4abe970471dba524e5eb5f7ac327256714b75742d49a0f"
     )
 
 

@@ -397,7 +397,7 @@ def test_results_csv_round_trip(tmp_path):
     [
         (
             dict(model="iid2", metrics=["mi", "accuracy", "weights"]),
-            "7094b75e9fabeb3a3d011558e207ef5d695b004f7c47f7cb768d22347e081775",
+            "5672f3e8b8442c919d0053db9e9b695606dd93581183148b25af3bd096d02d3e",
         ),
         (
             dict(model="iidr", r=3, metrics=["mi", "accuracy"]),
@@ -435,15 +435,15 @@ def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
     [
         (
             "iid2_sweep.json",
-            "943e838c028754fa008d238922e634d840e970024352169e234dcfdf3968bdab",
+            "5d34cc4900b65a578895ee4761c885b57cf16b7117058482648cea5f581c6e1a",
         ),
         (
             "markov_sweep.json",
-            "7b4127371f2ffcee684878749ab0ec12719851bd662ae528673ef6ac8f7b7341",
+            "c91758d7008a0165eeb5cdd958e0b857b6d77e945222f9b92f7044ffbbadff00",
         ),
         (
             "iid2_single_cell.json",
-            "60fd5dbcbf769d0e2d1d0d399d5a8bfbf92bc15cd5f334ea802d412a49c55e89",
+            "670cdd35ce1066236b4526a3834f3897785914f6a14759b289484ad1d0286df1",
         ),
     ],
 )

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     contract_transition_matrix,
+    expand_free_params_stepwise,
     sample_trajectory_markov_stepwise,
     stationary_distribution,
     validate_chain,
@@ -81,6 +82,29 @@ def test_expand_rejects_boundary():
         expand_free_params([0.5, 0.5, 0.5], three_state_graph())  # 1-p1-p2 = 0
     with pytest.raises(ValueError):
         expand_free_params([1.2, 0.1, 0.5], three_state_graph())
+
+
+def test_expand_matches_stepwise_reference():
+    # one fancy-index write and one row sum against one edge and one row
+    # at a time: the same matrix bit for bit, or the same first error
+    rng = np.random.default_rng(23)
+    raised = 0
+    for seed in range(300):
+        g = random_graph(rng, int(rng.integers(1, 13)))
+        if seed % 2:
+            params = sample_free_params(g, np.random.default_rng(seed))
+        else:
+            params = rng.uniform(0.05, 0.95, size=g.d)
+        try:
+            want = expand_free_params_stepwise(params, g)
+        except ValueError as err:
+            raised += 1
+            with pytest.raises(ValueError) as got:
+                expand_free_params(params, g)
+            assert str(got.value) == str(err)
+            continue
+        assert np.array_equal(expand_free_params(params, g).matrix, want)
+    assert 0 < raised < 300
 
 
 def test_expand_contract_roundtrip_exact():
