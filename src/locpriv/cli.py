@@ -13,6 +13,7 @@ import sys
 from .harness import (
     ConfigError,
     audit,
+    check_seed,
     ingest_traces,
     load_config,
     run_lemma_battery,
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_sweep)
 
     p_sweep = sub.add_parser("sweep", help="full (n, beta) grid from a config file")
     p_sweep.add_argument("--config", required=True)
@@ -77,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config, seed, out):
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed must be in [0, 2^64)")
-        config = dataclasses.replace(config, seed=seed)
+        config = dataclasses.replace(config, seed=check_seed(seed))
     if out is not None:
         if not out:
             raise ConfigError("--out must be a nonempty path")
@@ -87,18 +86,11 @@ def _apply_overrides(config, seed, out):
     return config
 
 
-def _cmd_simulate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args.seed, args.out)
-    if len(config.n_grid) != 1:
-        raise ConfigError("simulate needs a config with exactly one n_grid entry")
-    rows = run_sweep(config)
-    write_results_csv(rows, config.out_path)
-    print(f"wrote {len(rows)} rows to {config.out_path}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
+    """Run ``sweep``, or ``simulate``, which takes a one-cell config."""
     config = _apply_overrides(load_config(args.config), args.seed, args.out)
+    if args.command == "simulate" and len(config.n_grid) != 1:
+        raise ConfigError("simulate needs a config with exactly one n_grid entry")
     rows = run_sweep(config)
     write_results_csv(rows, config.out_path)
     print(f"wrote {len(rows)} rows to {config.out_path}")

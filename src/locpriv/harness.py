@@ -27,9 +27,9 @@ from .anonymization import (
 from .markov import MarkovModel, MobilityGraph, fit_markov_profile, load_graph_csv
 from .metrics import (
     attack,
-    conditional_location_distribution,
     deanonymization_accuracy,
     entropy,
+    score_trial,
     simulate_attack_trial,
 )
 from .mobility import (
@@ -46,6 +46,7 @@ __all__ = [
     "ResultRow",
     "TraceDataset",
     "audit",
+    "check_seed",
     "ingest_traces",
     "load_config",
     "parse_config",
@@ -162,6 +163,14 @@ def _count(value, what: str, low: int) -> int:
     """A JSON integer >= low, taken as is: 3.9, "3" and true are not counts."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_seed(value) -> int:
+    """A master seed: an integer in [0, 2^64), the range substream_seed
+    hashes without wrapping, so no two seeds replay the same streams."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {value!r}")
     return value
 
 
@@ -290,9 +299,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("the weights metric is defined for the iid2 model only")
     metrics = tuple(met for met in _METRIC_CHOICES if met in metrics)
 
-    seed = _count(raw.get("seed"), "seed", 0)
-    if seed >= 2**64:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
+    seed = check_seed(raw.get("seed"))
 
     out_path = raw.get("out_path", "results.csv")
     if not isinstance(out_path, str) or not out_path:
@@ -375,8 +382,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     exp_id = config.experiment_id()
-    feasible_bound = adversary.PERMANENT_FEASIBILITY_BOUND
-    sampler = config.model.profile_sampler(config.density)
+    model = config.model
+    sampler = model.profile_sampler(config.density)
     rows: list[ResultRow] = []
     for cell, n in enumerate(config.n_grid):
         m = schedule_observations(n, config.schedule)
@@ -385,17 +392,16 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             substream_seed(config.seed, cell, _CELL_DRAW)
         )
         profile1 = sampler(cell_rng)
-        # The attacks this cell runs: the exact posterior (mi, weights)
-        # only up to the feasibility bound, MAP (accuracy) at any n. A
-        # cell that runs neither has nothing to compute and runs no trials.
-        mi_on = "mi" in config.metrics and n <= feasible_bound
-        weights_on = "weights" in config.metrics and n <= feasible_bound
-        accuracy_on = "accuracy" in config.metrics
-        posterior_on = mi_on or weights_on
-        cell_trials = config.trials if posterior_on or accuracy_on else 0
-        h_marginal = (
-            entropy(config.model.marginal(profile1, k_eff)) if mi_on else 0.0
+        # The metrics this cell computes: those on the exact posterior (mi,
+        # weights) only up to the feasibility bound, MAP (accuracy) at any
+        # n. A cell that computes none runs no trials.
+        active = tuple(
+            met
+            for met in config.metrics
+            if met == "accuracy" or n <= adversary.PERMANENT_FEASIBILITY_BOUND
         )
+        cell_trials = config.trials if active else 0
+        h_marginal = entropy(model.marginal(profile1, k_eff)) if "mi" in active else 0.0
         eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
 
         def emit(trial, metric, value, std_error, seed):
@@ -423,66 +429,40 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             context = f"cell {cell}, n={n}, m={m}, trial {t}, seed {trial_seed}"
             with _naming(context):
                 profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
-                trial = simulate_attack_trial(config.model, profiles, m, rng)
-                if posterior_on:
-                    posterior = adversary.posterior_pi1(trial.L)
-                out: dict[str, float | None] = {}
-                if mi_on:
-                    q = conditional_location_distribution(
-                        trial.Y, posterior, k_eff, config.model.r
-                    )
-                    out["mi"] = h_marginal - entropy(q)
-                if accuracy_on:
-                    guess = adversary.map_assignment(trial.L).forward
-                    out["pi1_accuracy"] = float(guess[0] == trial.perm.forward[0])
-                    out["full_perm_accuracy"] = float(
-                        np.array_equal(guess, trial.perm.forward)
-                    )
-                if weights_on:
+                trial = simulate_attack_trial(model, profiles, m, rng)
+                crowd = None
+                if "weights" in active:
                     state1 = np.array([p.probs[1] for p in profiles])
                     crowd = proofcheck.critical_set(state1, 0, eps)
-                    out["weight_max_dev"] = (
-                        proofcheck.crowd_deviation(
-                            posterior.weights, trial.perm.forward[crowd]
-                        )
-                        if crowd.size >= 2
-                        else None
-                    )
+                    if crowd.size < 2:
+                        crowd = None
+                out = score_trial(
+                    model, trial, active, k=k_eff, h_marginal=h_marginal, crowd=crowd
+                )
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:
                     emit(t, metric, value, None, trial_seed)
 
-        if "mi" in config.metrics and not mi_on:
-            emit(-1, "mi_skipped", 1.0, None, config.seed)
-        if "weights" in config.metrics and not weights_on:
-            emit(-1, "weights_skipped", 1.0, None, config.seed)
-        if mi_on:
-            vals = np.array(values["mi"])
-            se = (
-                float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                if len(vals) > 1
-                else None
-            )
-            emit(-1, "mi", float(vals.mean()), se, config.seed)
-        if accuracy_on:
-            for metric in ("pi1_accuracy", "full_perm_accuracy"):
-                vals = np.array(values[metric])
-                p_hat = float(vals.mean())
-                se = math.sqrt(p_hat * (1.0 - p_hat) / len(vals))
-                emit(-1, metric, p_hat, se, config.seed)
-        if weights_on:
-            devs = values["weight_max_dev"]
-            valid = [d for d in devs if d is not None]
-            if valid:
-                emit(-1, "weight_max_dev", float(np.median(valid)), None, config.seed)
-            emit(
-                -1,
-                "weight_degenerate_count",
-                float(len(devs) - len(valid)),
-                None,
-                config.seed,
-            )
+        for met in config.metrics:
+            if met not in active:
+                emit(-1, f"{met}_skipped", 1.0, None, config.seed)
+        for metric, vals in values.items():
+            if metric == "weight_max_dev":
+                valid = [d for d in vals if d is not None]
+                if valid:
+                    emit(-1, metric, float(np.median(valid)), None, config.seed)
+                degenerate = float(len(vals) - len(valid))
+                emit(-1, "weight_degenerate_count", degenerate, None, config.seed)
+                continue
+            mean = float(np.mean(vals))
+            if metric != "mi":  # a hit rate: binomial standard error
+                se = math.sqrt(mean * (1.0 - mean) / len(vals))
+            elif len(vals) > 1:
+                se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+            else:
+                se = None
+            emit(-1, metric, mean, se, config.seed)
     return rows
 
 
@@ -645,6 +625,7 @@ def audit(
         raise ConfigError("alpha_margin must be positive")
     if n_effective < 1:
         raise ConfigError("n_effective must be >= 1")
+    check_seed(seed)
     model = population.model
     try:
         tau = threshold_exponent(model)
@@ -668,12 +649,11 @@ def audit(
 
     rng2 = np.random.default_rng(substream_seed(seed, 1, 0))
     truncated_trajs = [t[:m_used] for t in dataset.trajectories]
-    hits = 0
+    hits = 0.0
     for t in range(trials):
         with _naming(f"audit fitted attack, trial {t}, seed {seed}"):
             trial = attack(model, population.profiles, truncated_trajs, rng2)
-            guess = adversary.map_assignment(trial.L).forward
-        hits += int(guess[0] == trial.perm.forward[0])
+            hits += score_trial(model, trial, ("accuracy",))["pi1_accuracy"]
 
     report = {
         "model": model.name,
@@ -723,6 +703,7 @@ def run_lemma_battery(
     trial = -1; n or m is 0 where it does not apply.
     """
     _count(trials, "trials", 1)
+    check_seed(seed)
     for m in m_grid:
         _count(m, "m_grid entry", 1)
     for n in n_grid:

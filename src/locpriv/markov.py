@@ -298,11 +298,10 @@ def load_graph_csv(path: str) -> MobilityGraph:
     mixing auto with explicit flags is rejected."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-            "from",
-            "to",
-            "free",
-        ]:
+        if reader.fieldnames is not None:
+            # Rows are keyed by the stripped names, so padded ones read too.
+            reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        if reader.fieldnames != ["from", "to", "free"]:
             raise ValueError("graph file must have header 'from,to,free'")
         edges = []
         flags = []

@@ -30,6 +30,7 @@ __all__ = [
     "deanonymization_accuracy",
     "entropy",
     "mutual_information_mc",
+    "score_trial",
     "simulate_attack_trial",
 ]
 
@@ -124,28 +125,65 @@ def simulate_attack_trial(
     return attack(model, profiles, trajectories, rng)
 
 
-def _resolve_profiles(
-    n: int,
-    rng: np.random.Generator,
-    profile_sampler: Callable[[np.random.Generator], object] | None,
-    profile1,
-    profiles,
+def score_trial(
+    model, trial: AttackTrial, metrics, *, k=None, h_marginal=0.0, crowd=None
+) -> dict:
+    """One attacked trial's values for the config metric names in
+    ``metrics``, keyed by result-row metric name in the results CSV's
+    order: ``mi`` = h_marginal - H(X_1(k) | Y); ``pi1_accuracy`` and
+    ``full_perm_accuracy``, 1.0 where MAP matching recovers user 1's
+    pseudonym / the whole permutation; ``weight_max_dev`` = max |N * W_j - 1|
+    over the pseudonyms of the N users in ``crowd``, the posterior
+    renormalized to them, or None for no crowd or no mass on it. The exact
+    posterior runs at most once, and MAP only for "accuracy".
+    """
+    out: dict[str, float | None] = {}
+    if "mi" in metrics or "weights" in metrics:
+        post = adversary.posterior_pi1(trial.L)
+    if "mi" in metrics:
+        q = conditional_location_distribution(trial.Y, post, k, model.r)
+        out["mi"] = h_marginal - entropy(q)
+    truth = trial.perm.forward
+    if "accuracy" in metrics:
+        guess = adversary.map_assignment(trial.L).forward
+        out["pi1_accuracy"] = float(guess[0] == truth[0])
+        out["full_perm_accuracy"] = float(np.array_equal(guess, truth))
+    if "weights" in metrics:
+        dev = None
+        if crowd is not None:
+            w = post.weights[truth[crowd]]
+            mass = float(w.sum())
+            if mass > 0.0:
+                dev = float(np.abs(crowd.size * (w / mass) - 1.0).max())
+        out["weight_max_dev"] = dev
+    return out
+
+
+def _score_trials(
+    model, n, m, trials, rng, metric, k, profile_sampler, profile1, profiles
 ):
-    """Returns (profile1, draw), where draw() gives one trial's n profiles:
-    the fixed list, or profile 1 followed by n - 1 fresh sampler draws.
-    Draws profile 1 from the sampler up front when not pinned explicitly."""
+    """User 1's profile and each trial's ``score_trial`` values for one
+    metric. A trial attacks the fixed profile list, or profile 1 and n - 1
+    fresh sampler draws; profile 1 is drawn up front unless pinned."""
     if profiles is not None:
         if profile1 is not None or profile_sampler is not None:
             raise ValueError("profiles excludes profile1 and profile_sampler")
         profiles = list(profiles)
         if len(profiles) != n:
             raise ValueError("fixed profile list must have length n")
-        return profiles[0], lambda: profiles
-    if profile_sampler is None:
+        profile1 = profiles[0]
+    elif profile_sampler is None:
         raise ValueError("need either fixed profiles or a profile sampler")
-    if profile1 is None:
+    elif profile1 is None:
         profile1 = profile_sampler(rng)
-    return profile1, lambda: [profile1] + [profile_sampler(rng) for _ in range(n - 1)]
+    scores = []
+    for _ in range(trials):
+        drawn = profiles
+        if drawn is None:
+            drawn = [profile1] + [profile_sampler(rng) for _ in range(n - 1)]
+        trial = simulate_attack_trial(model, drawn, m, rng)
+        scores.append(score_trial(model, trial, (metric,), k=k))
+    return profile1, scores
 
 
 def mutual_information_mc(
@@ -170,15 +208,12 @@ def mutual_information_mc(
         raise ValueError("need at least two trials for a standard error")
     if not 1 <= k <= m:
         raise ValueError(f"time index k={k} outside 1..{m}")
-    profile1, draw = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
-    h_marginal = entropy(model.marginal(profile1, k))
-    cond = np.empty(trials)
-    for t in range(trials):
-        trial = simulate_attack_trial(model, draw(), m, rng)
-        post = adversary.posterior_pi1(trial.L)
-        q = conditional_location_distribution(trial.Y, post, k, model.r)
-        cond[t] = entropy(q)
-    value = h_marginal - float(cond.mean())
+    profile1, scores = _score_trials(
+        model, n, m, trials, rng, "mi", k, profile_sampler, profile1, profiles
+    )
+    # Scored with h_marginal = 0, each trial's mi is exactly -H(X_1(k) | Y).
+    cond = np.array([-s["mi"] for s in scores])
+    value = entropy(model.marginal(profile1, k)) - float(cond.mean())
     std_error = float(cond.std(ddof=1) / math.sqrt(trials))
     return MiEstimate(
         value=value, std_error=std_error, trials=trials, method="mc-permanent"
@@ -200,17 +235,11 @@ def deanonymization_accuracy(
     and where it recovers the entire permutation."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    _, draw = _resolve_profiles(n, rng, profile_sampler, profile1, profiles)
-    pi1_hits = 0
-    full_hits = 0
-    for _ in range(trials):
-        trial = simulate_attack_trial(model, draw(), m, rng)
-        guess = adversary.map_assignment(trial.L).forward
-        truth = trial.perm.forward
-        pi1_hits += int(guess[0] == truth[0])
-        full_hits += int(np.array_equal(guess, truth))
+    _, scores = _score_trials(
+        model, n, m, trials, rng, "accuracy", None, profile_sampler, profile1, profiles
+    )
     return AccuracyResult(
-        pi1_accuracy=pi1_hits / trials,
-        full_perm_accuracy=full_hits / trials,
+        pi1_accuracy=sum(s["pi1_accuracy"] for s in scores) / trials,
+        full_perm_accuracy=sum(s["full_perm_accuracy"] for s in scores) / trials,
         trials=trials,
     )

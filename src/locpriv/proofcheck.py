@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary
-from .metrics import simulate_attack_trial
+from .metrics import score_trial, simulate_attack_trial
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "LemmaParams",
     "WeightUniformityResult",
     "critical_set",
-    "crowd_deviation",
     "delta_uniformity_experiment",
     "derive_lemma_params",
     "weight_uniformity",
@@ -86,16 +84,6 @@ def critical_set(
     p_values = np.asarray(p_values, dtype=float)
     center = p_values[p1_index]
     return np.flatnonzero(np.abs(p_values - center) < eps)
-
-
-def crowd_deviation(weights: np.ndarray, crowd_pseudonyms: np.ndarray) -> float | None:
-    """max |N * W_j - 1| over the crowd's N pseudonyms, with the posterior
-    weights renormalized to the crowd; None if the crowd carries no mass."""
-    w = weights[crowd_pseudonyms]
-    mass = float(w.sum())
-    if mass <= 0.0:
-        return None
-    return float(np.abs(crowd_pseudonyms.size * (w / mass) - 1.0).max())
 
 
 @dataclass(frozen=True)
@@ -210,8 +198,7 @@ def weight_uniformity(
             continue
         profiles = [IidProfile([1.0 - p, p]) for p in ps]
         trial = simulate_attack_trial(model, profiles, m, rng)
-        weights = adversary.posterior_pi1(trial.L).weights
-        dev = crowd_deviation(weights, trial.perm.forward[crowd])
+        dev = score_trial(model, trial, ("weights",), crowd=crowd)["weight_max_dev"]
         if dev is None:
             degenerate += 1
         else:

@@ -508,6 +508,21 @@ def test_posterior_with_column_classes_property(case):
     assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("attack", [posterior_pi1, map_assignment])
+@pytest.mark.parametrize(
+    "L, message",
+    [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "NaN"),
+    ],
+    ids=["2x3", "empty", "nan"],
+)
+def test_attacks_reject_malformed_likelihoods(attack, L, message):
+    with pytest.raises(ValueError, match=message):
+        attack(L)
+
+
 def test_posterior_feasibility_bound():
     L = np.zeros((21, 21))
     with pytest.raises(ValueError):

@@ -96,6 +96,27 @@ def test_argparse_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 1)])
+def test_seed_outside_range_exits_2(tmp_path, capsys, seed):
+    # sweep's --seed override and lemma's --seed follow the config's rule
+    out = tmp_path / "x.csv"
+    sweep = ["sweep", "--config", write_config(tmp_path), "--seed", seed]
+    lemma = [
+        "lemma",
+        "--alpha", "1.0",
+        "--theta", "0.05",
+        "--phi", "0.1",
+        "--m-grid", "100",
+        "--n-grid", "3",
+        "--trials", "1",
+        "--seed", seed,
+    ]
+    for argv in (sweep, lemma):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_lemma_command(tmp_path):
     out = tmp_path / "lemma.csv"
     code = main(

@@ -19,8 +19,8 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # Exported functions that nothing in src/ or bench/ calls, with the reason.
 UNREACHED_ALLOWED = {
     "mutual_information_mc": "acceptance criteria 04, 05 and 07 measure the "
-    "paper's MI claims through it, and it shares _resolve_profiles with "
-    "deanonymization_accuracy, which audit runs",
+    "paper's MI claims through it, and it shares its trial loop, "
+    "metrics._score_trials, with deanonymization_accuracy, which audit runs",
 }
 
 
@@ -98,3 +98,23 @@ def test_exported_functions_are_reached_from_src_or_bench():
         if name not in referenced and name not in UNREACHED_ALLOWED
     )
     assert unreached == [], "exported but only the tests reach them"
+
+
+def test_attacks_are_called_only_by_the_trial_scorer():
+    # Every loop that attacks a trial scores it through metrics.score_trial,
+    # so each attack has exactly one call site in the library.
+    calls = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.basename(path)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in ("posterior_pi1", "map_assignment"):
+                        calls.append((module, getattr(top, "name", None), name))
+    assert sorted(calls) == [
+        ("metrics.py", "score_trial", "map_assignment"),
+        ("metrics.py", "score_trial", "posterior_pi1"),
+    ]

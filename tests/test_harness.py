@@ -161,6 +161,23 @@ def test_parse_config_validates_fields(tmp_path):
             graph_path=write_three_state_graph(tmp_path),
             density={"kind": "uniform-simplex", "bump_alpha": 7},
         )
+    # the document, the schedule and the model's own fields
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        parse_config([BASE_CONFIG])
+    with pytest.raises(ConfigError, match="schedule must be an object"):
+        make_config(schedule=[1.0, 1.2])
+    with pytest.raises(ConfigError, match="only meaningful for the markov model"):
+        make_config(graph_path=write_three_state_graph(tmp_path))
+    with pytest.raises(ConfigError, match="only the uniform-simplex prior"):
+        make_config(
+            model="markov",
+            graph_path=write_three_state_graph(tmp_path),
+            density={"kind": "bounded-mixture"},
+        )
+    cycle = tmp_path / "cycle.csv"
+    cycle.write_text("from,to,free\n1,2,auto\n2,3,auto\n3,1,auto\n")
+    with pytest.raises(ConfigError, match="d = "):
+        make_config(model="markov", graph_path=str(cycle), density=None)
     # integers are JSON numbers too
     cfg = make_config(
         schedule={"c": 1, "beta": 1},
@@ -294,6 +311,14 @@ def test_run_sweep_idle_cell_runs_no_trials(monkeypatch):
         (n_big, -1, "mi_skipped", 1.0),
         (n_big, -1, "weights_skipped", 1.0),
     ]
+
+
+def test_run_sweep_one_trial_mi_aggregate_has_no_std_error():
+    # one trial has no sample standard deviation, so the field stays empty
+    rows = run_sweep(make_config(n_grid=[3], trials=1, metrics=["mi"]))
+    assert [(r.trial, r.metric) for r in rows] == [(0, "mi"), (-1, "mi")]
+    assert rows[1].value == rows[0].value
+    assert rows[1].std_error is None and rows[1].to_csv_fields()[8] == ""
 
 
 def test_run_sweep_skips_infeasible_mi():
@@ -727,6 +752,31 @@ def test_lemma_battery_rows():
     assert rows == again
     with pytest.raises(ConfigError):
         run_lemma_battery(1.0, 0.6, 0.8, [100], [4], 5, 0)
+
+
+def test_lemma_skips_weights_above_posterior_bound():
+    n_big = PERMANENT_FEASIBILITY_BOUND + 1
+    rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [n_big], 1, 3, delta_samples=10)
+    weight_rows = [r for r in rows if r.metric.startswith("weight")]
+    assert [(r.n, r.metric, r.value) for r in weight_rows] == [
+        (n_big, "weight_skipped", 1.0)
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, True])
+def test_seed_outside_range_is_a_config_error(tmp_path, seed):
+    # substream_seed reduces seeds modulo 2^64, so 2^64 + 1 would replay
+    # seed 1's streams under another experiment id; every entry point
+    # that takes a master seed rejects it
+    with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        make_config(seed=seed)
+    with pytest.raises(ConfigError, match="seed must be"):
+        run_lemma_battery(1.0, 0.05, 0.1, [100], [3], 1, seed)
+    path = tmp_path / "two.csv"
+    path.write_text("user_id,time,location\nu1,1,a\nu1,2,b\nu2,1,b\nu2,2,a\n")
+    dataset, pop = ingest_traces(str(path), "iid")
+    with pytest.raises(ConfigError, match="seed must be"):
+        audit(dataset, pop, n_effective=10, alpha_margin=0.5, trials=1, seed=seed)
 
 
 def test_lemma_weight_rows_pinned():

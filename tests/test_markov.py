@@ -421,6 +421,17 @@ def test_load_graph_csv(tmp_path):
         load_graph_csv(str(mixed))
 
 
+def test_load_graph_csv_reads_padded_header_blank_lines_and_extra_columns(tmp_path):
+    # the header check strips names, so padded ones must read too
+    path = tmp_path / "padded.csv"
+    path.write_text(
+        "from, to ,free \n1,1,1\n\n1,2,1,note\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n"
+    )
+    g = load_graph_csv(str(path))
+    assert g.edges == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 0), (2, 1))
+    assert g.free_edges == ((0, 0), (0, 1), (2, 1))
+
+
 def test_markov_model_descriptor():
     model = MarkovModel(graph=three_state_graph())
     assert model.graph.d == 3
