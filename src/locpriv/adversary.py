@@ -26,7 +26,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .anonymization import Permutation
-from .mobility import _readonly
 
 __all__ = [
     "AssignmentPosterior",
@@ -76,14 +75,15 @@ class AssignmentPosterior:
     normalization_residual: float
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
+        weights = np.array(self.weights, dtype=float)  # a copy, made read-only below
         if not np.isfinite(weights).all():
             raise ValueError("posterior weights must be finite")
         if weights.min() < 0.0:
             raise ValueError("posterior weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
             raise ValueError("posterior weights must sum to 1 within 1e-10")
-        object.__setattr__(self, "weights", _readonly(weights))
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:

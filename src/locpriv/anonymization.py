@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .mobility import _readonly
-
 __all__ = [
     "ObservationSchedule",
     "Permutation",
@@ -37,13 +35,15 @@ class Permutation:
 
     @classmethod
     def from_forward(cls, forward: Sequence[int]) -> "Permutation":
-        forward = np.asarray(forward, dtype=np.int64)
+        forward = np.array(forward, dtype=np.int64)  # a copy, made read-only below
         n = forward.size
         if sorted(forward.tolist()) != list(range(n)):
             raise ValueError("forward array is not a permutation of 0..n-1")
         inverse = np.empty(n, dtype=np.int64)
         inverse[forward] = np.arange(n)
-        return cls(forward=_readonly(forward), inverse=_readonly(inverse))
+        forward.flags.writeable = False
+        inverse.flags.writeable = False
+        return cls(forward=forward, inverse=inverse)
 
     @property
     def n(self) -> int:

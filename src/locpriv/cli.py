@@ -114,15 +114,11 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_audit(args) -> int:
     graph = None
-    if args.model == "markov":
-        if args.graph is None:
-            raise ConfigError("markov audit requires --graph")
+    if args.graph is not None:
         try:
             graph = load_graph_csv(args.graph)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"graph file: {exc}") from exc
-    elif args.graph is not None:
-        raise ConfigError("--graph is only meaningful with --model markov")
     dataset, population = ingest_traces(
         args.traces, args.model, r=args.r, graph=graph
     )

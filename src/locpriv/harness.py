@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .anonymization import (
     schedule_observations,
     threshold_exponent,
 )
-from .markov import MarkovModel, MobilityGraph, fit_markov_profile, load_graph_csv
+from .markov import MarkovModel, MobilityGraph, load_graph_csv
 from .metrics import (
     attack,
     deanonymization_accuracy,
@@ -32,13 +33,7 @@ from .metrics import (
     score_trial,
     simulate_attack_trial,
 )
-from .mobility import (
-    IidModel,
-    Population,
-    ProfileDensity,
-    _readonly,
-    fit_iid_profile,
-)
+from .mobility import IidModel, Population, ProfileDensity, _readonly
 
 __all__ = [
     "ConfigError",
@@ -153,9 +148,11 @@ def _naming(context: str):
 
 
 def _number(value, what: str) -> float:
-    """A JSON number, as a float: "1.5" and true are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+    """A finite JSON number, as a float: "1.5", true, NaN, Infinity and
+    integers beyond float range are not (NaN fails every comparison)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -434,7 +431,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 if "weights" in active:
                     state1 = np.array([p.probs[1] for p in profiles])
                     crowd = proofcheck.critical_set(state1, 0, eps)
-                    if crowd.size < 2:
+                    if n > 1 and crowd.size < 2:
                         crowd = None
                 out = score_trial(
                     model, trial, active, k=k_eff, h_marginal=h_marginal, crowd=crowd
@@ -580,7 +577,6 @@ def ingest_traces(
 
     if model_kind == "markov":
         model: object = MarkovModel(graph=graph)
-        fit, space = fit_markov_profile, graph
     else:
         r_eff = r if r is not None else max(2, len(label_map))
         if r_eff < max(2, len(label_map)):
@@ -588,13 +584,12 @@ def ingest_traces(
                 f"r={r_eff} too small for {len(label_map)} distinct locations"
             )
         model = IidModel(r=r_eff)
-        fit, space = fit_iid_profile, r_eff
     trajectories = tuple(
         _readonly([label_map[loc] for loc in seq], np.int64)
         for seq in per_user.values()
     )
     try:
-        profiles = tuple(fit(traj, space) for traj in trajectories)
+        profiles = tuple(model.fit_profile(traj) for traj in trajectories)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     dataset = TraceDataset(
@@ -621,8 +616,8 @@ def audit(
     adversary knows the generating (fitted) profiles exactly, and an
     attack on the real traces themselves using the fitted profiles.
     """
-    if alpha_margin <= 0:
-        raise ConfigError("alpha_margin must be positive")
+    if not 0 < alpha_margin < math.inf:
+        raise ConfigError("alpha_margin must be positive and finite")
     if n_effective < 1:
         raise ConfigError("n_effective must be >= 1")
     check_seed(seed)
@@ -709,7 +704,7 @@ def run_lemma_battery(
     for n in n_grid:
         _count(n, "n_grid entry", 1)
     try:
-        params = proofcheck.derive_lemma_params(alpha, theta, phi)
+        params = proofcheck.LemmaParams(alpha=alpha, theta=theta, phi=phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     beta_exp = 2.0 - alpha

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import adversary
 from .mobility import BOUNDARY_MARGIN, _dirichlet, _readonly, _trace_states
 
 __all__ = [
@@ -120,7 +121,8 @@ class MarkovModel:
     """Model descriptor for Markov mobility on a fixed graph.
 
     A user's law is a ``TransitionMatrix`` on the graph; its d = |E| - r
-    free parameters set the privacy threshold exponent 2/d.
+    free parameters set the privacy threshold exponent 2/d. The adversary
+    attacks it through each pseudonym's transition counts.
     """
 
     graph: MobilityGraph
@@ -150,6 +152,16 @@ class MarkovModel:
         if k < 1:
             raise ValueError("time index k must be >= 1")
         return np.linalg.matrix_power(profile.matrix, k - 1)[0].copy()
+
+    def likelihood_matrix(self, laws, Y: np.ndarray) -> np.ndarray:
+        """L[u, j] = log-likelihood that user u generated column j of Y."""
+        return adversary.likelihood_matrix_markov(
+            laws, adversary.transition_stats(Y, self.r)
+        )
+
+    def fit_profile(self, trace: Sequence[int]) -> TransitionMatrix:
+        """The smoothed transition matrix of one trace on the graph."""
+        return fit_markov_profile(trace, self.graph)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import adversary
 from .anonymization import anonymize, sample_permutation
-from .mobility import IidModel
 
 __all__ = [
     "AccuracyResult",
@@ -101,20 +100,11 @@ class AttackTrial:
 def attack(model, profiles, trajectories, rng: np.random.Generator) -> AttackTrial:
     """Draw a pseudonym permutation, anonymize the users' trajectories,
     and build the likelihood matrix of an adversary who knows the users'
-    laws exactly.
-
-    The adversary works from the model's sufficient statistics: visit
-    counts for ``IidModel``, transition counts for ``MarkovModel``.
+    laws exactly, from the model's sufficient statistics.
     """
     perm = sample_permutation(len(profiles), rng)
     Y = anonymize(trajectories, perm)
-    if isinstance(model, IidModel):
-        L = adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, model.r))
-    else:
-        L = adversary.likelihood_matrix_markov(
-            profiles, adversary.transition_stats(Y, model.r)
-        )
-    return AttackTrial(Y=Y, perm=perm, L=L)
+    return AttackTrial(Y=Y, perm=perm, L=model.likelihood_matrix(profiles, Y))
 
 
 def simulate_attack_trial(

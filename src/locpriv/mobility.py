@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import adversary
+
 __all__ = [
     "BOUNDARY_MARGIN",
     "IidModel",
@@ -89,7 +91,8 @@ class IidModel:
     """Model descriptor for i.i.d. mobility over r locations.
 
     A user's law is an ``IidProfile``; its d = r - 1 free parameters set
-    the privacy threshold exponent 2/d.
+    the privacy threshold exponent 2/d. The adversary attacks it through
+    each pseudonym's visit counts.
     """
 
     r: int
@@ -118,6 +121,14 @@ class IidModel:
         if k < 1:
             raise ValueError("time index k must be >= 1")
         return np.array(profile.probs, copy=True)
+
+    def likelihood_matrix(self, laws, Y: np.ndarray) -> np.ndarray:
+        """L[u, j] = log-likelihood that user u generated column j of Y."""
+        return adversary.likelihood_matrix_iid(laws, adversary.count_stats(Y, self.r))
+
+    def fit_profile(self, trace: Sequence[int]) -> IidProfile:
+        """The Laplace-smoothed profile of one trace."""
+        return fit_iid_profile(trace, self.r)
 
 
 @dataclass(frozen=True)

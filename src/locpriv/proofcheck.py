@@ -28,7 +28,6 @@ __all__ = [
     "WeightUniformityResult",
     "critical_set",
     "delta_uniformity_experiment",
-    "derive_lemma_params",
     "weight_uniformity",
 ]
 
@@ -67,11 +66,6 @@ class LemmaParams:
 
     def beta(self, m: float) -> float:
         return float(m) ** -(0.5 - self.theta)
-
-
-def derive_lemma_params(alpha: float, theta: float, phi: float) -> LemmaParams:
-    """Validate the exponent choices and derive the dependent quantities."""
-    return LemmaParams(alpha=alpha, theta=theta, phi=phi)
 
 
 def critical_set(
@@ -177,9 +171,10 @@ def weight_uniformity(
     Per trial: user 1 visits state 1 with probability 1/2; draw the other
     users' probabilities uniformly, form the crowd within eps(m) of 1/2,
     run the full attack, restrict the exact posterior to the crowd's
-    pseudonyms and renormalize. Trials whose crowd has fewer than two
-    members (or no posterior mass on the crowd) are reported as
-    degenerate and excluded.
+    pseudonyms and renormalize. At n > 1, trials whose crowd has fewer
+    than two members (or no posterior mass on the crowd) are reported as
+    degenerate and excluded; a lone user's crowd is itself, with W = [1]
+    and deviation 0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -308,7 +308,7 @@ def test_criterion_07_markov_trend():
 
 
 def test_criterion_08_lemma_machinery():
-    params = proofcheck.derive_lemma_params(1.0, 0.05, 0.1)
+    params = proofcheck.LemmaParams(1.0, 0.05, 0.1)
 
     # (a) m * beta * eps identity, exact to 1e-12
     gaps = [
@@ -341,7 +341,7 @@ def test_criterion_08_lemma_machinery():
     ok_c_decreasing = all(a > b for a, b in zip(maxima, maxima[1:]))
 
     # (d) posterior flattening across n at beta = 1.2
-    wparams = proofcheck.derive_lemma_params(0.8, 0.15, 0.3)
+    wparams = proofcheck.LemmaParams(0.8, 0.15, 0.3)
     sched = ObservationSchedule(1.0, 1.2)
     medians = []
     for n_cell in (4, 8, 16):

@@ -263,6 +263,31 @@ def test_audit_markov_requires_graph(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_audit_iid_rejects_graph(tmp_path, capsys):
+    graph = tmp_path / "graph3.csv"
+    graph.write_text("from,to,free\n1,1,1\n1,2,1\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n")
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,a\nu1,2,b\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "iid", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert "only meaningful for the markov model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_audit_rejects_non_finite_alpha_margin(tmp_path, capsys, margin):
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,a\nu1,2,b\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "iid", "--n", "10",
+         "--alpha-margin", margin]
+    )
+    assert code == 2
+    assert "alpha_margin must be positive and finite" in capsys.readouterr().err
+
+
 def test_audit_markov_with_graph(tmp_path):
     graph = tmp_path / "graph3.csv"
     graph.write_text("from,to,free\n1,1,1\n1,2,1\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n")

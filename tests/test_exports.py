@@ -118,3 +118,82 @@ def test_attacks_are_called_only_by_the_trial_scorer():
         ("metrics.py", "score_trial", "map_assignment"),
         ("metrics.py", "score_trial", "posterior_pi1"),
     ]
+
+
+# Each module imports only modules before it in this order.
+LAYER_ORDER = (
+    "anonymization",
+    "adversary",
+    "mobility",
+    "markov",
+    "metrics",
+    "proofcheck",
+    "harness",
+    "cli",
+)
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The locpriv modules a module imports (``from . import x`` or
+    ``from .x import y``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    paths = glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))
+    modules = {os.path.basename(p)[:-3] for p in paths} - {"__init__"}
+    assert modules == set(LAYER_ORDER)
+    late = []
+    for index, module in enumerate(LAYER_ORDER):
+        with open(os.path.join(ROOT, "src", "locpriv", module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        for imported in _package_imports(tree):
+            if LAYER_ORDER.index(imported) >= index:
+                late.append(f"{module} imports {imported}")
+    assert late == []
+
+
+# Sufficient statistics, likelihoods and profile fits belong to the model:
+# the library reaches them only through IidModel and MarkovModel methods.
+MODEL_OWNED = {
+    "count_stats",
+    "transition_stats",
+    "likelihood_matrix_iid",
+    "likelihood_matrix_markov",
+    "fit_iid_profile",
+    "fit_markov_profile",
+}
+
+
+def test_model_owned_functions_are_reached_only_through_the_models():
+    stray = []
+
+    def walk(node, module, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = None
+        if name in MODEL_OWNED and cls not in ("IidModel", "MarkovModel"):
+            stray.append(f"{module}:{cls or func or '<module>'} uses {name}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, module, cls, func)
+
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))):
+        with open(path) as fh:
+            walk(ast.parse(fh.read()), os.path.basename(path), None, None)
+    assert stray == []

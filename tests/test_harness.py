@@ -186,6 +186,27 @@ def test_parse_config_validates_fields(tmp_path):
     assert cfg.schedule.c == 1.0 and cfg.density.bump_alpha == 3.0
 
 
+MIXTURE = "bounded-mixture"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("schedule c", lambda v: {"schedule": {"c": v, "beta": 1.2}}),
+        ("schedule beta", lambda v: {"schedule": {"c": 1.0, "beta": v}}),
+        ("schedule alpha", lambda v: {"schedule": {"c": 1.0, "alpha": v}}),
+        ("bump_weight", lambda v: {"density": {"kind": MIXTURE, "bump_weight": v}}),
+        ("bump_alpha", lambda v: {"density": {"kind": MIXTURE, "bump_alpha": v}}),
+    ],
+)
+def test_parse_config_rejects_non_finite_numbers(field, doc, bad):
+    # json.load reads NaN, Infinity and -Infinity, and integers of any size;
+    # none of these is a config number
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        make_config(**doc(bad))
+
+
 @pytest.mark.parametrize(
     "name, experiment_id",
     [
@@ -752,6 +773,17 @@ def test_lemma_battery_rows():
     assert rows == again
     with pytest.raises(ConfigError):
         run_lemma_battery(1.0, 0.6, 0.8, [100], [4], 5, 0)
+
+
+def test_sweep_and_lemma_agree_on_a_lone_user():
+    # a lone user's crowd is itself: W = [1], so the deviation is exactly 0
+    # in both the sweep's weights metric and the lemma battery's check
+    rows = run_sweep(make_config(n_grid=[1], trials=3, metrics=["weights"]))
+    sweep = {r.metric: r.value for r in rows if r.trial == -1}
+    lemma_rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [1], 3, 5, delta_samples=10)
+    lemma = {r.metric: r.value for r in lemma_rows if r.n == 1}
+    assert sweep["weight_max_dev"] == lemma["weight_max_dev_median"] == 0.0
+    assert sweep["weight_degenerate_count"] == lemma["weight_degenerate_count"] == 0.0
 
 
 def test_lemma_skips_weights_above_posterior_bound():

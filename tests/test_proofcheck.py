@@ -5,15 +5,15 @@ import pytest
 
 from locpriv.mobility import BOUNDARY_MARGIN
 from locpriv.proofcheck import (
+    LemmaParams,
     critical_set,
     delta_uniformity_experiment,
-    derive_lemma_params,
     weight_uniformity,
 )
 
 
 def test_derive_lemma_params():
-    params = derive_lemma_params(1.0, 0.05, 0.1)
+    params = LemmaParams(1.0, 0.05, 0.1)
     assert params.lam == pytest.approx(0.4)
     assert params.eps(10**4) == pytest.approx(3.9811e-3, abs=1e-6)
     assert params.beta(100) == pytest.approx(100 ** -0.45)
@@ -21,17 +21,17 @@ def test_derive_lemma_params():
 
 def test_derive_lemma_params_rejects_bad_exponents():
     with pytest.raises(ValueError):
-        derive_lemma_params(1.0, 0.6, 0.8)  # lambda = -0.3
+        LemmaParams(1.0, 0.6, 0.8)  # lambda = -0.3
     with pytest.raises(ValueError):
-        derive_lemma_params(1.0, 0.2, 0.1)  # theta >= phi
+        LemmaParams(1.0, 0.2, 0.1)  # theta >= phi
     with pytest.raises(ValueError):
-        derive_lemma_params(0.0, 0.05, 0.1)
+        LemmaParams(0.0, 0.05, 0.1)
     with pytest.raises(ValueError):
-        derive_lemma_params(2.0, 0.05, 0.1)
+        LemmaParams(2.0, 0.05, 0.1)
 
 
 def test_exponent_identities_exact():
-    params = derive_lemma_params(1.0, 0.05, 0.1)
+    params = LemmaParams(1.0, 0.05, 0.1)
     for m in (10**2, 10**3, 10**4, 10**5, 10**6):
         product = m * params.beta(m) * params.eps(m)
         assert abs(product - m ** (0.05 - 0.1)) <= 1e-12
@@ -76,7 +76,7 @@ def test_critical_set_size_matches_binomial_oracle():
 
 
 def test_delta_uniformity_identity_and_trend():
-    params = derive_lemma_params(1.0, 0.05, 0.1)
+    params = LemmaParams(1.0, 0.05, 0.1)
     m_grid = [10**2, 10**3, 10**4, 10**5, 10**6]
     records = delta_uniformity_experiment(
         params, m_grid, 10_000, np.random.default_rng(5)
@@ -97,7 +97,7 @@ def _logit(p):
 
 @pytest.mark.parametrize("p1", [0.5, 0.3])
 def test_delta_envelope_is_tight_box_supremum(p1):
-    params = derive_lemma_params(1.0, 0.05, 0.1)
+    params = LemmaParams(1.0, 0.05, 0.1)
     m_grid = [10**2, 10**3, 10**4, 10**5, 10**6]
     records = delta_uniformity_experiment(
         params, m_grid, 10_000, np.random.default_rng(5), p1=p1
@@ -142,14 +142,14 @@ def test_symmetric_population_weights_are_flat():
 
 
 def test_weight_uniformity_single_user():
-    params = derive_lemma_params(0.8, 0.15, 0.3)
+    params = LemmaParams(0.8, 0.15, 0.3)
     res = weight_uniformity(params, 1, 6, 3, np.random.default_rng(7))
     assert np.all(res.deviations == 0.0)
 
 
 def test_weight_uniformity_reports_degenerate_trials():
     # microscopic eps: no other user ever lands in the crowd
-    params = derive_lemma_params(1.0, 0.05, 0.1)
+    params = LemmaParams(1.0, 0.05, 0.1)
     with pytest.raises(ValueError):
         weight_uniformity(
             params, 4, 10**7, 5, np.random.default_rng(8)
@@ -157,7 +157,7 @@ def test_weight_uniformity_reports_degenerate_trials():
 
 
 def test_weight_uniformity_basic_run():
-    params = derive_lemma_params(0.8, 0.15, 0.3)
+    params = LemmaParams(0.8, 0.15, 0.3)
     res = weight_uniformity(params, 6, 8, 50, np.random.default_rng(9))
     assert res.trials == 50
     assert res.deviations.size + res.degenerate_trials == 50
@@ -166,6 +166,6 @@ def test_weight_uniformity_basic_run():
 
 
 def test_weight_uniformity_large_m_needs_posterior_bound():
-    params = derive_lemma_params(0.8, 0.15, 0.3)
+    params = LemmaParams(0.8, 0.15, 0.3)
     with pytest.raises(ValueError):
         weight_uniformity(params, 25, 4, 5, np.random.default_rng(10))
