@@ -347,13 +347,13 @@ def _balance(L: np.ndarray) -> np.ndarray:
     B = np.exp(L - row_max[:, None])
     for _ in range(100):
         rs = B.sum(axis=1)
-        if not np.all(rs > 0.0):
+        if not rs.min() > 0.0:
             raise ValueError("degenerate posterior: a user's weights vanished")
-        B = B / rs[:, None]
+        B /= rs[:, None]
         cs = B.sum(axis=0)
-        if not np.all(cs > 0.0):
+        if not cs.min() > 0.0:
             raise ValueError("degenerate posterior: a pseudonym's weights vanished")
-        B = B / cs[None, :]
+        B /= cs[None, :]
         if np.abs(cs - 1.0).max() < 0.1 and np.abs(rs - 1.0).max() < 0.1:
             break
     return B

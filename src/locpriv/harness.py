@@ -30,8 +30,8 @@ from .metrics import (
     attack,
     deanonymization_accuracy,
     entropy,
+    run_trials,
     score_trial,
-    simulate_attack_trial,
 )
 from .mobility import IidModel, Population, ProfileDensity, _readonly
 
@@ -274,15 +274,25 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         schedule = ObservationSchedule(c=c, beta=beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Every cell's m, so that no sweep fails sizing its m x n trajectories.
+    ms = []
+    for n in n_grid:
+        where = f"schedule c={c}, beta={beta} at n={n}"
+        try:
+            m = schedule_observations(n, schedule)
+        except OverflowError:
+            raise ConfigError(f"{where}: c * n^beta is not finite") from None
+        if m * n > np.iinfo(np.intp).max:
+            raise ConfigError(f"{where}: m * n = {m * n} exceeds numpy's size limit")
+        ms.append(m)
 
     trials = _count(raw.get("trials"), "trials", 1)
 
     k = raw.get("k", "last")
     if k != "last":
         _count(k, "k (a time index, or 'last')", 1)
-        min_m = min(schedule_observations(n, schedule) for n in n_grid)
-        if k > min_m:
-            raise ConfigError(f"k={k} exceeds the smallest cell's m={min_m}")
+        if k > min(ms):
+            raise ConfigError(f"k={k} exceeds the smallest cell's m={min(ms)}")
 
     metrics = raw.get("metrics")
     if (
@@ -417,25 +427,28 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 )
             )
 
+        def draw(rng):
+            profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
+            crowd = None
+            if "weights" in active:
+                state1 = np.array([p.probs[1] for p in profiles])
+                crowd = proofcheck.critical_set(state1, 0, eps)
+                if n > 1 and crowd.size < 2:
+                    crowd = None
+            return profiles, crowd
+
+        seeds = [substream_seed(config.seed, cell, t) for t in range(cell_trials)]
+        scores = run_trials(
+            model, m, map(np.random.default_rng, seeds), draw, active,
+            k=k_eff, h_marginal=h_marginal,
+        )
         # Per-metric values for the aggregates, filled in the CSV's
         # metric order; a degenerate weight deviation is None.
         values: dict[str, list] = {}
-        for t in range(cell_trials):
-            trial_seed = substream_seed(config.seed, cell, t)
-            rng = np.random.default_rng(trial_seed)
+        for t, trial_seed in enumerate(seeds):
             context = f"cell {cell}, n={n}, m={m}, trial {t}, seed {trial_seed}"
             with _naming(context):
-                profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
-                trial = simulate_attack_trial(model, profiles, m, rng)
-                crowd = None
-                if "weights" in active:
-                    state1 = np.array([p.probs[1] for p in profiles])
-                    crowd = proofcheck.critical_set(state1, 0, eps)
-                    if n > 1 and crowd.size < 2:
-                        crowd = None
-                out = score_trial(
-                    model, trial, active, k=k_eff, h_marginal=h_marginal, crowd=crowd
-                )
+                out = next(scores)
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:
@@ -634,12 +647,7 @@ def audit(
     rng = np.random.default_rng(substream_seed(seed, 0, 0))
     with _naming(f"audit synthetic rerun, seed {seed}"):
         exact = deanonymization_accuracy(
-            model,
-            population.n,
-            m_used,
-            trials,
-            rng,
-            profiles=list(population.profiles),
+            model, population.profiles, m_used, trials, rng
         )
 
     rng2 = np.random.default_rng(substream_seed(seed, 1, 0))
@@ -660,7 +668,7 @@ def audit(
         "recommended_max_observations": m_star,
         "observations_per_user": m_used,
         "unequal_lengths_truncated": truncated,
-        "pi1_accuracy": exact.pi1_accuracy,
+        "pi1_accuracy": exact,
         "pi1_accuracy_fitted_attack": hits / trials,
         "trials": trials,
         "seed": seed,

@@ -3,17 +3,17 @@
 The headline quantity is the mutual information between user 1's
 location at a chosen time and the whole anonymized observation matrix,
 I = H(X_1(k)) - E[H(X_1(k) | Y)]. The marginal entropy is exact; the
-conditional term is averaged over Monte Carlo trials, where each trial
-regenerates the population, trajectories and pseudonym permutation and
-evaluates the exact permanent-based posterior. De-anonymization accuracy
-(did the MAP matching recover user 1's pseudonym / the whole
+conditional term is averaged over Monte Carlo trials (``run_trials``),
+each regenerating the population, trajectories and pseudonym permutation
+and evaluating the exact permanent-based posterior. De-anonymization
+accuracy (did the MAP matching recover user 1's pseudonym / the whole
 permutation) is the cheap large-n companion metric.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,40 +21,15 @@ from . import adversary
 from .anonymization import anonymize, sample_permutation
 
 __all__ = [
-    "AccuracyResult",
     "AttackTrial",
-    "MiEstimate",
     "attack",
     "conditional_location_distribution",
     "deanonymization_accuracy",
     "entropy",
-    "mutual_information_mc",
+    "run_trials",
     "score_trial",
     "simulate_attack_trial",
 ]
-
-
-@dataclass(frozen=True)
-class MiEstimate:
-    """Mutual-information estimate in bits."""
-
-    value: float
-    std_error: float
-    trials: int
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0 or not math.isfinite(self.std_error):
-            raise ValueError("std_error must be a finite nonnegative number")
-        if not math.isfinite(self.value):
-            raise ValueError("MI estimate must be finite")
-
-
-@dataclass(frozen=True)
-class AccuracyResult:
-    pi1_accuracy: float
-    full_perm_accuracy: float
-    trials: int
 
 
 def entropy(p: Sequence[float] | np.ndarray) -> float:
@@ -149,87 +124,33 @@ def score_trial(
     return out
 
 
-def _score_trials(
-    model, n, m, trials, rng, metric, k, profile_sampler, profile1, profiles
-):
-    """User 1's profile and each trial's ``score_trial`` values for one
-    metric. A trial attacks the fixed profile list, or profile 1 and n - 1
-    fresh sampler draws; profile 1 is drawn up front unless pinned."""
-    if profiles is not None:
-        if profile1 is not None or profile_sampler is not None:
-            raise ValueError("profiles excludes profile1 and profile_sampler")
-        profiles = list(profiles)
-        if len(profiles) != n:
-            raise ValueError("fixed profile list must have length n")
-        profile1 = profiles[0]
-    elif profile_sampler is None:
-        raise ValueError("need either fixed profiles or a profile sampler")
-    elif profile1 is None:
-        profile1 = profile_sampler(rng)
-    scores = []
-    for _ in range(trials):
-        drawn = profiles
-        if drawn is None:
-            drawn = [profile1] + [profile_sampler(rng) for _ in range(n - 1)]
-        trial = simulate_attack_trial(model, drawn, m, rng)
-        scores.append(score_trial(model, trial, (metric,), k=k))
-    return profile1, scores
-
-
-def mutual_information_mc(
-    model,
-    n: int,
-    m: int,
-    k: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    profile_sampler: Callable[[np.random.Generator], object] | None = None,
-    profile1=None,
-    profiles=None,
-) -> MiEstimate:
-    """Monte Carlo estimate of I(X_1(k); Y) in bits.
-
-    User 1's profile stays fixed across trials; the rest of the
-    population is redrawn from the prior every trial (pass ``profiles``
-    to pin all of them instead). The permutation is redrawn every trial.
+def run_trials(model, m: int, rngs, draw, metrics, *, k=None, h_marginal=0.0):
+    """Yield each sampled trial's ``score_trial`` values, one per generator
+    in ``rngs``. ``draw(rng)`` returns the trial's ``(profiles, crowd)``, or
+    None to skip the trial, which then yields None and draws nothing more;
+    the trajectories and the permutation come from the same generator.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials for a standard error")
-    if not 1 <= k <= m:
-        raise ValueError(f"time index k={k} outside 1..{m}")
-    profile1, scores = _score_trials(
-        model, n, m, trials, rng, "mi", k, profile_sampler, profile1, profiles
-    )
-    # Scored with h_marginal = 0, each trial's mi is exactly -H(X_1(k) | Y).
-    cond = np.array([-s["mi"] for s in scores])
-    value = entropy(model.marginal(profile1, k)) - float(cond.mean())
-    std_error = float(cond.std(ddof=1) / math.sqrt(trials))
-    return MiEstimate(
-        value=value, std_error=std_error, trials=trials, method="mc-permanent"
-    )
+    for rng in rngs:
+        drawn = draw(rng)
+        if drawn is None:
+            yield None
+            continue
+        profiles, crowd = drawn
+        trial = simulate_attack_trial(model, profiles, m, rng)
+        yield score_trial(
+            model, trial, metrics, k=k, h_marginal=h_marginal, crowd=crowd
+        )
 
 
 def deanonymization_accuracy(
-    model,
-    n: int,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    profile_sampler: Callable[[np.random.Generator], object] | None = None,
-    profile1=None,
-    profiles=None,
-) -> AccuracyResult:
-    """Fraction of trials where MAP matching recovers user 1's pseudonym,
-    and where it recovers the entire permutation."""
+    model, profiles, m: int, trials: int, rng: np.random.Generator
+) -> float:
+    """Fraction of ``trials`` attacks on the fixed ``profiles``, all drawn
+    from ``rng``, where MAP matching recovers user 1's pseudonym."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    _, scores = _score_trials(
-        model, n, m, trials, rng, "accuracy", None, profile_sampler, profile1, profiles
+    scores = run_trials(
+        model, m, itertools.repeat(rng, trials), lambda _: (profiles, None),
+        ("accuracy",),
     )
-    return AccuracyResult(
-        pi1_accuracy=sum(s["pi1_accuracy"] for s in scores) / trials,
-        full_perm_accuracy=sum(s["full_perm_accuracy"] for s in scores) / trials,
-        trials=trials,
-    )
+    return sum(s["pi1_accuracy"] for s in scores) / trials

@@ -14,12 +14,13 @@ instead.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import score_trial, simulate_attack_trial
+from .metrics import run_trials
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
 __all__ = [
@@ -179,31 +180,28 @@ def weight_uniformity(
     if trials < 1:
         raise ValueError("need at least one trial")
     eps = params.eps(m)
-    model = IidModel(r=2)
-    devs = []
-    degenerate = 0
-    for _ in range(trials):
+
+    def draw(rng):
         ps = np.empty(n)
         ps[0] = 0.5
         for i in range(1, n):
             ps[i] = _draw_interior_uniform(rng)
         crowd = critical_set(ps, 0, eps)
         if n > 1 and crowd.size < 2:
-            degenerate += 1
-            continue
-        profiles = [IidProfile([1.0 - p, p]) for p in ps]
-        trial = simulate_attack_trial(model, profiles, m, rng)
-        dev = score_trial(model, trial, ("weights",), crowd=crowd)["weight_max_dev"]
-        if dev is None:
-            degenerate += 1
-        else:
-            devs.append(dev)
+            return None
+        return [IidProfile([1.0 - p, p]) for p in ps], crowd
+
+    scores = run_trials(
+        IidModel(r=2), m, itertools.repeat(rng, trials), draw, ("weights",)
+    )
+    devs = [out["weight_max_dev"] for out in scores if out is not None]
+    devs = [dev for dev in devs if dev is not None]
     if not devs:
         raise ValueError("every trial was degenerate; crowd never formed")
     deviations = np.asarray(devs)
     return WeightUniformityResult(
         deviations=deviations,
         median=float(np.median(deviations)),
-        degenerate_trials=degenerate,
+        degenerate_trials=trials - len(devs),
         trials=trials,
     )

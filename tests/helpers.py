@@ -9,7 +9,10 @@ library code is checked against live here too: the per-user scalar
 log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
 and the stationary law (for ``MarkovModel.marginal``), the free-parameter
 read-back and the edge-by-edge expansion (for ``expand_free_params``) and
-the results-CSV reader (for ``write_results_csv``).
+the results-CSV reader (for ``write_results_csv``). So do the Monte Carlo
+estimators the acceptance criteria measure the paper's claims with, MI and
+de-anonymization accuracy over a prior-sampled or fixed population, each a
+thin loop over ``locpriv.metrics.run_trials``.
 """
 import csv
 import itertools
@@ -25,6 +28,7 @@ from locpriv.adversary import AssignmentPosterior
 from locpriv.anonymization import Permutation
 from locpriv.harness import RESULT_HEADER, ConfigError, ResultRow
 from locpriv.markov import MobilityGraph, TransitionMatrix, _free_params
+from locpriv.metrics import entropy, run_trials
 from locpriv.mobility import IidProfile
 
 
@@ -308,3 +312,90 @@ def read_results_csv(path: str) -> list[ResultRow]:
                 )
             )
     return rows
+
+
+@dataclass(frozen=True)
+class MiEstimate:
+    """Mutual-information estimate in bits."""
+
+    value: float
+    std_error: float
+    trials: int
+    method: str
+
+    def __post_init__(self) -> None:
+        if self.std_error < 0.0 or not math.isfinite(self.std_error):
+            raise ValueError("std_error must be a finite nonnegative number")
+        if not math.isfinite(self.value):
+            raise ValueError("MI estimate must be finite")
+
+
+@dataclass(frozen=True)
+class AccuracyResult:
+    pi1_accuracy: float
+    full_perm_accuracy: float
+    trials: int
+
+
+def _population(n, rng, profile_sampler, profile1, profiles):
+    """User 1's profile and a ``run_trials`` draw: the fixed profile list,
+    or profile 1 and n - 1 fresh sampler draws. Profile 1 is drawn from
+    ``rng`` up front unless pinned."""
+    if profiles is not None:
+        if profile1 is not None or profile_sampler is not None:
+            raise ValueError("profiles excludes profile1 and profile_sampler")
+        profiles = list(profiles)
+        if len(profiles) != n:
+            raise ValueError("fixed profile list must have length n")
+        return profiles[0], lambda _: (profiles, None)
+    if profile_sampler is None:
+        raise ValueError("need either fixed profiles or a profile sampler")
+    if profile1 is None:
+        profile1 = profile_sampler(rng)
+    return profile1, lambda rng: (
+        [profile1] + [profile_sampler(rng) for _ in range(n - 1)],
+        None,
+    )
+
+
+def mutual_information_mc(
+    model, n, m, k, trials, rng, *, profile_sampler=None, profile1=None, profiles=None
+) -> MiEstimate:
+    """Monte Carlo estimate of I(X_1(k); Y) in bits, every trial drawn from
+    ``rng``. User 1's profile stays fixed across trials; the rest of the
+    population is redrawn from the prior every trial (pass ``profiles`` to
+    pin all of them instead). The permutation is redrawn every trial.
+    """
+    if trials < 2:
+        raise ValueError("need at least two trials for a standard error")
+    if not 1 <= k <= m:
+        raise ValueError(f"time index k={k} outside 1..{m}")
+    profile1, draw = _population(n, rng, profile_sampler, profile1, profiles)
+    scores = run_trials(model, m, itertools.repeat(rng, trials), draw, ("mi",), k=k)
+    # Scored with h_marginal = 0, each trial's mi is exactly -H(X_1(k) | Y).
+    cond = np.array([-s["mi"] for s in scores])
+    return MiEstimate(
+        value=entropy(model.marginal(profile1, k)) - float(cond.mean()),
+        std_error=float(cond.std(ddof=1) / math.sqrt(trials)),
+        trials=trials,
+        method="mc-permanent",
+    )
+
+
+def deanonymization_accuracy_mc(
+    model, n, m, trials, rng, *, profile_sampler=None, profile1=None, profiles=None
+) -> AccuracyResult:
+    """Fraction of trials, all drawn from ``rng``, where MAP matching
+    recovers user 1's pseudonym, and where it recovers the entire
+    permutation; the population is drawn as in ``mutual_information_mc``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    _, draw = _population(n, rng, profile_sampler, profile1, profiles)
+    scores = list(
+        run_trials(model, m, itertools.repeat(rng, trials), draw, ("accuracy",))
+    )
+    return AccuracyResult(
+        pi1_accuracy=sum(s["pi1_accuracy"] for s in scores) / trials,
+        full_perm_accuracy=sum(s["full_perm_accuracy"] for s in scores) / trials,
+        trials=trials,
+    )

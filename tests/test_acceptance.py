@@ -13,8 +13,10 @@ import pytest
 
 from helpers import (
     contract_transition_matrix,
+    deanonymization_accuracy_mc,
     exact_mi_two_state,
     map_assignment_bruteforce,
+    mutual_information_mc,
     three_state_graph,
     mi_identical_profiles_shortcut,
     posterior_pi1_bruteforce,
@@ -37,7 +39,6 @@ from locpriv.markov import (
     sample_free_params,
     sample_trajectory_markov,
 )
-from locpriv.metrics import deanonymization_accuracy, mutual_information_mc
 from locpriv.mobility import (
     IidModel,
     IidProfile,
@@ -238,11 +239,11 @@ def test_criterion_05_two_state_trend():
 
     m12 = schedule_observations(16, sched)
     m28 = schedule_observations(16, ObservationSchedule(1.0, 2.8))
-    acc1 = deanonymization_accuracy(
+    acc1 = deanonymization_accuracy_mc(
         model, 16, m12, 2000, np.random.default_rng(1061),
         profile_sampler=sampler, profile1=profile1,
     ).pi1_accuracy
-    acc2 = deanonymization_accuracy(
+    acc2 = deanonymization_accuracy_mc(
         model, 16, m28, 2000, np.random.default_rng(1062),
         profile_sampler=sampler, profile1=profile1,
     ).pi1_accuracy
@@ -288,11 +289,11 @@ def test_criterion_07_markov_trend():
 
     m_low = schedule_observations(16, sched_low)
     m_high = schedule_observations(16, ObservationSchedule(1.0, 1.2))
-    acc_low = deanonymization_accuracy(
+    acc_low = deanonymization_accuracy_mc(
         model, 16, m_low, 2000, np.random.default_rng(1081),
         profile_sampler=sampler, profile1=chain1,
     ).pi1_accuracy
-    acc_high = deanonymization_accuracy(
+    acc_high = deanonymization_accuracy_mc(
         model, 16, m_high, 2000, np.random.default_rng(1082),
         profile_sampler=sampler, profile1=chain1,
     ).pi1_accuracy

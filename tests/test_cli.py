@@ -67,6 +67,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") >= 1 and "config error" in err
+    # a schedule whose m is not finite, or too large for m x n states
+    for beta, c in ((5.0, 1e300), (30.0, 1.0)):
+        schedule = {"c": c, "beta": beta}
+        cfg = write_config(tmp_path, name="huge.json", n_grid=[100], schedule=schedule)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert f"config error: schedule c={c}, beta={beta} at n=100" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

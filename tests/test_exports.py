@@ -17,12 +17,9 @@ import locpriv
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # Exported functions that nothing in src/ or bench/ calls, with the reason.
-UNREACHED_ALLOWED = {
-    "mutual_information_mc": "acceptance criteria 04, 05 and 07 measure the "
-    "paper's MI claims through it, and it shares its trial loop, "
-    "metrics._score_trials, with deanonymization_accuracy, which audit runs",
-}
-
+# Empty: the Monte Carlo estimators the acceptance criteria use live in
+# tests/helpers.py, on top of metrics.run_trials.
+UNREACHED_ALLOWED: dict[str, str] = {}
 
 def test_all_names_exist():
     for module_name in locpriv.__all__:
@@ -100,9 +97,9 @@ def test_exported_functions_are_reached_from_src_or_bench():
     assert unreached == [], "exported but only the tests reach them"
 
 
-def test_attacks_are_called_only_by_the_trial_scorer():
-    # Every loop that attacks a trial scores it through metrics.score_trial,
-    # so each attack has exactly one call site in the library.
+def _library_calls(names) -> list[tuple]:
+    """(module, top-level def, callee) for each call in src/ of a name in
+    ``names``, by function name or attribute."""
     calls = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))):
         with open(path) as fh:
@@ -112,11 +109,28 @@ def test_attacks_are_called_only_by_the_trial_scorer():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    if name in ("posterior_pi1", "map_assignment"):
+                    if name in names:
                         calls.append((module, getattr(top, "name", None), name))
-    assert sorted(calls) == [
+    return sorted(calls)
+
+
+def test_attacks_are_called_only_by_the_trial_scorer():
+    # Every loop that attacks a trial scores it through metrics.score_trial,
+    # so each attack has exactly one call site in the library.
+    assert _library_calls(("posterior_pi1", "map_assignment")) == [
         ("metrics.py", "score_trial", "map_assignment"),
         ("metrics.py", "score_trial", "posterior_pi1"),
+    ]
+
+
+def test_sampled_trials_run_only_in_the_trial_loop():
+    # The sweep, the audit's synthetic rerun and the lemma flatness check
+    # draw, simulate and score through metrics.run_trials; only the audit's
+    # attack on the fitted traces, which samples nothing, scores by itself.
+    assert _library_calls(("simulate_attack_trial", "score_trial")) == [
+        ("harness.py", "audit", "score_trial"),
+        ("metrics.py", "run_trials", "score_trial"),
+        ("metrics.py", "run_trials", "simulate_attack_trial"),
     ]
 
 

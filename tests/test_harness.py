@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import read_results_csv, three_state_graph
-from locpriv import harness
+from helpers import deanonymization_accuracy_mc, read_results_csv, three_state_graph
+from locpriv import harness, metrics
 from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND, posterior_pi1
 from locpriv.harness import (
     ConfigError,
@@ -161,6 +161,11 @@ def test_parse_config_validates_fields(tmp_path):
             graph_path=write_three_state_graph(tmp_path),
             density={"kind": "uniform-simplex", "bump_alpha": 7},
         )
+    # every cell's m must be finite and small enough to index m x n states
+    with pytest.raises(ConfigError, match=r"c=1e\+300, beta=5.0 at n=100: .* not finite"):
+        make_config(n_grid=[100], schedule={"c": 1e300, "beta": 5})
+    with pytest.raises(ConfigError, match=r"c=1.0, beta=30.0 at n=100: .* size limit"):
+        make_config(n_grid=[100], schedule={"c": 1.0, "beta": 30})
     # the document, the schedule and the model's own fields
     with pytest.raises(ConfigError, match="config must be a JSON object"):
         parse_config([BASE_CONFIG])
@@ -309,7 +314,7 @@ def test_run_sweep_runs_trials_on_calling_thread(monkeypatch):
         idents.append(threading.get_ident())
         return simulate_attack_trial(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "simulate_attack_trial", recording_trial)
+    monkeypatch.setattr(metrics, "simulate_attack_trial", recording_trial)
     cfg = make_config()
     run_sweep(cfg, threads=3)
     assert idents == [threading.get_ident()] * (len(cfg.n_grid) * cfg.trials)
@@ -324,7 +329,7 @@ def test_run_sweep_idle_cell_runs_no_trials(monkeypatch):
         calls.append(args)
         return simulate_attack_trial(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "simulate_attack_trial", recording_trial)
+    monkeypatch.setattr(metrics, "simulate_attack_trial", recording_trial)
     n_big = PERMANENT_FEASIBILITY_BOUND + 44
     rows = run_sweep(make_config(n_grid=[n_big], trials=50, metrics=["mi", "weights"]))
     assert calls == []
@@ -863,3 +868,17 @@ def test_audit_iid_demo_report_pinned():
             "file-label -> internal id"
         ),
     }
+
+
+def test_audit_synthetic_rerun_pinned():
+    # The synthetic rerun is the fixed-profile accuracy estimate on the
+    # fitted profiles, from the audit's first substream.
+    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    report = audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=200, seed=34)
+    rng = np.random.default_rng(substream_seed(34, 0, 0))
+    acc = deanonymization_accuracy_mc(
+        pop.model, pop.n, report["observations_per_user"], 200, rng,
+        profiles=list(pop.profiles),
+    )
+    assert report["pi1_accuracy"] == acc.pi1_accuracy
+    assert report["pi1_accuracy"].hex() == "0x1.23d70a3d70a3dp-1"

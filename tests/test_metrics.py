@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    deanonymization_accuracy_mc,
     exact_mi_two_state,
     exact_two_user_map_accuracy,
+    mutual_information_mc,
     three_state_graph,
     mi_identical_profiles_shortcut,
     stationary_distribution,
@@ -19,7 +21,6 @@ from locpriv.metrics import (
     conditional_location_distribution,
     deanonymization_accuracy,
     entropy,
-    mutual_information_mc,
     simulate_attack_trial,
 )
 from locpriv.mobility import IidModel, IidProfile, ProfileDensity, sample_profile
@@ -151,7 +152,7 @@ def test_fixed_profiles_exclude_profile1_and_sampler():
         with pytest.raises(ValueError, match="excludes"):
             mutual_information_mc(model, 2, 4, 1, 10, rng, profiles=[q, q], **extra)
         with pytest.raises(ValueError, match="excludes"):
-            deanonymization_accuracy(model, 2, 4, 10, rng, profiles=[q, q], **extra)
+            deanonymization_accuracy_mc(model, 2, 4, 10, rng, profiles=[q, q], **extra)
 
 
 def test_mi_nonnegative_within_noise():
@@ -185,8 +186,29 @@ def test_mi_reproducible():
     assert a == b
 
 
+def test_mi_estimates_pinned():
+    # Frozen before the estimator moved onto the shared trial loop: a
+    # prior-sampled and a fixed-profile estimate must replay bit for bit.
+    prior = mutual_information_mc(
+        IidModel(2), 4, 6, 3, 40, np.random.default_rng(31),
+        profile_sampler=uniform2_sampler(),
+    )
+    assert (prior.value.hex(), prior.std_error.hex()) == (
+        "0x1.9b0dce2039fe3p-3",
+        "0x1.a9946a6a6be2bp-5",
+    )
+    profiles = [IidProfile([0.3, 0.7]), IidProfile([0.6, 0.4]), IidProfile([0.45, 0.55])]
+    fixed = mutual_information_mc(
+        IidModel(2), 3, 5, 4, 40, np.random.default_rng(32), profiles=profiles
+    )
+    assert (fixed.value.hex(), fixed.std_error.hex()) == (
+        "0x1.9b785d2a545cap-2",
+        "0x1.fcfc26c3a0836p-5",
+    )
+
+
 def test_accuracy_single_user():
-    res = deanonymization_accuracy(
+    res = deanonymization_accuracy_mc(
         IidModel(2), 1, 5, 3, np.random.default_rng(8),
         profiles=[IidProfile([0.4, 0.6])],
     )
@@ -196,7 +218,7 @@ def test_accuracy_single_user():
 
 def test_accuracy_two_identical_users_is_a_coin_flip():
     profiles = [IidProfile([0.5, 0.5])] * 2
-    res = deanonymization_accuracy(
+    res = deanonymization_accuracy_mc(
         IidModel(2), 2, 6, 1000, np.random.default_rng(9), profiles=profiles
     )
     se = math.sqrt(0.25 / 1000)
@@ -207,29 +229,29 @@ def test_accuracy_two_identical_users_is_a_coin_flip():
 def test_accuracy_identical_population_hits_one_over_n():
     n = 4
     profiles = [IidProfile([0.5, 0.5])] * n
-    res = deanonymization_accuracy(
-        IidModel(2), n, 6, 1200, np.random.default_rng(10), profiles=profiles
+    acc = deanonymization_accuracy(
+        IidModel(2), profiles, 6, 1200, np.random.default_rng(10)
     )
     se = math.sqrt((1 / n) * (1 - 1 / n) / 1200)
-    assert abs(res.pi1_accuracy - 1 / n) <= 3 * se
+    assert abs(acc - 1 / n) <= 3 * se
 
 
 def test_accuracy_well_separated_profiles():
     exact = exact_two_user_map_accuracy(0.05, 0.95, 200)
     assert exact >= 0.99
     profiles = [IidProfile([0.95, 0.05]), IidProfile([0.05, 0.95])]
-    res = deanonymization_accuracy(
-        IidModel(2), 2, 200, 300, np.random.default_rng(11), profiles=profiles
+    acc = deanonymization_accuracy(
+        IidModel(2), profiles, 200, 300, np.random.default_rng(11)
     )
-    assert res.pi1_accuracy >= 0.99
+    assert acc >= 0.99
 
 
 def test_accuracy_reproducible():
     sampler = uniform2_sampler()
-    a = deanonymization_accuracy(
+    a = deanonymization_accuracy_mc(
         IidModel(2), 4, 8, 60, np.random.default_rng(12), profile_sampler=sampler
     )
-    b = deanonymization_accuracy(
+    b = deanonymization_accuracy_mc(
         IidModel(2), 4, 8, 60, np.random.default_rng(12), profile_sampler=sampler
     )
     assert a == b

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -163,6 +164,17 @@ def test_weight_uniformity_basic_run():
     assert res.deviations.size + res.degenerate_trials == 50
     assert res.median >= 0.0
     assert np.isfinite(res.deviations).all()
+
+
+def test_weight_uniformity_pinned():
+    # Frozen before the flatness check moved onto the shared trial loop:
+    # its profile draws, crowds and attacks must replay bit for bit.
+    params = LemmaParams(0.5, 0.05, 0.1)
+    res = weight_uniformity(params, 4, 30, 30, np.random.default_rng(33))
+    assert res.degenerate_trials == 17
+    assert hashlib.sha256(res.deviations.tobytes()).hexdigest() == (
+        "434b44a84fd78b90d97ff0e1fd3493288901c98f36d6efb5d0595612d958def6"
+    )
 
 
 def test_weight_uniformity_large_m_needs_posterior_bound():
