@@ -711,6 +711,9 @@ def run_lemma_battery(
         _count(m, "m_grid entry", 1)
     for n in n_grid:
         _count(n, "n_grid entry", 1)
+        # section (b) draws n probabilities per trial
+        if n > np.iinfo(np.intp).max:
+            raise ConfigError(f"n_grid entry n={n} exceeds numpy's size limit")
     try:
         params = proofcheck.LemmaParams(alpha=alpha, theta=theta, phi=phi)
     except ValueError as exc:

@@ -263,7 +263,7 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
             continue
         while True:
             x = _dirichlet(rng, n_free + 1)
-            if x.min() >= BOUNDARY_MARGIN:
+            if min(x) >= BOUNDARY_MARGIN:
                 break
         values[pos : pos + n_free] = x[:-1]
         pos += n_free

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -65,14 +66,16 @@ class IidProfile:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("profile needs at least two locations")
+        values = probs.tolist()
         # a chained comparison is False for NaN, so NaN entries fail too;
         # on a list this beats two numpy reductions for the small r used
-        if not all(0.0 < p < 1.0 for p in probs.tolist()):
+        if not all(0.0 < p < 1.0 for p in values):
             raise ValueError("profile entries must lie strictly in (0, 1)")
-        cdf = probs.cumsum()
-        if abs(float(cdf[-1]) - 1.0) > _SUM_TOL:
+        sums = list(accumulate(values))  # probs.cumsum(), bit for bit
+        total = sums[-1]
+        if abs(total - 1.0) > _SUM_TOL:
             raise ValueError("profile entries must sum to 1 within 1e-12")
-        cdf /= cdf[-1]
+        cdf = np.array([s / total for s in sums])
         probs.flags.writeable = False
         cdf.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -81,9 +84,6 @@ class IidProfile:
     @property
     def r(self) -> int:
         return int(self.probs.size)
-
-    def log_probs(self) -> np.ndarray:
-        return np.log(self.probs)
 
 
 @dataclass(frozen=True)
@@ -192,19 +192,22 @@ class Population:
         return len(self.profiles)
 
 
-def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> np.ndarray:
-    """``rng.dirichlet(np.full(r, alpha))`` bit for bit, for alpha >= 0.1.
+def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> list[float]:
+    """``rng.dirichlet(np.full(r, alpha))`` bit for bit, as Python floats,
+    for alpha >= 0.1.
 
     numpy draws one shape-alpha gamma per entry (shape 1 is the standard
     exponential) and scales them by the reciprocal of their sequential
     sum; below alpha 0.1 it switches to stick-breaking, which this does
-    not reproduce. Skips ``dirichlet``'s per-call argument handling.
+    not reproduce. Skips ``dirichlet``'s per-call argument handling, and
+    the per-call cost of numpy reductions on a few entries.
     """
     if alpha == 1.0:
-        g = rng.standard_exponential(r)
+        g = rng.standard_exponential(r).tolist()
     else:
-        g = rng.standard_gamma(alpha, r)
-    return g * (1.0 / g.cumsum()[-1])
+        g = rng.standard_gamma(alpha, r).tolist()
+    scale = 1.0 / list(accumulate(g))[-1]
+    return [x * scale for x in g]
 
 
 def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProfile:
@@ -213,7 +216,8 @@ def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProf
     Each attempt consumes the stream exactly as ``rng.dirichlet(np.ones(r))``
     does, after a ``rng.random()`` mixture coin for ``bounded-mixture``
     (``rng.dirichlet(np.full(r, bump_alpha))`` when the coin falls below
-    ``bump_weight``).
+    ``bump_weight``). The accepted draw is renormalized as ``probs /
+    probs.sum()`` would, on Python floats.
     """
     r = density.r
     while True:
@@ -221,8 +225,10 @@ def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProf
             probs = _dirichlet(rng, r, density.bump_alpha)
         else:
             probs = _dirichlet(rng, r)
-        if probs.min() >= BOUNDARY_MARGIN:
-            return IidProfile(probs / probs.sum())
+        if min(probs) >= BOUNDARY_MARGIN:
+            # numpy's sum: left to right below 8 entries, pairwise from 8 on
+            total = list(accumulate(probs))[-1] if r < 8 else np.add.reduce(probs)
+            return IidProfile([p / total for p in probs])
 
 
 def sample_trajectory_iid(

@@ -8,8 +8,9 @@ worked 3-state graph used across the Markov tests. The references that
 library code is checked against live here too: the per-user scalar
 log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
 and the stationary law (for ``MarkovModel.marginal``), the free-parameter
-read-back and the edge-by-edge expansion (for ``expand_free_params``) and
-the results-CSV reader (for ``write_results_csv``). So do the Monte Carlo
+read-back and the edge-by-edge expansion (for ``expand_free_params``), the
+Floyd-Warshall exact tie loss (for MAP's near-tie screen) and the
+results-CSV reader (for ``write_results_csv``). So do the Monte Carlo
 estimators the acceptance criteria measure the paper's claims with, MI and
 de-anonymization accuracy over a prior-sampled or fixed population, each a
 thin loop over ``locpriv.metrics.run_trials``.
@@ -24,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import binom
 
-from locpriv.adversary import AssignmentPosterior
+from locpriv.adversary import _SENTINEL_CUTOFF, AssignmentPosterior
 from locpriv.anonymization import Permutation
 from locpriv.harness import RESULT_HEADER, ConfigError, ResultRow
 from locpriv.markov import MobilityGraph, TransitionMatrix, _free_params
@@ -171,6 +172,37 @@ def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> Permutation:
     return Permutation.from_forward(
         list(next(p for p, t in zip(perms, totals) if t >= best - tol))
     )
+
+
+def tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """loss[u, j]: how far the best permutation that matches u to j falls
+    below the optimum sigma (inf where no feasible permutation does); the
+    exact-loss oracle for locpriv.adversary._near_ties, whose mask must
+    contain every cell with loss <= 2 tol.
+
+    Any permutation differs from sigma by disjoint alternating cycles on
+    the columns, where row i moving from sigma(i) to j is an edge
+    sigma(i) -> j of weight Lf[i, sigma(i)] - Lf[i, j]. Bellman-Ford
+    potentials make every weight nonnegative (no cycle is negative, since
+    sigma is optimal) and Floyd-Warshall closes the cheapest cycle
+    through each edge.
+    """
+    n = sigma.size
+    own = Lf[np.arange(n), sigma]
+    W = np.where(Lf > _SENTINEL_CUTOFF, own[:, None] - Lf, np.inf)
+    p = np.zeros(n)
+    for _ in range(n):
+        q = np.minimum(p, (p[sigma][:, None] + W).min(axis=0))
+        if not (q < p).any():
+            break
+        p = q
+    rc = np.maximum(W + p[sigma][:, None] - p[None, :], 0.0)
+    D = np.empty_like(rc)
+    D[sigma] = rc
+    np.fill_diagonal(D, 0.0)
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    return rc + D[:, sigma].T
 
 
 def row0_minors_dp(B: np.ndarray) -> np.ndarray:

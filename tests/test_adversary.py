@@ -14,6 +14,7 @@ from helpers import (
     map_assignment_bruteforce,
     posterior_pi1_bruteforce,
     row0_minors_dp,
+    tie_loss,
 )
 from locpriv import adversary
 from locpriv.adversary import (
@@ -27,7 +28,12 @@ from locpriv.adversary import (
 )
 from locpriv.anonymization import anonymize, sample_permutation
 from locpriv.markov import MobilityGraph, expand_free_params
-from locpriv.mobility import IidProfile, sample_trajectory_iid
+from locpriv.mobility import (
+    IidProfile,
+    ProfileDensity,
+    sample_profile,
+    sample_trajectory_iid,
+)
 
 
 THREE_STATE = MobilityGraph(
@@ -229,6 +235,72 @@ def test_map_assignment_near_ties_at_tolerance():
         assert np.array_equal(
             map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
         )
+
+
+def _planted_near_ties(rng, n):
+    """Integer likelihoods (times a power of ten) with duplicated columns,
+    -inf cells, and one or two planted near-ties: a cell moved by 0.35,
+    0.8 or 1.6 tol, or two rows whose trade of two distinct columns costs
+    that much (the kind of tie a Markov audit produced). As in
+    test_map_assignment_near_ties_at_tolerance, every total stays at least
+    0.15 tol away from the tie threshold."""
+    L = rng.integers(-3, 1, size=(n, n)).astype(float) * 10.0 ** rng.integers(-1, 3)
+    dup = rng.random(n) < 0.3
+    L[:, dup] = L[:, rng.integers(0, n, size=int(dup.sum()))]
+    trades = []
+    for _ in range(int(rng.integers(1, 3))):
+        if rng.random() < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            x, y = rng.choice(n, size=2, replace=False)
+            L[b, y] = L[a, y] + L[b, x] - L[a, x]
+            trades.append((b, y))
+        else:
+            trades.append(tuple(rng.integers(0, n, size=2)))
+    tol = 1e-9 * max(1.0, float(np.abs(L).max()))
+    for cell in trades:
+        L[cell] += rng.choice([0.35, 0.8, 1.6]) * rng.choice([-1.0, 1.0]) * tol
+    L[rng.random((n, n)) < 0.1] = -np.inf
+    return L
+
+
+def test_near_ties_contain_every_cell_of_small_exact_loss():
+    # The screen may flag cells the Floyd-Warshall exact loss rules out,
+    # never miss one it keeps; MAP's choice is the oracle's either way.
+    rng = np.random.default_rng(29)
+    planted = 0  # cells of exact loss in (0, 2 tol]: no column class has them
+    for _ in range(400):
+        n = int(rng.integers(2, 13))
+        L = _planted_near_ties(rng, n)
+        Lf = np.where(np.isfinite(L), L, adversary._NEG_SENTINEL)
+        _, sigma = adversary.linear_sum_assignment(Lf, maximize=True)
+        if np.any(Lf[np.arange(n), sigma] <= adversary._SENTINEL_CUTOFF):
+            continue
+        tol = 1e-9 * max(1.0, float(np.abs(L[np.isfinite(L)]).max()))
+        loss = tie_loss(Lf, sigma)
+        exact = loss <= 2 * tol
+        near = adversary._near_ties(Lf, sigma, tol)
+        assert near.dtype == bool and not (exact & ~near).any()
+        assert near[np.arange(n), sigma].all()
+        planted += np.count_nonzero(exact & (loss > 0))
+        if n <= 7:
+            assert np.array_equal(
+                map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
+            )
+    assert planted >= 300
+
+
+def test_likelihood_matrix_iid_takes_one_log_of_the_stacked_laws():
+    # np.log over the stacked laws gives each profile's own log, bit for bit
+    rng = np.random.default_rng(37)
+    for r in (2, 3, 5, 8, 17):
+        density = ProfileDensity("uniform-simplex", r)
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            profiles = [sample_profile(density, rng) for _ in range(n)]
+            counts = rng.integers(0, 150, size=(n, r))
+            per_profile = np.stack([np.log(p.probs) for p in profiles])
+            expected = per_profile @ counts.T.astype(float)
+            assert np.array_equal(likelihood_matrix_iid(profiles, counts), expected)
 
 
 @pytest.mark.parametrize(

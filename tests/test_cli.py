@@ -209,6 +209,30 @@ def test_lemma_rejects_bad_numbers(tmp_path, capsys, m_grid, n_grid, trials):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_lemma_rejects_n_beyond_numpy_size_limit(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(
+        "locpriv.proofcheck.delta_uniformity_experiment", lambda *a: ran.append(1)
+    )
+    huge = 10**41
+    code = main(
+        [
+            "lemma",
+            "--alpha", "0.5",
+            "--theta", "0.05",
+            "--phi", "0.1",
+            "--m-grid", "100",
+            "--n-grid", str(huge),
+            "--trials", "1",
+            "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 2
+    assert f"config error: n_grid entry n={huge}" in capsys.readouterr().err
+    assert not ran and not (tmp_path / "x.csv").exists()
+
+
 def test_audit_markov_rejects_r(tmp_path, capsys):
     graph = tmp_path / "graph3.csv"
     graph.write_text("from,to,free\n1,1,1\n1,2,1\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n")

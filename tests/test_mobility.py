@@ -192,7 +192,7 @@ def test_dirichlet_helper_matches_numpy_bit_for_bit(alpha):
 
 @pytest.mark.parametrize("kind", ["uniform-simplex", "bounded-mixture"])
 def test_sample_profile_matches_dirichlet_reference(kind):
-    for r in (2, 3, 5, 17):
+    for r in (2, 3, 5, 7, 8, 9, 12, 17):
         density = ProfileDensity(kind, r)
         ref, ours = np.random.default_rng(r), np.random.default_rng(r)
         for _ in range(100):
