@@ -432,7 +432,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             crowd = None
             if "weights" in active:
                 state1 = np.array([p.probs[1] for p in profiles])
-                crowd = proofcheck.critical_set(state1, 0, eps)
+                crowd = proofcheck.critical_set(state1, eps)
                 if n > 1 and crowd.size < 2:
                     crowd = None
             return profiles, crowd
@@ -511,7 +511,7 @@ def ingest_traces(
     r: int | None = None,
     graph: MobilityGraph | None = None,
 ) -> tuple[TraceDataset, Population]:
-    """Read `user_id,time,location` rows and fit profiles with smoothing 1.0.
+    """Read `user_id,time,location` rows and fit add-one smoothed profiles.
 
     Locations are arbitrary string labels mapped in first-seen order for
     the iid model; for the markov model they must be the graph's 1-based
@@ -631,8 +631,8 @@ def audit(
     """
     if not 0 < alpha_margin < math.inf:
         raise ConfigError("alpha_margin must be positive and finite")
-    if n_effective < 1:
-        raise ConfigError("n_effective must be >= 1")
+    _count(n_effective, "n_effective", 1)
+    _count(trials, "trials", 1)
     check_seed(seed)
     model = population.model
     try:
@@ -658,7 +658,7 @@ def audit(
             trial = attack(model, population.profiles, truncated_trajs, rng2)
             hits += score_trial(model, trial, ("accuracy",))["pi1_accuracy"]
 
-    report = {
+    return {
         "model": model.name,
         "r": model.r,
         "n_users": population.n,
@@ -678,10 +678,8 @@ def audit(
             "state i is reported as i+1); the label_map gives "
             "file-label -> internal id"
         ),
+        "d": model.d,
     }
-    if isinstance(model, MarkovModel):
-        report["d"] = model.d
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +716,7 @@ def run_lemma_battery(
         params = proofcheck.LemmaParams(alpha=alpha, theta=theta, phi=phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    beta_exp = 2.0 - alpha
-    if beta_exp <= 0:
-        raise ConfigError("alpha must be below 2 so m(n) grows")
+    beta_exp = 2.0 - alpha  # positive: LemmaParams needs alpha < 2
     sched = ObservationSchedule(c=1.0, beta=beta_exp)
     payload = {
         "alpha": alpha,
@@ -768,7 +764,7 @@ def run_lemma_battery(
             ps = np.empty(n)
             ps[0] = 0.5
             ps[1:] = rng.random(n - 1)
-            sizes[t] = proofcheck.critical_set(ps, 0, eps).size
+            sizes[t] = proofcheck.critical_set(ps, eps).size
         emit(n, m, "critical_set_mean", float(sizes.mean()))
         emit(n, m, "critical_set_predicted", 2.0 * n * eps)
 

@@ -55,7 +55,6 @@ class MobilityGraph:
     edges: tuple
     free_edges: tuple = None
     free_counts: tuple = field(init=False, repr=False, compare=False)
-    _dependent: tuple = field(init=False, repr=False, compare=False)
     _support: np.ndarray = field(init=False, repr=False, compare=False)
     # (rows, columns) index arrays of free_edges and of the dependent edges
     _free_index: tuple = field(init=False, repr=False, compare=False)
@@ -100,7 +99,6 @@ class MobilityGraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "free_counts", tuple(counts))
-        object.__setattr__(self, "_dependent", dependent)
         object.__setattr__(self, "_support", support)
 
     @property
@@ -109,7 +107,8 @@ class MobilityGraph:
 
     def dependent_edge(self, i: int) -> tuple[int, int]:
         """State i's one out-edge outside free_edges."""
-        return self._dependent[i]
+        rows, cols = self._dependent_index
+        return int(rows[i]), int(cols[i])
 
     def support_mask(self) -> np.ndarray:
         """Read-only (r, r) bool array, True on the edges of E."""
@@ -160,7 +159,7 @@ class MarkovModel:
         )
 
     def fit_profile(self, trace: Sequence[int]) -> TransitionMatrix:
-        """The smoothed transition matrix of one trace on the graph."""
+        """The add-one smoothed transition matrix of one trace on the graph."""
         return fit_markov_profile(trace, self.graph)
 
 
@@ -271,16 +270,10 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     return values
 
 
-def fit_markov_profile(
-    trace: Sequence[int], graph: MobilityGraph, smoothing: float = 1.0
-) -> TransitionMatrix:
-    """Smoothed transition-frequency estimate on the graph's edges.
-
-    T(i,j) = (M(i,j) + smoothing) / (departures_i + outdeg_i * smoothing),
-    with smoothing mass spread only over edges of E.
-    """
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
+def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> TransitionMatrix:
+    """Add-one (Laplace) smoothed transition-frequency estimate on the
+    graph's edges: T(i,j) = (M(i,j) + 1) / (departures_i + outdeg_i) on E.
+    Every state has an out-edge, so every row has positive mass."""
     r = graph.r
     states = _trace_states(trace, r)
     if states.size < 2:
@@ -292,15 +285,8 @@ def fit_markov_profile(
         a, b = divmod(int(pair[off_graph[0]]), r)
         raise ValueError(f"trace uses transition ({a},{b}) not in the graph")
     M = np.bincount(pair, minlength=r * r).reshape(r, r).astype(float)
-    T = np.zeros_like(M)
-    for i in range(r):
-        row_edges = support[i]
-        denom = M[i].sum() + row_edges.sum() * smoothing
-        if denom == 0.0:
-            raise ValueError(
-                f"state {i} has no observed departures and smoothing is 0"
-            )
-        T[i, row_edges] = (M[i, row_edges] + smoothing) / denom
+    denom = M.sum(axis=1) + support.sum(axis=1)
+    T = np.where(support, (M + 1.0) / denom[:, None], 0.0)
     return TransitionMatrix(matrix=T, graph=graph)
 
 

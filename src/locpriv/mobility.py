@@ -7,7 +7,6 @@ positive constants, which is all the privacy analysis needs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -135,11 +134,10 @@ class IidModel:
 class ProfileDensity:
     """Bounded prior over profiles on the open simplex.
 
-    ``uniform-simplex`` is the flat density (value (r-1)! everywhere, so
-    the lower and upper density bounds coincide). ``bounded-mixture``
-    mixes the flat density with a symmetric Dirichlet bump and keeps both
-    bounds explicit: the flat component guarantees the lower bound, the
-    bump's mode value caps the upper one.
+    ``uniform-simplex`` is the flat density (value (r-1)! everywhere).
+    ``bounded-mixture`` mixes the flat density with a symmetric Dirichlet
+    bump: the flat component bounds the density below, and the bump's
+    mode value (finite for bump_alpha > 1) caps it above.
     """
 
     kind: str
@@ -157,22 +155,6 @@ class ProfileDensity:
                 raise ValueError("bump_weight must lie in (0, 1)")
             if self.bump_alpha <= 1.0:
                 raise ValueError("bump_alpha must exceed 1 for a bounded bump")
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        """(delta1, delta2): the density lies in [delta1, delta2] on its support."""
-        flat = math.factorial(self.r - 1)
-        if self.kind == "uniform-simplex":
-            return (float(flat), float(flat))
-        w, a = self.bump_weight, self.bump_alpha
-        # Symmetric Dirichlet(a,...,a) peaks at the barycenter x_i = 1/r.
-        log_peak = (
-            math.lgamma(self.r * a)
-            - self.r * math.lgamma(a)
-            - self.r * (a - 1.0) * math.log(self.r)
-        )
-        peak = math.exp(log_peak)
-        return ((1.0 - w) * flat, (1.0 - w) * flat + w * peak)
 
 
 @dataclass(frozen=True)
@@ -247,20 +229,9 @@ def sample_trajectory_iid(
     return states
 
 
-def fit_iid_profile(
-    trace: Sequence[int], r: int, smoothing: float = 1.0
-) -> IidProfile:
-    """Laplace-smoothed visit-frequency estimate of a profile.
-
-    probs[i] = (count_i + smoothing) / (m + r * smoothing). With
-    smoothing 0 the trace must cover every state, otherwise the boundary
-    profile is rejected.
-    """
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
+def fit_iid_profile(trace: Sequence[int], r: int) -> IidProfile:
+    """Add-one (Laplace) smoothed visit-frequency estimate of a profile:
+    probs[i] = (count_i + 1) / (m + r), strictly interior for any trace."""
     states = _trace_states(trace, r)
-    if states.size == 0 and smoothing == 0.0:
-        raise ValueError("cannot fit a profile from an empty trace without smoothing")
     counts = np.bincount(states, minlength=r).astype(float)
-    probs = (counts + smoothing) / (states.size + r * smoothing)
-    return IidProfile(probs)
+    return IidProfile((counts + 1.0) / (states.size + r))

@@ -69,16 +69,13 @@ class LemmaParams:
         return float(m) ** -(0.5 - self.theta)
 
 
-def critical_set(
-    p_values: np.ndarray, p1_index: int, eps: float
-) -> np.ndarray:
-    """Indices of users whose state-1 probability lies within eps of the
-    reference user's. Always contains the reference index."""
+def critical_set(p_values: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of users whose state-1 probability lies within eps of user
+    1's (index 0). Always contains index 0."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     p_values = np.asarray(p_values, dtype=float)
-    center = p_values[p1_index]
-    return np.flatnonzero(np.abs(p_values - center) < eps)
+    return np.flatnonzero(np.abs(p_values - p_values[0]) < eps)
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def weight_uniformity(
         ps[0] = 0.5
         for i in range(1, n):
             ps[i] = _draw_interior_uniform(rng)
-        crowd = critical_set(ps, 0, eps)
+        crowd = critical_set(ps, eps)
         if n > 1 and crowd.size < 2:
             return None
         return [IidProfile([1.0 - p, p]) for p in ps], crowd

@@ -9,8 +9,9 @@ library code is checked against live here too: the per-user scalar
 log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
 and the stationary law (for ``MarkovModel.marginal``), the free-parameter
 read-back and the edge-by-edge expansion (for ``expand_free_params``), the
-Floyd-Warshall exact tie loss (for MAP's near-tie screen) and the
-results-CSV reader (for ``write_results_csv``). So do the Monte Carlo
+per-state Markov fit (for ``fit_markov_profile``), the Floyd-Warshall
+exact tie loss (for MAP's near-tie screen) and the results-CSV reader
+(for ``write_results_csv``). So do the Monte Carlo
 estimators the acceptance criteria measure the paper's claims with, MI and
 de-anonymization accuracy over a prior-sampled or fixed population, each a
 thin loop over ``locpriv.metrics.run_trials``.
@@ -76,6 +77,22 @@ def sample_trajectory_markov_stepwise(
         cur = int(np.searchsorted(cdf[cur], u[t - 1], side="right"))
         states[t] = cur
     return states
+
+
+def fit_markov_profile_per_state(trace, graph: MobilityGraph) -> np.ndarray:
+    """Add-one smoothed transition matrix of a trace, one state's row at a
+    time (reference for the masked expression in
+    locpriv.markov.fit_markov_profile); the trace must stay on the graph."""
+    r = graph.r
+    support = graph.support_mask()
+    M = np.zeros((r, r))
+    for a, b in zip(trace[:-1], trace[1:]):
+        M[a, b] += 1.0
+    T = np.zeros((r, r))
+    for i in range(r):
+        row_edges = support[i]
+        T[i, row_edges] = (M[i, row_edges] + 1.0) / (M[i].sum() + row_edges.sum())
+    return T
 
 
 def entropy_bits(q) -> float:

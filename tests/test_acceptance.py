@@ -326,7 +326,7 @@ def test_criterion_08_lemma_machinery():
         ps = np.empty(n)
         ps[0] = 0.5
         ps[1:] = rng.random(n - 1)
-        sizes[t] = proofcheck.critical_set(ps, 0, eps).size
+        sizes[t] = proofcheck.critical_set(ps, eps).size
     sigma_mean = math.sqrt(n * 2 * eps * (1 - 2 * eps) / draws)
     gap_b = abs(float(sizes.mean()) - 2 * n * eps)
     ok_b = gap_b <= 3 * sigma_mean

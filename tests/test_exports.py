@@ -3,8 +3,9 @@
 A stale entry in ``__all__`` fails only when someone imports it (or on
 ``from module import *``), so deletions are checked here, along with the
 annotations of every exported function and class. Every exported function
-must also be reached from the library or the benchmark, so test-only
-references live in ``tests/helpers.py`` instead.
+must also be reached from the library or the benchmark, and so must every
+public method and property of an exported class, so test-only references
+live in ``tests/helpers.py`` instead.
 """
 import ast
 import glob
@@ -43,13 +44,17 @@ def test_public_annotations_resolve():
                     typing.get_type_hints(method)
 
 
-def _exported_functions(tree: ast.Module) -> set[str]:
-    exported = set()
+def _exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _exported_functions(tree: ast.Module) -> set[str]:
+    exported = _exported_names(tree)
     return {
         node.name
         for node in tree.body
@@ -75,16 +80,24 @@ def _references(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_exported_functions_are_reached_from_src_or_bench():
+def _src_and_bench_trees() -> list[tuple[str, ast.Module, bool]]:
+    """(path, syntax tree, whether it is a locpriv module) per source file."""
     paths = sorted(
         glob.glob(os.path.join(ROOT, "src", "locpriv", "*.py"))
         + glob.glob(os.path.join(ROOT, "bench", "*.py"))
     )
-    exported, referenced = {}, set()
+    trees = []
     for path in paths:
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
-        if os.sep + "locpriv" + os.sep in path:
+        trees.append((path, tree, os.sep + "locpriv" + os.sep in path))
+    return trees
+
+
+def test_exported_functions_are_reached_from_src_or_bench():
+    exported, referenced = {}, set()
+    for path, tree, in_library in _src_and_bench_trees():
+        if in_library:
             for name in _exported_functions(tree):
                 exported[name] = os.path.basename(path)
         referenced |= _references(tree)
@@ -95,6 +108,30 @@ def test_exported_functions_are_reached_from_src_or_bench():
         if name not in referenced and name not in UNREACHED_ALLOWED
     )
     assert unreached == [], "exported but only the tests reach them"
+
+
+def _exported_class_members(tree: ast.Module) -> set[str]:
+    """Public methods and properties defined in the exported classes."""
+    exported = _exported_names(tree)
+    return {
+        f"{node.name}.{member.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    }
+
+
+def test_exported_class_members_are_reached_from_src_or_bench():
+    # A method or property that only the tests read is dead surface, just
+    # like an unreached exported function.
+    members, referenced = set(), set()
+    for _, tree, in_library in _src_and_bench_trees():
+        if in_library:
+            members |= _exported_class_members(tree)
+        referenced |= _references(tree)
+    unreached = sorted(m for m in members if m.split(".")[1] not in referenced)
+    assert unreached == [], "class members only the tests reach"
 
 
 def _library_calls(names) -> list[tuple]:

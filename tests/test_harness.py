@@ -708,6 +708,28 @@ def test_audit_rejects_degenerate_markov(tmp_path):
         audit(dataset, pop, n_effective=10, alpha_margin=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": True},
+        {"trials": 2.5},
+        {"trials": 0},
+        {"n_effective": 2.5},
+        {"n_effective": True},
+        {"n_effective": 0},
+    ],
+    ids=["trials-true", "trials-2.5", "trials-0", "n-2.5", "n-true", "n-0"],
+)
+def test_audit_rejects_bad_counts(kwargs):
+    # a count is a plain integer: true is not one trial, and 2.5 users or
+    # trials is a configuration error, not a TypeError or an echoed value
+    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    args = {"n_effective": 100, "alpha_margin": 0.5, "trials": 2, **kwargs}
+    name = next(iter(kwargs))
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+        audit(dataset, pop, **args)
+
+
 def test_audit_truncates_unequal_lengths(tmp_path):
     path = tmp_path / "uneq.csv"
     path.write_text(
@@ -867,6 +889,7 @@ def test_audit_iid_demo_report_pinned():
             "state i is reported as i+1); the label_map gives "
             "file-label -> internal id"
         ),
+        "d": 4,
     }
 
 

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     contract_transition_matrix,
     expand_free_params_stepwise,
+    fit_markov_profile_per_state,
     sample_trajectory_markov_stepwise,
     stationary_distribution,
     validate_chain,
@@ -323,17 +324,11 @@ def test_long_run_occupancy_matches_stationary():
 
 
 def test_fit_markov_profile():
-    g = MobilityGraph(
-        r=3, edges=[(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
-    )
-    T = fit_markov_profile([0, 1, 2, 0], g, smoothing=0.0)
-    assert T.matrix[0, 1] == 1.0 and T.matrix[1, 2] == 1.0 and T.matrix[2, 0] == 1.0
-
-    # unvisited state with smoothing: uniform over its out-edges
+    # unvisited state: uniform over its out-edges
     g2 = three_state_graph()
-    T2 = fit_markov_profile([0, 0, 1, 2, 1], g2, smoothing=1.0)
+    T2 = fit_markov_profile([0, 0, 1, 2, 1], g2)
     assert np.abs(T2.matrix.sum(axis=1) - 1).max() <= 1e-12
-    T3 = fit_markov_profile([0, 0], g2, smoothing=1.0)
+    T3 = fit_markov_profile([0, 0], g2)
     assert np.allclose(T3.matrix[1], [0, 0, 1])
     assert np.allclose(T3.matrix[2], [0.5, 0.5, 0])
 
@@ -341,9 +336,9 @@ def test_fit_markov_profile():
 def test_fit_markov_profile_rejects_off_graph_transition():
     g = three_state_graph()
     with pytest.raises(ValueError):
-        fit_markov_profile([0, 1, 0], g, smoothing=1.0)  # (1,0) not in E
+        fit_markov_profile([0, 1, 0], g)  # (1,0) not in E
     with pytest.raises(ValueError):
-        fit_markov_profile([0], g, smoothing=1.0)
+        fit_markov_profile([0], g)
 
 
 def test_fit_markov_profile_names_first_off_graph_transition():
@@ -361,19 +356,17 @@ def test_fits_reject_states_outside_range():
 
 
 def test_fit_markov_profile_matches_stepwise_counts():
-    # the one-bincount transition count against a per-step loop, bit for bit
-    g = three_state_graph()
-    support = g.support_mask()
+    # the one-bincount transition count and the masked whole-matrix fit
+    # against a per-step count and a per-state loop, bit for bit, on the
+    # worked graph and on random graphs with up to 17 states
     rng = np.random.default_rng(21)
-    for _ in range(20):
+    for k in range(60):
+        g = three_state_graph() if k < 20 else random_graph(rng, int(rng.integers(1, 18)))
         T = expand_free_params(sample_free_params(g, rng), g)
-        trace = sample_trajectory_markov(T, int(rng.integers(2, 400)), rng)
-        M = np.zeros((3, 3))
-        for a, b in zip(trace[:-1], trace[1:]):
-            M[a, b] += 1.0
-        denom = M.sum(axis=1) + support.sum(axis=1)
-        want = np.where(support, M + 1.0, 0.0) / denom[:, None]
-        assert np.array_equal(fit_markov_profile(trace, g).matrix, want)
+        trace = sample_trajectory_markov(T, int(rng.integers(2, 3001)), rng)
+        assert np.array_equal(
+            fit_markov_profile(trace, g).matrix, fit_markov_profile_per_state(trace, g)
+        )
 
 
 def test_fit_markov_row_stochastic_random():
@@ -382,7 +375,7 @@ def test_fit_markov_row_stochastic_random():
     T = expand_free_params([0.3, 0.3, 0.5], g)
     for _ in range(25):
         t = sample_trajectory_markov(T, int(rng.integers(2, 50)), rng)
-        fit = fit_markov_profile(t, g, smoothing=1.0)
+        fit = fit_markov_profile(t, g)
         assert np.abs(fit.matrix.sum(axis=1) - 1).max() <= 1e-12
 
 

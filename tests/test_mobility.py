@@ -48,21 +48,6 @@ def test_profile_cdf_is_the_normalized_cumulative_sum():
     assert p.probs is not source and p.probs.tolist() == source
 
 
-def test_uniform_density_bounds_r2_are_exactly_one():
-    d = ProfileDensity("uniform-simplex", 2)
-    lo, hi = d.bounds
-    assert lo == 1.0 and hi == 1.0
-
-
-def test_bounded_mixture_bounds():
-    d = ProfileDensity("bounded-mixture", 2, bump_weight=0.5, bump_alpha=2.0)
-    lo, hi = d.bounds
-    # flat part 0.5 * 1!, bump peak Gamma(4)/Gamma(2)^2 / 2^2 = 1.5
-    assert lo == pytest.approx(0.5)
-    assert hi == pytest.approx(0.5 + 0.5 * 1.5)
-    assert 0.0 < lo <= hi
-
-
 def test_density_rejects_bad_kinds():
     with pytest.raises(ValueError):
         ProfileDensity("spiky", 2)
@@ -134,24 +119,15 @@ def test_trajectory_frequency():
 
 
 def test_fit_iid_profile_formula():
-    p = fit_iid_profile([0, 0, 0, 1], r=2, smoothing=1.0)
+    p = fit_iid_profile([0, 0, 0, 1], r=2)
     assert np.allclose(p.probs, [4 / 6, 2 / 6])
-    p = fit_iid_profile([0, 0, 1, 1], r=2, smoothing=0.0)
-    assert np.allclose(p.probs, [0.5, 0.5])
-
-
-def test_fit_iid_profile_boundary_rejected():
-    with pytest.raises(ValueError):
-        fit_iid_profile([1, 1, 1, 1, 1], r=2, smoothing=0.0)
-    with pytest.raises(ValueError):
-        fit_iid_profile([], r=2, smoothing=0.0)
 
 
 def test_fit_iid_profile_smoothed_always_interior():
     rng = np.random.default_rng(6)
     for _ in range(50):
         states = rng.integers(0, 4, size=rng.integers(0, 30))
-        p = fit_iid_profile(states, r=4, smoothing=1.0)
+        p = fit_iid_profile(states, r=4)
         assert np.all(p.probs > 0) and np.all(p.probs < 1)
 
 

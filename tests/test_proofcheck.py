@@ -42,21 +42,21 @@ def test_exponent_identities_exact():
 
 
 def test_critical_set_examples():
-    J = critical_set([0.5, 0.49, 0.8], 0, 0.02)
+    J = critical_set([0.5, 0.49, 0.8], 0.02)
     assert J.tolist() == [0, 1]
-    J = critical_set([0.5, 0.49, 0.8], 0, 1.0)
+    J = critical_set([0.5, 0.49, 0.8], 1.0)
     assert J.tolist() == [0, 1, 2]
     with pytest.raises(ValueError):
-        critical_set([0.5, 0.4], 0, 0.0)
+        critical_set([0.5, 0.4], 0.0)
 
 
 def test_critical_set_contains_reference_and_grows_with_eps():
     rng = np.random.default_rng(0)
     for _ in range(50):
         ps = rng.random(20)
-        small = critical_set(ps, 3, 0.01)
-        large = critical_set(ps, 3, 0.1)
-        assert 3 in small
+        small = critical_set(ps, 0.01)
+        large = critical_set(ps, 0.1)
+        assert 0 in small
         assert set(small.tolist()) <= set(large.tolist())
 
 
@@ -70,7 +70,7 @@ def test_critical_set_size_matches_binomial_oracle():
         ps = np.empty(n)
         ps[0] = 0.5
         ps[1:] = rng.random(n - 1)
-        sizes[t] = critical_set(ps, 0, eps).size
+        sizes[t] = critical_set(ps, eps).size
     predicted = 2 * n * eps
     sigma_mean = math.sqrt(n * 2 * eps * (1 - 2 * eps)) / math.sqrt(draws)
     assert abs(sizes.mean() - predicted) <= 3 * sigma_mean
@@ -135,7 +135,7 @@ def test_symmetric_population_weights_are_flat():
     perm = sample_permutation(n, rng)
     Y = anonymize(trajs, perm)
     L = adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, 2))
-    crowd = critical_set(np.full(n, 0.6), 0, 0.01)
+    crowd = critical_set(np.full(n, 0.6), 0.01)
     assert crowd.size == n
     w = adversary.posterior_pi1(L).weights[perm.forward[crowd]]
     w = w / w.sum()
