@@ -432,9 +432,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             crowd = None
             if "weights" in active:
                 state1 = np.array([p.probs[1] for p in profiles])
-                crowd = proofcheck.critical_set(state1, eps)
-                if n > 1 and crowd.size < 2:
-                    crowd = None
+                crowd = proofcheck.crowd(state1, eps)
             return profiles, crowd
 
         seeds = [substream_seed(config.seed, cell, t) for t in range(cell_trials)]
@@ -459,10 +457,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 emit(-1, f"{met}_skipped", 1.0, None, config.seed)
         for metric, vals in values.items():
             if metric == "weight_max_dev":
-                valid = [d for d in vals if d is not None]
-                if valid:
-                    emit(-1, metric, float(np.median(valid)), None, config.seed)
-                degenerate = float(len(vals) - len(valid))
+                res = proofcheck.WeightUniformityResult.from_trials(vals)
+                if res.median is not None:
+                    emit(-1, metric, res.median, None, config.seed)
+                degenerate = float(res.degenerate_trials)
                 emit(-1, "weight_degenerate_count", degenerate, None, config.seed)
                 continue
             mean = float(np.mean(vals))
@@ -487,10 +485,6 @@ class TraceDataset:
     user_ids: tuple
     trajectories: tuple
     label_map: dict
-
-    @property
-    def n(self) -> int:
-        return len(self.user_ids)
 
 
 def _row_record(header: list[str], row: list[str]) -> dict:
@@ -694,13 +688,13 @@ def run_lemma_battery(
     n_grid,
     trials: int,
     seed: int,
-    delta_samples: int = 10_000,
 ) -> list[ResultRow]:
     """Run the proof-machinery checks and flatten them to result rows.
 
     Sections: (a) the m*beta*eps = m^(theta-phi) identity per m, (b)
     crowd-size statistics per n with m = n^(2-alpha), (c) the likelihood
-    ratio sweep per m, (d) posterior-flatness per n. All rows carry
+    ratio sweep per m over 10,000 pairs, (d) posterior flatness per n,
+    with no median row where no trial formed a crowd. All rows carry
     trial = -1; n or m is 0 where it does not apply.
     """
     _count(trials, "trials", 1)
@@ -747,9 +741,7 @@ def run_lemma_battery(
         )
 
     rng = np.random.default_rng(substream_seed(seed, 2, 0))
-    records = proofcheck.delta_uniformity_experiment(
-        params, m_grid, delta_samples, rng
-    )
+    records = proofcheck.delta_uniformity_experiment(params, m_grid, 10_000, rng)
     for rec in records:
         emit(0, rec.m, "identity_product", rec.product_identity)
         emit(0, rec.m, "identity_power", rec.power_identity)
@@ -780,6 +772,7 @@ def run_lemma_battery(
         rng = np.random.default_rng(substream_seed(seed, 3, idx))
         with _naming(f"lemma flatness check, n={n}, m={m}, seed {seed}"):
             res = proofcheck.weight_uniformity(params, n, m, trials, rng)
-        emit(n, m, "weight_max_dev_median", res.median)
+        if res.median is not None:
+            emit(n, m, "weight_max_dev_median", res.median)
         emit(n, m, "weight_degenerate_count", float(res.degenerate_trials))
     return rows

@@ -188,10 +188,6 @@ class TransitionMatrix:
             raise ValueError("positive entry outside the graph's edge set")
         object.__setattr__(self, "matrix", _readonly(matrix))
 
-    @property
-    def r(self) -> int:
-        return self.graph.r
-
 
 def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
     """The graph's d free probabilities as a fresh read-only array; raises
@@ -241,7 +237,7 @@ def sample_trajectory_markov(
         raise ValueError("Markov trajectories need at least one observation")
     cdf = np.cumsum(T.matrix, axis=1)
     cdf[:, -1] = 1.0
-    u = rng.random(m - 1) if m > 1 else np.empty(0)
+    u = rng.random(m - 1)
     nxt = [np.searchsorted(row, u, side="right").tolist() for row in cdf]
     walk = [0]
     cur = 0

@@ -80,10 +80,6 @@ class IidProfile:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "cdf", cdf)
 
-    @property
-    def r(self) -> int:
-        return int(self.probs.size)
-
 
 @dataclass(frozen=True)
 class IidModel:
@@ -218,7 +214,7 @@ def sample_trajectory_iid(
 ) -> np.ndarray:
     """m independent draws from the profile, as a read-only int64 array.
 
-    Equal bit for bit to ``rng.choice(profile.r, size=m, p=profile.probs)``:
+    Equal bit for bit to ``rng.choice(profile.probs.size, size=m, p=profile.probs)``:
     the lines ``choice`` runs once ``p`` is validated, which ``IidProfile``
     already guarantees, against the profile's cached CDF.
     """

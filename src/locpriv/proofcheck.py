@@ -28,6 +28,7 @@ __all__ = [
     "LemmaParams",
     "WeightUniformityResult",
     "critical_set",
+    "crowd",
     "delta_uniformity_experiment",
     "weight_uniformity",
 ]
@@ -78,6 +79,14 @@ def critical_set(p_values: np.ndarray, eps: float) -> np.ndarray:
     return np.flatnonzero(np.abs(p_values - p_values[0]) < eps)
 
 
+def crowd(p_values: np.ndarray, eps: float) -> np.ndarray | None:
+    """``critical_set(p_values, eps)``, or None when the crowd is degenerate:
+    fewer than two members among n > 1 users. The sweep's weights metric
+    and ``weight_uniformity`` both form their crowds here."""
+    members = critical_set(p_values, eps)
+    return None if len(p_values) > 1 and members.size < 2 else members
+
+
 @dataclass(frozen=True)
 class DeltaUniformityRecord:
     m: int
@@ -88,17 +97,14 @@ class DeltaUniformityRecord:
 
 
 def delta_uniformity_experiment(
-    params: LemmaParams,
-    m_grid,
-    samples: int,
-    rng: np.random.Generator,
-    p1: float = 0.5,
+    params: LemmaParams, m_grid, samples: int, rng: np.random.Generator
 ) -> list[DeltaUniformityRecord]:
     """Sample crowd pairs and count pairs and track the worst |ln Delta|.
 
-    For each m: p_i, p_j are uniform in [lo_p, hi_p], the eps(m)-window
-    around p1 clipped to [BOUNDARY_MARGIN, 1 - BOUNDARY_MARGIN], and a, b
-    are uniform integers in [a_lo, a_hi], A(m) clipped to [0, m]. Since
+    User 1 visits state 1 with probability p1 = 1/2. For each m: p_i, p_j
+    are uniform in [lo_p, hi_p], the eps(m)-window around p1 clipped to
+    [BOUNDARY_MARGIN, 1 - BOUNDARY_MARGIN], and a, b are uniform integers
+    in [a_lo, a_hi], A(m) clipped to [0, m]. Since
     ln Delta = (a - b) * (logit p_i - logit p_j) and logit is monotone,
 
         |a - b|                 <= a_hi - a_lo
@@ -107,9 +113,9 @@ def delta_uniformity_experiment(
     and the reported envelope is the product of the two: the exact
     supremum of |ln Delta| over the sampled box, so every sample lies
     under it. To first order in eps and beta it is
-    2*m*beta * 2*eps / (p1*(1-p1)) = 4*m*beta*eps / (p1*(1-p1)), i.e.
-    16 * m^(theta-phi) at p1 = 1/2.
+    2*m*beta * 2*eps / (p1*(1-p1)) = 16 * m^(theta-phi).
     """
+    p1 = 0.5
     records = []
     for m in m_grid:
         m = int(m)
@@ -142,12 +148,25 @@ def delta_uniformity_experiment(
 
 @dataclass(frozen=True)
 class WeightUniformityResult:
-    """Per-trial max |N * W_j - 1| over the crowd's pseudonyms."""
+    """Per-trial max |N * W_j - 1| over the crowd's pseudonyms, for the
+    trials that formed a crowd, and their median (None if none did). The
+    sweep's weights metric and ``weight_uniformity`` both summarize here."""
 
     deviations: np.ndarray
-    median: float
+    median: float | None
     degenerate_trials: int
     trials: int
+
+    @classmethod
+    def from_trials(cls, deviations) -> WeightUniformityResult:
+        """Summarize per-trial deviations; None marks a degenerate trial."""
+        devs = [dev for dev in deviations if dev is not None]
+        return cls(
+            deviations=np.asarray(devs, dtype=float),
+            median=float(np.median(devs)) if devs else None,
+            degenerate_trials=len(deviations) - len(devs),
+            trials=len(deviations),
+        )
 
 
 def _draw_interior_uniform(rng: np.random.Generator) -> float:
@@ -169,10 +188,10 @@ def weight_uniformity(
     Per trial: user 1 visits state 1 with probability 1/2; draw the other
     users' probabilities uniformly, form the crowd within eps(m) of 1/2,
     run the full attack, restrict the exact posterior to the crowd's
-    pseudonyms and renormalize. At n > 1, trials whose crowd has fewer
-    than two members (or no posterior mass on the crowd) are reported as
-    degenerate and excluded; a lone user's crowd is itself, with W = [1]
-    and deviation 0.
+    pseudonyms and renormalize. A trial that forms no ``crowd`` draws
+    nothing more; it, or one with no posterior mass on the crowd, counts
+    as degenerate and is excluded, and the median is None if every trial
+    is. A lone user's crowd is itself, with W = [1] and deviation 0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -183,22 +202,14 @@ def weight_uniformity(
         ps[0] = 0.5
         for i in range(1, n):
             ps[i] = _draw_interior_uniform(rng)
-        crowd = critical_set(ps, eps)
-        if n > 1 and crowd.size < 2:
+        members = crowd(ps, eps)
+        if members is None:
             return None
-        return [IidProfile([1.0 - p, p]) for p in ps], crowd
+        return [IidProfile([1.0 - p, p]) for p in ps], members
 
     scores = run_trials(
         IidModel(r=2), m, itertools.repeat(rng, trials), draw, ("weights",)
     )
-    devs = [out["weight_max_dev"] for out in scores if out is not None]
-    devs = [dev for dev in devs if dev is not None]
-    if not devs:
-        raise ValueError("every trial was degenerate; crowd never formed")
-    deviations = np.asarray(devs)
-    return WeightUniformityResult(
-        deviations=deviations,
-        median=float(np.median(deviations)),
-        degenerate_trials=trials - len(devs),
-        trials=trials,
+    return WeightUniformityResult.from_trials(
+        [None if out is None else out["weight_max_dev"] for out in scores]
     )

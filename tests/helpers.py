@@ -274,7 +274,7 @@ def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
 def log_likelihood_iid(profile: IidProfile, counts: np.ndarray) -> float:
     """Multinomial kernel: sum_i counts[i] * ln p(i)."""
     counts = np.asarray(counts, dtype=float)
-    if counts.size != profile.r:
+    if counts.size != profile.probs.size:
         raise ValueError("counts length must equal the number of states")
     return float(counts @ np.log(profile.probs))
 
@@ -326,7 +326,7 @@ def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
     report = validate_chain(T)
     if not (report.irreducible and report.aperiodic):
         raise ValueError(f"chain is not irreducible+aperiodic: {report}")
-    r = T.r
+    r = T.graph.r
     A = T.matrix.T - np.eye(r)
     A[-1, :] = 1.0
     b = np.zeros(r)

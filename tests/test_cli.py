@@ -167,6 +167,31 @@ def test_lemma_csv_bytes_pinned(tmp_path):
     )
 
 
+def test_lemma_counts_an_n_where_no_crowd_forms(tmp_path):
+    # at seed 14 the one trial at n = 10 draws nobody within eps of user 1:
+    # the battery counts it and writes no median instead of failing
+    out = tmp_path / "lemma.csv"
+    code = main(
+        [
+            "lemma",
+            "--alpha", "0.5",
+            "--theta", "0.05",
+            "--phi", "0.1",
+            "--m-grid", "100",
+            "--n-grid", "10",
+            "--trials", "1",
+            "--seed", "14",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    weight_rows = [line.split(",") for line in lines if ",weight_" in line]
+    assert [(row[2], row[6], float(row[7])) for row in weight_rows] == [
+        ("10", "weight_degenerate_count", 1.0)
+    ]
+
+
 def test_lemma_rejects_bad_exponents(tmp_path, capsys):
     code = main(
         [

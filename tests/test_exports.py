@@ -5,11 +5,14 @@ A stale entry in ``__all__`` fails only when someone imports it (or on
 annotations of every exported function and class. Every exported function
 must also be reached from the library or the benchmark, and so must every
 public method and property of an exported class, so test-only references
-live in ``tests/helpers.py`` instead.
+live in ``tests/helpers.py`` instead. Likewise every defaulted parameter
+of those functions and methods must be passed somewhere in the library or
+the benchmark, so no option is set only by the tests.
 """
 import ast
 import glob
 import inspect
+import math
 import os
 import typing
 
@@ -132,6 +135,69 @@ def test_exported_class_members_are_reached_from_src_or_bench():
         referenced |= _references(tree)
     unreached = sorted(m for m in members if m.split(".")[1] not in referenced)
     assert unreached == [], "class members only the tests reach"
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple]:
+    """(qualified name, def name, position, parameter) for each parameter
+    with a default of an exported function or of a public method of an
+    exported class. The position counts the arguments a call passes (so a
+    method's ``self`` is skipped) and is None for a keyword-only one."""
+    exported = _exported_names(tree)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            defs.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    static = any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in member.decorator_list
+                    )
+                    defs.append((f"{node.name}.{member.name}", member, 0 if static else 1))
+    found = []
+    for qualname, func, bound in defs:
+        positional = func.args.posonlyargs + func.args.args
+        first = len(positional) - len(func.args.defaults)
+        for index in range(first, len(positional)):
+            found.append((qualname, func.name, index - bound, positional[index].arg))
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                found.append((qualname, func.name, None, arg.arg))
+    return found
+
+
+def test_defaulted_parameters_are_passed_from_src_or_bench():
+    # A default that only the tests override is a test-only option: the
+    # library and the benchmark always run the default.
+    params, calls = [], []
+    for _, tree, in_library in _src_and_bench_trees():
+        if in_library:
+            params += _defaulted_parameters(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                splat = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.append((name, math.inf if splat else len(node.args), keywords))
+
+    def passed(name, position, parameter):
+        return any(
+            callee == name
+            and (
+                (position is not None and n_positional > position)
+                or parameter in keywords
+                or None in keywords  # a **mapping may pass anything
+            )
+            for callee, n_positional, keywords in calls
+        )
+
+    unpassed = sorted(
+        f"{qualname}({parameter})"
+        for qualname, name, position, parameter in params
+        if not passed(name, position, parameter)
+    )
+    assert unpassed == [], "defaults only the tests override"
 
 
 def _library_calls(names) -> list[tuple]:

@@ -422,7 +422,6 @@ def test_lemma_error_names_the_failing_check(monkeypatch):
             n_grid=[3],
             trials=12,
             seed=12,
-            delta_samples=10,
         )
     assert type(info.value) is ValueError
     assert str(info.value) == (
@@ -509,7 +508,7 @@ def test_ingest_traces_three_user_example(tmp_path):
     path = tmp_path / "traces.csv"
     path.write_text(THREE_USER_TRACES)
     dataset, pop = ingest_traces(str(path), "iid")
-    assert dataset.n == 3
+    assert len(dataset.user_ids) == 3
     assert pop.model == IidModel(5)
     counts = [np.bincount(t, minlength=5).tolist() for t in dataset.trajectories]
     assert counts == [
@@ -765,7 +764,6 @@ def test_lemma_battery_rows():
         n_grid=[3, 4],
         trials=5,
         seed=11,
-        delta_samples=500,
     )
     metrics = {r.metric for r in rows}
     assert {
@@ -795,7 +793,6 @@ def test_lemma_battery_rows():
         n_grid=[3, 4],
         trials=5,
         seed=11,
-        delta_samples=500,
     )
     assert rows == again
     with pytest.raises(ConfigError):
@@ -807,15 +804,32 @@ def test_sweep_and_lemma_agree_on_a_lone_user():
     # in both the sweep's weights metric and the lemma battery's check
     rows = run_sweep(make_config(n_grid=[1], trials=3, metrics=["weights"]))
     sweep = {r.metric: r.value for r in rows if r.trial == -1}
-    lemma_rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [1], 3, 5, delta_samples=10)
+    lemma_rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [1], 3, 5)
     lemma = {r.metric: r.value for r in lemma_rows if r.n == 1}
     assert sweep["weight_max_dev"] == lemma["weight_max_dev_median"] == 0.0
     assert sweep["weight_degenerate_count"] == lemma["weight_degenerate_count"] == 0.0
 
 
+def test_sweep_and_lemma_agree_when_no_crowd_forms():
+    # both entry points count a trial without a crowd as degenerate and
+    # leave the median row out when no trial formed one
+    schedule = {"c": 1.0, "beta": 10.0}
+    rows = run_sweep(
+        make_config(n_grid=[2], schedule=schedule, trials=3, metrics=["weights"])
+    )
+    assert [(r.trial, r.metric, r.value) for r in rows] == [
+        (-1, "weight_degenerate_count", 3.0)
+    ]
+    lemma_rows = run_lemma_battery(0.5, 0.05, 0.1, [100], [10], 1, 14)
+    weight_rows = [r for r in lemma_rows if r.metric.startswith("weight")]
+    assert [(r.n, r.metric, r.value) for r in weight_rows] == [
+        (10, "weight_degenerate_count", 1.0)
+    ]
+
+
 def test_lemma_skips_weights_above_posterior_bound():
     n_big = PERMANENT_FEASIBILITY_BOUND + 1
-    rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [n_big], 1, 3, delta_samples=10)
+    rows = run_lemma_battery(1.0, 0.05, 0.1, [100], [n_big], 1, 3)
     weight_rows = [r for r in rows if r.metric.startswith("weight")]
     assert [(r.n, r.metric, r.value) for r in weight_rows] == [
         (n_big, "weight_skipped", 1.0)
@@ -849,7 +863,6 @@ def test_lemma_weight_rows_pinned():
         n_grid=[2, 3, 6],
         trials=12,
         seed=12,
-        delta_samples=100,
     )
     got = [
         (r.n, r.m, r.metric, r.value)

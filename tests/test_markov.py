@@ -255,7 +255,7 @@ def test_stationary_agrees_with_power_iteration():
         if not (rep.irreducible and rep.aperiodic):
             continue
         pi = stationary_distribution(T)
-        mu = np.full(T.r, 1.0 / T.r)
+        mu = np.full(g.r, 1.0 / g.r)
         for _ in range(20000):
             mu = mu @ T.matrix
         assert np.abs(pi - mu).max() < 1e-9

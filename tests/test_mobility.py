@@ -16,7 +16,7 @@ from locpriv.mobility import _dirichlet
 
 def test_profile_validation():
     p = IidProfile([0.3, 0.7])
-    assert p.r == 2
+    assert p.probs.size == 2
     with pytest.raises(ValueError):
         IidProfile([0.0, 1.0])
     with pytest.raises(ValueError):
