@@ -230,9 +230,16 @@ def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
     the columns, where row i moving from sigma(i) to j is an edge
     sigma(i) -> j of weight Lf[i, sigma(i)] - Lf[i, j]. Bellman-Ford
     potentials make every weight nonnegative (no cycle is negative, since
-    sigma is optimal). A cycle's loss is the float sum of its reduced
-    weights, never below any one of them, so every edge on a cycle of loss
-    at most 2 tol is tight, its reduced weight at most 2 tol
+    sigma is optimal). The argument below needs only p_j <= p_sigma(i) +
+    W[i, j] on every edge, which any fixed point of the relaxation
+    satisfies, whatever finite start it grew from (within n rounds, as from
+    a virtual source). Minus the column duals of an optimal LP dual are
+    already a fixed point; the relaxation starts from minus each column's
+    best cell, the column part of the feasible dual (0, max_i Lf[i, j]),
+    finite in every column once sigma is feasible, and typically settles in
+    far fewer rounds than from zero. A cycle's loss is the float sum of its
+    reduced weights, never below any one of them, so every edge on a cycle
+    of loss at most 2 tol is tight, its reduced weight at most 2 tol
     (complementary slackness; Burkard, Dell'Amico & Martello, Assignment
     Problems, SIAM 2009).
     A cell (u, j) is near when it is tight and tight edges lead back from
@@ -242,7 +249,7 @@ def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
     n = sigma.size
     own = Lf[np.arange(n), sigma]
     W = np.where(Lf > _SENTINEL_CUTOFF, own[:, None] - Lf, np.inf)
-    p = np.zeros(n)
+    p = -Lf.max(axis=0)
     for _ in range(n):
         q = np.minimum(p, (p[sigma][:, None] + W).min(axis=0))
         if not (q < p).any():
@@ -287,8 +294,8 @@ def map_assignment(L: np.ndarray) -> Permutation:
     n = L.shape[0]
     if L.shape != (n, n) or n < 1:
         raise ValueError("likelihood matrix must be square and nonempty")
-    if np.isnan(L).any():
-        raise ValueError("likelihood matrix contains NaN")
+    if not (L < np.inf).all():
+        raise ValueError("likelihood matrix contains NaN or +inf")
     Lf = np.where(np.isfinite(L), L, _NEG_SENTINEL)
     rows, cols = linear_sum_assignment(Lf, maximize=True)
     if np.any(Lf[rows, cols] <= _SENTINEL_CUTOFF):
@@ -402,8 +409,8 @@ def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
         raise ValueError(
             f"posterior limited to n <= {PERMANENT_FEASIBILITY_BOUND} (got n = {n})"
         )
-    if np.isnan(L).any():
-        raise ValueError("likelihood matrix contains NaN")
+    if not (L < np.inf).all():
+        raise ValueError("likelihood matrix contains NaN or +inf")
     B = _balance(L)
     minors = _glynn_row0_minors(B)
     lowest, highest = float(minors.min()), float(minors.max())

@@ -70,13 +70,15 @@ def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def anonymize(trajectories: Sequence[np.ndarray], perm: Permutation) -> np.ndarray:
-    """The read-only (m, n) observation matrix: column forward[u] holds
-    user u's trajectory."""
+    """The read-only, C-contiguous (m, n) observation matrix: column
+    forward[u] holds user u's trajectory. One row gather of the stacked
+    (n, m) trajectories by perm.inverse, then one transposing copy; the
+    dtype is the trajectories'."""
     if len(trajectories) != perm.n:
         raise ValueError("permutation size must match the number of users")
     if len({len(t) for t in trajectories}) != 1:
         raise ValueError("all trajectories must have the same length")
-    Y = np.stack(trajectories, axis=1)[:, perm.inverse]
+    Y = np.array(trajectories)[perm.inverse].T.copy()
     Y.flags.writeable = False
     return Y
 

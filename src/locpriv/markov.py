@@ -169,11 +169,14 @@ class TransitionMatrix:
 
     Rows sum to 1 within 1e-12 and positive entries stay inside E;
     the chain need not be irreducible or aperiodic (fitted matrices may
-    leave some edges of E unused).
+    leave some edges of E unused). ``cdf`` is the read-only walk table:
+    each row's cumulative sum with its last entry set to exactly 1, built
+    once here rather than on every ``sample_trajectory_markov`` call.
     """
 
     matrix: np.ndarray
     graph: MobilityGraph
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
@@ -186,7 +189,11 @@ class TransitionMatrix:
             raise ValueError("rows must sum to 1 within 1e-12")
         if np.any((matrix > 0.0) & ~self.graph.support_mask()):
             raise ValueError("positive entry outside the graph's edge set")
+        cdf = np.cumsum(matrix, axis=1)
+        cdf[:, -1] = 1.0
+        cdf.flags.writeable = False
         object.__setattr__(self, "matrix", _readonly(matrix))
+        object.__setattr__(self, "cdf", cdf)
 
 
 def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
@@ -228,23 +235,25 @@ def sample_trajectory_markov(
 ) -> np.ndarray:
     """Length-m read-only int64 walk from state 0 (label 1 in external files).
 
-    Step t inverts the current state's CDF at the uniform draw u[t-1].
-    The successor of every state is tabulated for every draw up front
-    (one vectorized search per state, r * (m-1) entries), so the walk
-    itself is a chain of list lookups.
+    Step t inverts the current state's CDF (the law's ``cdf`` table) at
+    the uniform draw u[t-1]. The successor of every state is tabulated for
+    every draw up front (one vectorized search per state, r * (m-1)
+    entries), so the walk itself is a chain of list lookups, read into the
+    array without an intermediate copy.
     """
     if m < 1:
         raise ValueError("Markov trajectories need at least one observation")
-    cdf = np.cumsum(T.matrix, axis=1)
-    cdf[:, -1] = 1.0
     u = rng.random(m - 1)
-    nxt = [np.searchsorted(row, u, side="right").tolist() for row in cdf]
+    nxt = [np.searchsorted(row, u, side="right").tolist() for row in T.cdf]
     walk = [0]
+    append = walk.append
     cur = 0
     for t in range(m - 1):
         cur = nxt[cur][t]
-        walk.append(cur)
-    return _readonly(walk, np.int64)
+        append(cur)
+    walk = np.fromiter(walk, np.int64, m)
+    walk.flags.writeable = False
+    return walk
 
 
 def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.ndarray:

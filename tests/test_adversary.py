@@ -27,7 +27,7 @@ from locpriv.adversary import (
     transition_stats,
 )
 from locpriv.anonymization import anonymize, sample_permutation
-from locpriv.markov import MobilityGraph, expand_free_params
+from locpriv.markov import MobilityGraph, TransitionMatrix, expand_free_params
 from locpriv.mobility import (
     IidProfile,
     ProfileDensity,
@@ -287,6 +287,49 @@ def test_near_ties_contain_every_cell_of_small_exact_loss():
                 map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
             )
     assert planted >= 300
+
+
+def _sparse_three_state_law(rng):
+    """A law on THREE_STATE that may put zero mass on some edges, so walks
+    of other users can hit -inf cells."""
+    matrix = np.zeros((3, 3))
+    for i in range(3):
+        targets = [j for a, j in THREE_STATE.edges if a == i]
+        w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
+        w[int(rng.integers(len(targets)))] += 0.1
+        matrix[i, targets] = w / w.sum()
+    return TransitionMatrix(matrix=matrix, graph=THREE_STATE)
+
+
+def test_near_ties_contain_every_cell_of_small_exact_loss_at_audit_scale():
+    # Markov likelihood matrices at the audit's crowd sizes: forbidden
+    # transitions give -inf cells and equal transition counts exact ties
+    from locpriv.markov import sample_trajectory_markov
+
+    rng = np.random.default_rng(41)
+    checked = with_inf = with_ties = 0
+    for _ in range(60):
+        n = int(rng.integers(16, 41))
+        m = int(rng.integers(2, 25))
+        laws = [_sparse_three_state_law(rng) for _ in range(n)]
+        Y = anonymize(
+            [sample_trajectory_markov(T, m, rng) for T in laws],
+            sample_permutation(n, rng),
+        )
+        L = likelihood_matrix_markov(laws, transition_stats(Y, 3))
+        Lf = np.where(np.isfinite(L), L, adversary._NEG_SENTINEL)
+        _, sigma = adversary.linear_sum_assignment(Lf, maximize=True)
+        if np.any(Lf[np.arange(n), sigma] <= adversary._SENTINEL_CUTOFF):
+            continue
+        tol = 1e-9 * max(1.0, float(np.abs(L[np.isfinite(L)]).max()))
+        exact = tie_loss(Lf, sigma) <= 2 * tol
+        near = adversary._near_ties(Lf, sigma, tol)
+        assert near.dtype == bool and not (exact & ~near).any()
+        assert near[np.arange(n), sigma].all()
+        checked += 1
+        with_inf += bool(np.isneginf(L).any())
+        with_ties += np.unique(Y, axis=1).shape[1] < n
+    assert checked >= 40 and with_inf >= 20 and with_ties >= 20
 
 
 def test_likelihood_matrix_iid_takes_one_log_of_the_stacked_laws():
@@ -587,8 +630,9 @@ def test_posterior_with_column_classes_property(case):
         (np.zeros((2, 3)), "square"),
         (np.zeros((0, 0)), "square"),
         (np.array([[0.0, np.nan], [0.0, 0.0]]), "NaN"),
+        (np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), r"\+inf"),
     ],
-    ids=["2x3", "empty", "nan"],
+    ids=["2x3", "empty", "nan", "inf"],
 )
 def test_attacks_reject_malformed_likelihoods(attack, L, message):
     with pytest.raises(ValueError, match=message):

@@ -76,6 +76,20 @@ def test_anonymize_identity_and_recovery():
         assert np.array_equal(Y[:, perm.forward[u]], t)
 
 
+def test_anonymize_matches_stacked_column_gather():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(1, 71))
+        m = int(rng.choice([0, 1, 5, 147, 400]))
+        dtype = rng.choice([np.int64, np.int32])
+        trajs = [rng.integers(0, 5, size=m).astype(dtype) for _ in range(n)]
+        perm = sample_permutation(n, rng)
+        Y = anonymize(trajs, perm)
+        expected = np.stack(trajs, axis=1)[:, perm.inverse]
+        assert Y.dtype == expected.dtype and np.array_equal(Y, expected)
+        assert Y.flags.c_contiguous and not Y.flags.writeable
+
+
 def test_anonymize_rejects_mismatches():
     t4 = np.array([0, 1, 0, 1])
     t3 = np.array([0, 1, 0])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -292,9 +294,28 @@ def test_sample_trajectory_matches_stepwise_walk():
             matrix[i, targets] = w / w.sum()
         T = TransitionMatrix(matrix=matrix, graph=g)
         m = 1 if seed % 10 == 0 else int(rng.integers(2, 300))
-        got = sample_trajectory_markov(T, m, np.random.default_rng(seed))
-        want = sample_trajectory_markov_stepwise(T, m, np.random.default_rng(seed))
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_trajectory_markov(T, m, rng_got)
+        want = sample_trajectory_markov_stepwise(T, m, rng_want)
         assert got.tolist() == want.tolist()
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_transition_matrix_keeps_its_walk_table():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        g = random_graph(rng, int(rng.integers(1, 7)))
+        T = expand_free_params(sample_free_params(g, rng), g)
+        expected = np.cumsum(T.matrix, axis=1)
+        expected[:, -1] = 1.0
+        assert np.array_equal(T.cdf, expected)
+        assert not T.cdf.flags.writeable
+        with pytest.raises(ValueError):
+            T.cdf[0, 0] = 0.5
+    assert "cdf" not in repr(T)
+    other = copy.copy(T)  # shares matrix and graph; only its cdf differs
+    object.__setattr__(other, "cdf", np.zeros_like(T.cdf))
+    assert T == other
 
 
 def test_sample_trajectory_transition_frequencies():
