@@ -62,6 +62,9 @@ _TABLE_BITS = 11
 # tuples occur.
 _TABLE_CACHE = 16
 
+# Sinkhorn sweeps _balance may take before it reports non-convergence.
+_SINKHORN_SWEEPS = 100
+
 # Per-user relative size a negative minor may reach before posterior_pi1
 # reports cancellation instead of reading it as a rounded zero.
 _CANCELLATION_TOL = 1e-12
@@ -221,30 +224,16 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     return (out / (1, *sizes)).take(owner) / 2.0 ** (n - 1)
 
 
-def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
-    """near[u, j]: a screen that keeps every cell whose exact loss (how
-    far the best permutation that matches u to j falls below the optimum
-    sigma) is at most 2 tol, and may keep a few more.
-
-    Any permutation differs from sigma by disjoint alternating cycles on
-    the columns, where row i moving from sigma(i) to j is an edge
-    sigma(i) -> j of weight Lf[i, sigma(i)] - Lf[i, j]. Bellman-Ford
-    potentials make every weight nonnegative (no cycle is negative, since
-    sigma is optimal). The argument below needs only p_j <= p_sigma(i) +
-    W[i, j] on every edge, which any fixed point of the relaxation
-    satisfies, whatever finite start it grew from (within n rounds, as from
-    a virtual source). Minus the column duals of an optimal LP dual are
-    already a fixed point; the relaxation starts from minus each column's
-    best cell, the column part of the feasible dual (0, max_i Lf[i, j]),
-    finite in every column once sigma is feasible, and typically settles in
-    far fewer rounds than from zero. A cycle's loss is the float sum of its
-    reduced weights, never below any one of them, so every edge on a cycle
-    of loss at most 2 tol is tight, its reduced weight at most 2 tol
-    (complementary slackness; Burkard, Dell'Amico & Martello, Assignment
-    Problems, SIAM 2009).
-    A cell (u, j) is near when it is tight and tight edges lead back from
-    j to sigma(u): the transitive closure of the tight column graph, by
-    repeated boolean squaring, replaces shortest paths over all edges.
+def _reduced_costs(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Reduced costs rc[i, j] = W[i, j] + p_sigma(i) - p_j >= 0 (up to
+    rounding) of the optimal assignment sigma: 0 on sigma, +inf on sentinel
+    cells, and L - rc a row plus a column constant (LP duals; Burkard,
+    Dell'Amico & Martello, Assignment Problems, SIAM 2009). Row i moving
+    from sigma(i) to j is an edge sigma(i) -> j of weight W[i, j] =
+    Lf[i, sigma(i)] - Lf[i, j]. No cycle is negative, sigma being optimal,
+    so Bellman-Ford reaches p_j <= p_sigma(i) + W[i, j] within n rounds from
+    any finite start; it starts from the column part of the feasible dual
+    (0, max_i Lf[i, j]) and typically settles in far fewer.
     """
     n = sigma.size
     own = Lf[np.arange(n), sigma]
@@ -255,8 +244,19 @@ def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
         if not (q < p).any():
             break
         p = q
-    rc = np.maximum(W + p[sigma][:, None] - p[None, :], 0.0)
-    tight = rc <= 2 * tol
+    return W + p[sigma][:, None] - p[None, :]
+
+
+def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
+    """near[u, j]: keeps every cell whose exact loss (how far the best
+    permutation matching u to j falls below sigma) is at most 2 tol, and
+    may keep a few more. It leaves sigma by cycles of edges (see
+    _reduced_costs) whose loss sums their nonnegative reduced costs, so
+    every edge of a cycle of loss at most 2 tol is tight, rc <= 2 tol:
+    (u, j) is near when tight and tight edges lead back from j to sigma(u).
+    """
+    n = sigma.size
+    tight = _reduced_costs(Lf, sigma) <= 2 * tol
     reach = np.empty((n, n))
     reach[sigma] = tight  # rc is 0 on sigma: every column reaches itself
     edges = np.count_nonzero(reach)
@@ -267,6 +267,22 @@ def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
             break
         edges = grown
     return tight & (reach[:, sigma].T > 0)
+
+
+def _optimal_assignment(L) -> tuple[np.ndarray, np.ndarray]:
+    """The validated likelihood matrix with -inf cells at the solver's
+    sentinel, and one optimal assignment sigma (a column per row)."""
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    if L.shape != (n, n) or n < 1:
+        raise ValueError("likelihood matrix must be square and nonempty")
+    if not (L < np.inf).all():
+        raise ValueError("likelihood matrix contains NaN or +inf")
+    Lf = np.where(np.isfinite(L), L, _NEG_SENTINEL)
+    rows, cols = linear_sum_assignment(Lf, maximize=True)
+    if np.any(Lf[rows, cols] <= _SENTINEL_CUTOFF):
+        raise ValueError("no feasible permutation: every matching hits -inf")
+    return Lf, cols
 
 
 def map_assignment(L: np.ndarray) -> Permutation:
@@ -290,17 +306,9 @@ def map_assignment(L: np.ndarray) -> Permutation:
     ms at n = 64 / 128 / 256 on iid2 sweep-like inputs and 1.0 / 3.3 / 18
     ms on random normal ones.
     """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    if L.shape != (n, n) or n < 1:
-        raise ValueError("likelihood matrix must be square and nonempty")
-    if not (L < np.inf).all():
-        raise ValueError("likelihood matrix contains NaN or +inf")
-    Lf = np.where(np.isfinite(L), L, _NEG_SENTINEL)
-    rows, cols = linear_sum_assignment(Lf, maximize=True)
-    if np.any(Lf[rows, cols] <= _SENTINEL_CUTOFF):
-        raise ValueError("no feasible permutation: every matching hits -inf")
-    best = float(Lf[rows, cols].sum())
+    Lf, cols = _optimal_assignment(L)
+    n = cols.size
+    best = float(Lf[np.arange(n), cols].sum())
     finite = Lf[Lf > _SENTINEL_CUTOFF]
     tol = 1e-9 * max(1.0, float(np.abs(finite).max()) if finite.size else 1.0)
     near = _near_ties(Lf, cols, tol)
@@ -358,60 +366,51 @@ def map_assignment(L: np.ndarray) -> Permutation:
     return Permutation.from_forward(forward)
 
 
-def _balance(L: np.ndarray) -> np.ndarray:
-    """exp(L) rescaled by per-row and per-column factors toward a doubly
-    stochastic matrix (Sinkhorn iterations in the scaled domain).
+def _balance(B: np.ndarray) -> np.ndarray:
+    """B rescaled in place by row and column factors toward a doubly
+    stochastic matrix (Sinkhorn & Knopp 1967, Pacific J. Math. 21).
 
-    Every permutation picks each row and column exactly once, so such
-    scalings multiply all permutation weights by one common factor and
-    cancel in posterior ratios: the balancing need not be exact. It only
-    keeps the numbers in range. The permanent of a doubly stochastic
-    matrix is at least n!/n^n, so the minors cannot underflow, whereas
-    plain row-max factoring can collapse to zero when several users'
-    best-matching pseudonyms collide; and Glynn's signed sums cancel
-    little once every row and column sums to about 1. The iterations
-    stop when every row and column sum is within 0.1 of 1 (at most 100).
+    Such scalings multiply every permutation's weight by one factor, so
+    the balancing need not be exact: Glynn's signed sums cancel little once
+    every row and column sums to within 0.1 of 1, where it stops. Near the
+    edge of total support it slows down; past _SINKHORN_SWEEPS sweeps it
+    raises ValueError rather than hand unbalanced minors on.
     """
-    row_max = L.max(axis=1)
-    if not np.all(np.isfinite(row_max)):
-        raise ValueError("a user matches no pseudonym: all-(-inf) row")
-    B = np.exp(L - row_max[:, None])
-    for _ in range(100):
+    for _ in range(_SINKHORN_SWEEPS):
         rs = B.sum(axis=1)
-        if not rs.min() > 0.0:
-            raise ValueError("degenerate posterior: a user's weights vanished")
         B /= rs[:, None]
         cs = B.sum(axis=0)
-        if not cs.min() > 0.0:
-            raise ValueError("degenerate posterior: a pseudonym's weights vanished")
         B /= cs[None, :]
-        if np.abs(cs - 1.0).max() < 0.1 and np.abs(rs - 1.0).max() < 0.1:
-            break
-    return B
+        row_err, col_err = np.abs(rs - 1.0), np.abs(cs - 1.0)
+        if row_err.max() < 0.1 and col_err.max() < 0.1:
+            return B
+    raise ValueError(
+        f"Sinkhorn balancing did not converge in {_SINKHORN_SWEEPS} sweeps: "
+        f"worst row sum {rs[row_err.argmax()]:.4g}, "
+        f"worst column sum {cs[col_err.argmax()]:.4g}"
+    )
 
 
 def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
     """Exact posterior over user 1's pseudonym.
 
     W_j is proportional to exp(L[0, j]) times the permanent of exp(L)
-    with row 0 and column j struck out. The computation runs on the
-    Sinkhorn-balanced matrix (see _balance); the balancing factors are
-    identical across j and cancel in the normalization. The minors come
-    from Glynn's signed sum, so rounding can leave a zero minor slightly
-    negative: a minor down to -(n * 1e-12) times the largest one is set
-    to 0, and a more negative one raises ValueError (cancellation).
+    with row 0 and column j struck out. It runs on B = exp(-rc), rc the
+    reduced costs of an optimal assignment (see _reduced_costs): exp(L)
+    scaled by row and column factors, every entry at most 1 and the
+    assignment's exactly 1, so perm(B) >= 1 and nothing vanishes however
+    concentrated the posterior. B is then balanced (see _balance); all the
+    factors cancel in the normalization. Glynn's signed sum can leave a
+    zero minor slightly negative: down to -(n * 1e-12) times the largest
+    minor it is set to 0, and below that ValueError reports cancellation.
     """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    if L.shape != (n, n) or n < 1:
-        raise ValueError("likelihood matrix must be square and nonempty")
+    Lf, sigma = _optimal_assignment(L)
+    n = sigma.size
     if n > PERMANENT_FEASIBILITY_BOUND:
         raise ValueError(
             f"posterior limited to n <= {PERMANENT_FEASIBILITY_BOUND} (got n = {n})"
         )
-    if not (L < np.inf).all():
-        raise ValueError("likelihood matrix contains NaN or +inf")
-    B = _balance(L)
+    B = _balance(np.exp(-_reduced_costs(Lf, sigma)))
     minors = _glynn_row0_minors(B)
     lowest, highest = float(minors.min()), float(minors.max())
     if lowest < -n * _CANCELLATION_TOL * max(highest, 0.0):
@@ -421,10 +420,7 @@ def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
             f"times the largest (tolerance -{n * _CANCELLATION_TOL:.3g})"
         )
     w = B[0] * np.maximum(minors, 0.0)
-    total = float(w.sum())
-    if not (total > 0.0) or not np.isfinite(total):
-        raise ValueError("degenerate posterior: permanent vanished or overflowed")
-    w = w / total
+    w = w / float(w.sum())
     w = w / w.sum()
     return AssignmentPosterior(
         weights=w, normalization_residual=abs(float(w.sum()) - 1.0)

@@ -633,7 +633,11 @@ def audit(
         tau = threshold_exponent(model)
     except ValueError as exc:  # markov with d = 0
         raise ConfigError(str(exc)) from exc
-    m_star = int(math.floor(float(n_effective) ** (tau - alpha_margin) + 0.5))
+    exponent = tau - alpha_margin
+    try:
+        m_star = int(math.floor(float(n_effective) ** exponent + 0.5))
+    except OverflowError:
+        raise ConfigError(f"n_effective ** {exponent:g} overflows a float") from None
 
     lengths = [len(t) for t in dataset.trajectories]
     m_used = min(lengths)

@@ -28,7 +28,9 @@ from locpriv.adversary import (
 )
 from locpriv.anonymization import anonymize, sample_permutation
 from locpriv.markov import MobilityGraph, TransitionMatrix, expand_free_params
+from locpriv.metrics import simulate_attack_trial
 from locpriv.mobility import (
+    IidModel,
     IidProfile,
     ProfileDensity,
     sample_profile,
@@ -466,27 +468,28 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
 
 
 def test_posterior_weights_pinned_n16():
-    # Frozen when the minors began summing over classes of identical
-    # columns: the weights must replay bit for bit. Pseudonyms 5 and 8,
+    # Re-frozen when the balance began from the assignment's LP duals
+    # (every weight within 4e-16 of the subset DP): the weights must replay
+    # bit for bit. Pseudonyms 5 and 8,
     # and 6 and 7, have equal statistics and so equal weights.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
     assert posterior_pi1(L).weights.tolist() == [
-        0.30222064295498513,
-        0.09370479475454027,
-        4.215547685475795e-08,
+        0.3022206429549857,
+        0.09370479475454026,
+        4.215547685475755e-08,
         0.013766468863780865,
-        0.519692084559089,
-        5.569785607031399e-11,
-        0.00017306805417430365,
-        0.00017306805417430365,
-        5.569785607031399e-11,
-        0.0007520955122956111,
-        0.0024870875168684034,
-        0.023833407093712074,
-        6.061102335873016e-05,
-        0.04313653516633128,
-        3.163813380925198e-09,
-        9.101600402969952e-08,
+        0.5196920845590886,
+        5.569785607031358e-11,
+        0.00017306805417430368,
+        0.00017306805417430368,
+        5.569785607031358e-11,
+        0.0007520955122956095,
+        0.002487087516868404,
+        0.023833407093712098,
+        6.061102335873008e-05,
+        0.043136535166331265,
+        3.163813380925179e-09,
+        9.101600402970141e-08,
     ]
 
 
@@ -554,6 +557,37 @@ def test_posterior_zeroes_rounded_minors(monkeypatch):
     _cancelled_minors(monkeypatch, [1.0, 0.5, -1e-12])
     weights = posterior_pi1(np.zeros((3, 3))).weights
     assert weights.tolist() == [2 / 3, 1 / 3, 0.0]
+
+
+def test_posterior_concentrated_matches_bruteforce():
+    # Above the paper's threshold (iid2, n = 8, m = 8^3.5 = 1,448) the
+    # posterior concentrates on one pseudonym or two. Balancing from the
+    # row maxima stalled on such matrices: most of these trials raised,
+    # and some returned weights off by up to 1 without raising.
+    model = IidModel(2)
+    density = ProfileDensity("uniform-simplex", 2)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        profiles = [sample_profile(density, rng) for _ in range(8)]
+        L = simulate_attack_trial(model, profiles, 1448, rng).L
+        w = posterior_pi1(L).weights
+        assert np.abs(w - posterior_pi1_bruteforce(L).weights).max() <= 1e-12
+
+
+def test_posterior_reports_sinkhorn_non_convergence(monkeypatch):
+    # An upper-triangular support admits one permutation, the identity,
+    # and lacks total support, so Sinkhorn converges slowly: 56 sweeps to
+    # bring every sum within 0.1 of 1 at n = 20.
+    n = 20
+    L = np.where(np.triu(np.ones((n, n))) > 0, 0.0, -np.inf)
+    assert posterior_pi1(L).weights[0] >= 1.0 - 1e-12
+    monkeypatch.setattr(adversary, "_SINKHORN_SWEEPS", 55)
+    with pytest.raises(
+        ValueError,
+        match=r"did not converge in 55 sweeps: worst row sum 1\.1\d*, "
+        r"worst column sum 1\.1\d*$",
+    ):
+        posterior_pi1(L)
 
 
 @st.composite
@@ -631,8 +665,10 @@ def test_posterior_with_column_classes_property(case):
         (np.zeros((0, 0)), "square"),
         (np.array([[0.0, np.nan], [0.0, 0.0]]), "NaN"),
         (np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), r"\+inf"),
+        (np.array([[-np.inf, -np.inf], [0.0, 0.0]]), "no feasible permutation"),
+        (np.array([[0.0, -np.inf], [0.0, -np.inf]]), "no feasible permutation"),
     ],
-    ids=["2x3", "empty", "nan", "inf"],
+    ids=["2x3", "empty", "nan", "inf", "row-infeasible", "column-infeasible"],
 )
 def test_attacks_reject_malformed_likelihoods(attack, L, message):
     with pytest.raises(ValueError, match=message):

@@ -163,7 +163,7 @@ def test_lemma_csv_bytes_pinned(tmp_path):
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 18
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ec5935a8b40ea8961a4abe970471dba524e5eb5f7ac327256714b75742d49a0f"
+        "a315a59528550fcd373b032c061c02c982e02147a41b3cc86c2dca853f5aa0cc"
     )
 
 
@@ -329,6 +329,20 @@ def test_audit_iid_rejects_graph(tmp_path, capsys):
     )
     assert code == 2
     assert "only meaningful for the markov model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [400, 300], ids=["n-beyond-float", "budget-beyond-float"])
+def test_audit_rejects_n_effective_whose_budget_is_not_finite(tmp_path, capsys, digits):
+    # two locations: tau = 2, so the budget is n_effective ** 1.5; 10^400
+    # is no float at all, and 10^300 is one whose budget is not
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,a\nu1,2,b\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "iid", "--n", "1" + "0" * digits,
+         "--alpha-margin", "0.5"]
+    )
+    assert code == 2
+    assert "config error: n_effective ** 1.5 overflows a float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("margin", ["nan", "inf"])

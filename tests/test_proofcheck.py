@@ -168,13 +168,14 @@ def test_weight_uniformity_basic_run():
 
 
 def test_weight_uniformity_pinned():
-    # Frozen before the flatness check moved onto the shared trial loop:
-    # its profile draws, crowds and attacks must replay bit for bit.
+    # Frozen before the flatness check moved onto the shared trial loop and
+    # re-frozen when the posterior's balance began from the LP duals: its
+    # profile draws, crowds and attacks must replay bit for bit.
     params = LemmaParams(0.5, 0.05, 0.1)
     res = weight_uniformity(params, 4, 30, 30, np.random.default_rng(33))
     assert res.degenerate_trials == 17
     assert hashlib.sha256(res.deviations.tobytes()).hexdigest() == (
-        "434b44a84fd78b90d97ff0e1fd3493288901c98f36d6efb5d0595612d958def6"
+        "815d9da9e0a4f8a23e71bdd112dd13a6bbdf1016e0d5f1a14796c8a2cfff91a5"
     )
 
 
