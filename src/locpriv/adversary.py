@@ -19,11 +19,14 @@ the likelihood matrix the adversary offers two attacks:
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .anonymization import Permutation
 
@@ -37,6 +40,44 @@ __all__ = [
     "transition_stats",
 ]
 
+
+def _load_assignment_solver():
+    """scipy's compiled linear_sum_assignment (shortest augmenting paths
+    after Crouse, IEEE TAES 52(4), 2016), loaded from its own extension
+    file. Importing scipy.optimize for it would load linalg, linprog and
+    the rest first, most of locpriv's start-up time and memory. The module
+    is registered under its scipy name, so a later import of scipy.optimize
+    reuses it and both names bind the same function. Where that file is
+    not found (scipy laid out otherwise), scipy.optimize is imported.
+    """
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")  # runs no scipy code
+        folders = scipy_spec.submodule_search_locations if scipy_spec else ()
+        paths = [
+            os.path.join(folder, "optimize", "_lsap" + suffix)
+            for folder in folders
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_assignment_solver()
+
 # Stand-in for -inf cells handed to the assignment solver; any feasible
 # permutation beats any total containing one of these.
 _NEG_SENTINEL = -1e18
@@ -46,8 +87,8 @@ _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 # terms at O(n) each, mu running over the sizes of the classes of equal
 # columns among columns 1..n-1 (see _glynn_row0_minors): 2^(n-1) when
 # all columns differ, so each further distinct user doubles the time.
-# On a 2-vCPU Xeon n = 20 takes 9-11 ms on iid2 sweep inputs at
-# m = n^1.2 and about 20 ms when no two columns are equal.
+# On a 2-vCPU Xeon VM n = 20 takes 6-10 ms (median about 7) on iid2 sweep
+# inputs at m = n^1.2 and about 23 ms when no two columns are equal.
 PERMANENT_FEASIBILITY_BOUND = 20
 
 # _glynn_row0_minors tabulates the row sums of at most 2^_TABLE_BITS
@@ -302,9 +343,9 @@ def map_assignment(L: np.ndarray) -> Permutation:
     screen keeps although its loss exceeds 2 tol fails that test, so it
     costs a sub-assignment and never changes the answer. A row whose only
     screened column is the one it holds takes it without building a
-    candidate list. On a 2-vCPU Xeon VM one call takes about 1.5 / 7.5 / 43
-    ms at n = 64 / 128 / 256 on iid2 sweep-like inputs and 1.0 / 3.3 / 18
-    ms on random normal ones.
+    candidate list. On a 2-vCPU Xeon VM one untraced call takes about
+    1.3 / 8 / 28 ms at n = 64 / 128 / 256 on iid2 sweep-like inputs and
+    0.9 / 3.1 / 14 ms on random normal ones.
     """
     Lf, cols = _optimal_assignment(L)
     n = cols.size

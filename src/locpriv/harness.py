@@ -520,6 +520,8 @@ def ingest_traces(
         raise ConfigError("r is only meaningful for the iid model")
     if model_kind == "iid" and graph is not None:
         raise ConfigError("a graph is only meaningful for the markov model")
+    if r is not None:
+        _count(r, "r", 2)
     per_user: dict[str, list[str]] = {}  # user -> locations in time order
     last_time: dict[str, int] = {}
     try:
@@ -623,8 +625,15 @@ def audit(
     adversary knows the generating (fitted) profiles exactly, and an
     attack on the real traces themselves using the fitted profiles.
     """
-    if not 0 < alpha_margin < math.inf:
-        raise ConfigError("alpha_margin must be positive and finite")
+    try:
+        margin = _number(alpha_margin, "alpha_margin")
+    except ConfigError:
+        margin = math.nan  # "0.1", True, NaN and inf all fail the check below
+    if not margin > 0:
+        raise ConfigError(
+            f"alpha_margin must be positive and finite, got {alpha_margin!r}"
+        )
+    alpha_margin = margin
     _count(n_effective, "n_effective", 1)
     _count(trials, "trials", 1)
     check_seed(seed)

@@ -685,6 +685,15 @@ def test_ingest_traces_iid_rejects_graph():
         ingest_traces(path, "iid", graph=three_state_graph())
 
 
+@pytest.mark.parametrize("r", [6.5, 7.0, True], ids=["6.5", "7.0", "true"])
+def test_ingest_traces_rejects_r_that_is_not_a_count(r):
+    # the same rule parse_config applies: 7.0 is not a count, and true is
+    # not r = 1 (np.bincount once raised a bare TypeError on the floats)
+    path = os.path.join(CONFIGS, "demo_traces.csv")
+    with pytest.raises(ConfigError, match="r must be an integer >= 2"):
+        ingest_traces(path, "iid", r=r)
+
+
 def test_audit_iid_thresholds(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text(
@@ -751,6 +760,15 @@ def test_audit_rejects_bad_counts(kwargs):
     name = next(iter(kwargs))
     with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
         audit(dataset, pop, **args)
+
+
+@pytest.mark.parametrize("margin", [True, "0.1"], ids=["true", "str"])
+def test_audit_rejects_alpha_margin_that_is_not_a_number(margin):
+    # true is not a margin of 1.0, and "0.1" is a configuration error, not
+    # a bare TypeError from the comparison
+    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    with pytest.raises(ConfigError, match="alpha_margin must be positive and finite"):
+        audit(dataset, pop, n_effective=100, alpha_margin=margin, trials=2)
 
 
 def test_audit_truncates_unequal_lengths(tmp_path):
