@@ -8,7 +8,6 @@ byte. Sweeps run their trials serially on the calling thread.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
@@ -27,6 +26,7 @@ from .anonymization import (
 )
 from .markov import MarkovModel, MobilityGraph, load_graph_csv
 from .metrics import (
+    _naming,
     attack,
     deanonymization_accuracy,
     entropy,
@@ -135,16 +135,6 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-@contextlib.contextmanager
-def _naming(context: str):
-    """Re-raise a ValueError from the block as the same type, chained, with
-    the context (the trial and seed) appended, so it can be replayed."""
-    try:
-        yield
-    except ValueError as exc:
-        raise type(exc)(f"{exc} ({context})") from exc
 
 
 def _number(value, what: str) -> float:
@@ -328,9 +318,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -498,6 +488,42 @@ def _row_record(header: list[str], row: list[str]) -> dict:
     return record
 
 
+def _trace_locations(reader) -> dict[str, list[str]]:
+    """user -> locations in time order, from the rows of a trace file."""
+    per_user: dict[str, list[str]] = {}
+    last_time: dict[str, int] = {}
+    header = next(reader, None)
+    if header is None or [f.strip() for f in header] != [
+        "user_id",
+        "time",
+        "location",
+    ]:
+        raise ConfigError("trace file must have header 'user_id,time,location'")
+    for row in reader:
+        fields = row
+        if len(row) < 3:
+            if not row:  # blank line
+                continue
+            fields = row + [None] * (3 - len(row))
+        uid, stamp, loc = fields[0], fields[1], fields[2]
+        try:
+            t = int(stamp)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"non-integer time in row {_row_record(header, row)!r}"
+            ) from exc
+        if loc is None or loc == "":
+            raise ConfigError(f"missing location in row {_row_record(header, row)!r}")
+        if uid in last_time:
+            if t <= last_time[uid]:
+                raise ConfigError(f"times for user {uid!r} must be strictly increasing")
+            per_user[uid].append(loc)
+        else:
+            per_user[uid] = [loc]
+        last_time[uid] = t
+    return per_user
+
+
 def ingest_traces(
     path: str,
     model_kind: str,
@@ -507,10 +533,11 @@ def ingest_traces(
 ) -> tuple[TraceDataset, Population]:
     """Read `user_id,time,location` rows and fit add-one smoothed profiles.
 
-    Locations are arbitrary string labels mapped in first-seen order for
-    the iid model; for the markov model they must be the graph's 1-based
+    For the iid model locations are arbitrary string labels, numbered from
+    0 user by user: users in order of first appearance, each user's labels
+    in time order. For the markov model they must be the graph's 1-based
     integer state labels, and r is the graph's. Per-user times must be
-    strictly increasing in file order.
+    strictly increasing in file order. The file is read as UTF-8.
     """
     if model_kind not in ("iid", "markov"):
         raise ConfigError("model must be iid or markov")
@@ -522,47 +549,11 @@ def ingest_traces(
         raise ConfigError("a graph is only meaningful for the markov model")
     if r is not None:
         _count(r, "r", 2)
-    per_user: dict[str, list[str]] = {}  # user -> locations in time order
-    last_time: dict[str, int] = {}
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            per_user = _trace_locations(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read traces: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != [
-            "user_id",
-            "time",
-            "location",
-        ]:
-            raise ConfigError("trace file must have header 'user_id,time,location'")
-        for row in reader:
-            fields = row
-            if len(row) < 3:
-                if not row:  # blank line
-                    continue
-                fields = row + [None] * (3 - len(row))
-            uid, stamp, loc = fields[0], fields[1], fields[2]
-            try:
-                t = int(stamp)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"non-integer time in row {_row_record(header, row)!r}"
-                ) from exc
-            if loc is None or loc == "":
-                raise ConfigError(
-                    f"missing location in row {_row_record(header, row)!r}"
-                )
-            if uid in last_time:
-                if t <= last_time[uid]:
-                    raise ConfigError(
-                        f"times for user {uid!r} must be strictly increasing"
-                    )
-                per_user[uid].append(loc)
-            else:
-                per_user[uid] = [loc]
-            last_time[uid] = t
     if not per_user:
         raise ConfigError("trace file has no rows")
 
@@ -642,6 +633,11 @@ def audit(
         tau = threshold_exponent(model)
     except ValueError as exc:  # markov with d = 0
         raise ConfigError(str(exc)) from exc
+    if alpha_margin > tau:
+        raise ConfigError(
+            f"alpha_margin must not exceed the threshold exponent {tau:g}, "
+            f"got {alpha_margin!r}: the budget would fall below one observation"
+        )
     exponent = tau - alpha_margin
     try:
         m_star = int(math.floor(float(n_effective) ** exponent + 0.5))
@@ -714,6 +710,9 @@ def run_lemma_battery(
     check_seed(seed)
     for m in m_grid:
         _count(m, "m_grid entry", 1)
+        # section (c) draws visit counts up to m as int64
+        if m > np.iinfo(np.int64).max:
+            raise ConfigError(f"m_grid entry m={m} exceeds numpy's int64 range")
     for n in n_grid:
         _count(n, "n_grid entry", 1)
         # section (b) draws n probabilities per trial

@@ -33,12 +33,6 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 
 
-def _index_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column index arrays of a list of (i, j) edges."""
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return _readonly(pairs[:, 0]), _readonly(pairs[:, 1])
-
-
 @dataclass(frozen=True)
 class MobilityGraph:
     """Directed graph of permitted transitions plus the free-edge choice.
@@ -47,72 +41,54 @@ class MobilityGraph:
     subset carrying the free parameters (order inherited from ``edges``).
     If ``free_edges`` is None the canonical rule applies: in every row,
     all out-edges except the one with the lexicographically largest
-    target are free. ``free_counts[i]`` is the number of free out-edges
-    of state i.
+    target are free. ``support`` and ``free`` are the read-only (r, r)
+    bool masks of the two edge sets; ``support & ~free`` holds each
+    state's one dependent out-edge, and the masks' row-major order is
+    the order of ``edges`` and ``free_edges``.
     """
 
     r: int
     edges: tuple
     free_edges: tuple = None
-    free_counts: tuple = field(init=False, repr=False, compare=False)
-    _support: np.ndarray = field(init=False, repr=False, compare=False)
-    # (rows, columns) index arrays of free_edges and of the dependent edges
-    _free_index: tuple = field(init=False, repr=False, compare=False)
-    _dependent_index: tuple = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+    free: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError("graph needs at least one state")
         edges = sorted(set((int(i), int(j)) for i, j in self.edges))
+        support = np.zeros((self.r, self.r), dtype=bool)
         for i, j in edges:
             if not (0 <= i < self.r and 0 <= j < self.r):
                 raise ValueError(f"edge ({i},{j}) out of range for r={self.r}")
-        out = [[] for _ in range(self.r)]
-        for i, j in edges:
-            out[i].append(j)
-        for i, targets in enumerate(out):
-            if not targets:
+            support[i, j] = True
+        for i in range(self.r):
+            if not support[i].any():
                 raise ValueError(f"state {i} has no outgoing edge")
         if self.free_edges is None:
-            free = [(i, j) for i, targets in enumerate(out) for j in targets[:-1]]
+            free = support.copy()
+            for i in range(self.r):
+                free[i, np.flatnonzero(support[i])[-1]] = False
         else:
-            free = sorted(set((int(i), int(j)) for i, j in self.free_edges))
-            if not set(free) <= set(edges):
+            free_edges = set((int(i), int(j)) for i, j in self.free_edges)
+            if not free_edges <= set(edges):
                 raise ValueError("free edges must be a subset of the edge set")
-        counts = [0] * self.r
-        for i, _ in free:
-            counts[i] += 1
-        for i, targets in enumerate(out):
-            if counts[i] != len(targets) - 1:
+            free = np.zeros_like(support)
+            for i, j in free_edges:
+                free[i, j] = True
+        for i in range(self.r):
+            if free[i].sum() != support[i].sum() - 1:
                 raise ValueError(f"state {i} must have exactly one dependent out-edge")
-        free_set = set(free)
-        dependent = tuple(
-            next((i, j) for j in targets if (i, j) not in free_set)
-            for i, targets in enumerate(out)
-        )
-        support = np.zeros((self.r, self.r), dtype=bool)
-        for i, j in edges:
-            support[i, j] = True
         support.flags.writeable = False
-        object.__setattr__(self, "_free_index", _index_arrays(free))
-        object.__setattr__(self, "_dependent_index", _index_arrays(dependent))
+        free.flags.writeable = False
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "free_edges", tuple(free))
-        object.__setattr__(self, "free_counts", tuple(counts))
-        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "free_edges", tuple(e for e in edges if free[e]))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "free", free)
 
     @property
     def d(self) -> int:
         return len(self.edges) - self.r
-
-    def dependent_edge(self, i: int) -> tuple[int, int]:
-        """State i's one out-edge outside free_edges."""
-        rows, cols = self._dependent_index
-        return int(rows[i]), int(cols[i])
-
-    def support_mask(self) -> np.ndarray:
-        """Read-only (r, r) bool array, True on the edges of E."""
-        return self._support
 
 
 @dataclass(frozen=True)
@@ -187,7 +163,7 @@ class TransitionMatrix:
             raise ValueError("transition probabilities must be nonnegative")
         if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
             raise ValueError("rows must sum to 1 within 1e-12")
-        if np.any((matrix > 0.0) & ~self.graph.support_mask()):
+        if np.any((matrix > 0.0) & ~self.graph.support):
             raise ValueError("positive entry outside the graph's edge set")
         cdf = np.cumsum(matrix, axis=1)
         cdf[:, -1] = 1.0
@@ -217,16 +193,17 @@ def expand_free_params(
     not strictly positive.
     """
     T = np.zeros((graph.r, graph.r))
-    T[graph._free_index] = _free_params(params, graph)
+    T[graph.free] = _free_params(params, graph)
     residual = 1.0 - T.sum(axis=1)
+    dependent = graph.support & ~graph.free
     if residual.min() <= 0.0:
         i = int(np.argmax(residual <= 0.0))
-        dep_i, dep_j = graph.dependent_edge(i)
+        j = int(np.argmax(dependent[i]))
         raise ValueError(
             f"free parameters of state {i} leave no probability for the "
-            f"dependent edge ({dep_i},{dep_j})"
+            f"dependent edge ({i},{j})"
         )
-    T[graph._dependent_index] = residual
+    T[dependent] = residual
     return TransitionMatrix(matrix=T, graph=graph)
 
 
@@ -262,7 +239,8 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     read-only (d,) array ordered like graph.free_edges."""
     values = np.empty(len(graph.free_edges))
     pos = 0
-    for n_free in graph.free_counts:
+    for row in graph.free.tolist():
+        n_free = sum(row)
         if n_free == 0:
             continue
         while True:
@@ -283,7 +261,7 @@ def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> Transition
     states = _trace_states(trace, r)
     if states.size < 2:
         raise ValueError("need at least two observations to fit transitions")
-    support = graph.support_mask()
+    support = graph.support
     pair = states[:-1] * r + states[1:]  # transition a -> b as one index
     off_graph = np.flatnonzero(~support.ravel()[pair])
     if off_graph.size:
@@ -299,7 +277,7 @@ def load_graph_csv(path: str) -> MobilityGraph:
     """Read a graph file: header ``from,to,free``, 1-based state labels,
     free in {0, 1, auto}. All-auto selects the canonical free-edge rule;
     mixing auto with explicit flags is rejected."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None:
             # Rows are keyed by the stripped names, so padded ones read too.

@@ -11,6 +11,7 @@ permutation) is the cheap large-n companion metric.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +31,16 @@ __all__ = [
     "score_trial",
     "simulate_attack_trial",
 ]
+
+
+@contextlib.contextmanager
+def _naming(context: str):
+    """Re-raise a ValueError from the block as the same type, chained, with
+    the context (the trial and seed) appended, so it can be replayed."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{exc} ({context})") from exc
 
 
 def entropy(p: Sequence[float] | np.ndarray) -> float:
@@ -146,11 +157,16 @@ def deanonymization_accuracy(
     model, profiles, m: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Fraction of ``trials`` attacks on the fixed ``profiles``, all drawn
-    from ``rng``, where MAP matching recovers user 1's pseudonym."""
+    from ``rng``, where MAP matching recovers user 1's pseudonym. A
+    ValueError in trial t is re-raised with "trial t" appended."""
     if trials < 1:
         raise ValueError("need at least one trial")
     scores = run_trials(
         model, m, itertools.repeat(rng, trials), lambda _: (profiles, None),
         ("accuracy",),
     )
-    return sum(s["pi1_accuracy"] for s in scores) / trials
+    hits = 0.0
+    for t in range(trials):
+        with _naming(f"trial {t}"):
+            hits += next(scores)["pi1_accuracy"]
+    return hits / trials

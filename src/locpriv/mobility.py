@@ -175,15 +175,13 @@ def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> list[flo
     for alpha >= 0.1.
 
     numpy draws one shape-alpha gamma per entry (shape 1 is the standard
-    exponential) and scales them by the reciprocal of their sequential
-    sum; below alpha 0.1 it switches to stick-breaking, which this does
-    not reproduce. Skips ``dirichlet``'s per-call argument handling, and
-    the per-call cost of numpy reductions on a few entries.
+    exponential, which ``standard_gamma`` also draws then, bit for bit)
+    and scales them by the reciprocal of their sequential sum; below alpha
+    0.1 it switches to stick-breaking, which this does not reproduce.
+    Skips ``dirichlet``'s per-call argument handling, and the per-call
+    cost of numpy reductions on a few entries.
     """
-    if alpha == 1.0:
-        g = rng.standard_exponential(r).tolist()
-    else:
-        g = rng.standard_gamma(alpha, r).tolist()
+    g = rng.standard_gamma(alpha, r).tolist()
     scale = 1.0 / list(accumulate(g))[-1]
     return [x * scale for x in g]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import run_trials
+from .metrics import _naming, run_trials
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
 __all__ = [
@@ -191,7 +191,8 @@ def weight_uniformity(
     pseudonyms and renormalize. A trial that forms no ``crowd`` draws
     nothing more; it, or one with no posterior mass on the crowd, counts
     as degenerate and is excluded, and the median is None if every trial
-    is. A lone user's crowd is itself, with W = [1] and deviation 0.
+    is. A lone user's crowd is itself, with W = [1] and deviation 0. A
+    ValueError in trial t is re-raised with "trial t" appended.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -210,6 +211,9 @@ def weight_uniformity(
     scores = run_trials(
         IidModel(r=2), m, itertools.repeat(rng, trials), draw, ("weights",)
     )
-    return WeightUniformityResult.from_trials(
-        [None if out is None else out["weight_max_dev"] for out in scores]
-    )
+    deviations = []
+    for t in range(trials):
+        with _naming(f"trial {t}"):
+            out = next(scores)
+        deviations.append(None if out is None else out["weight_max_dev"])
+    return WeightUniformityResult.from_trials(deviations)

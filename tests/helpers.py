@@ -51,7 +51,9 @@ def expand_free_params_stepwise(params, graph: MobilityGraph) -> np.ndarray:
     for (i, j), p in zip(graph.free_edges, _free_params(params, graph)):
         T[i, j] = p
     for i in range(graph.r):
-        dep_i, dep_j = graph.dependent_edge(i)
+        dep_i, dep_j = next(
+            e for e in graph.edges if e[0] == i and e not in graph.free_edges
+        )
         residual = 1.0 - T[i].sum()
         if residual <= 0.0:
             raise ValueError(
@@ -84,7 +86,7 @@ def fit_markov_profile_per_state(trace, graph: MobilityGraph) -> np.ndarray:
     time (reference for the masked expression in
     locpriv.markov.fit_markov_profile); the trace must stay on the graph."""
     r = graph.r
-    support = graph.support_mask()
+    support = graph.support
     M = np.zeros((r, r))
     for a, b in zip(trace[:-1], trace[1:]):
         M[a, b] += 1.0

@@ -357,6 +357,64 @@ def test_audit_rejects_non_finite_alpha_margin(tmp_path, capsys, margin):
     assert "alpha_margin must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin, code", [("0.6", 2), ("0.5", 0)])
+def test_audit_rejects_alpha_margin_above_threshold_exponent(tmp_path, capsys, margin, code):
+    # five locations: d = 4 and tau = 2/4 = 0.5, so a margin of 0.6 leaves
+    # a budget of n^(-0.1), below one observation; 0.5 itself leaves n^0 = 1
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\n" + "".join(
+        f"u1,{t},{loc}\n" for t, loc in enumerate("abcde", 1)
+    ))
+    argv = ["audit", "--traces", str(traces), "--model", "iid", "--n", "1000000",
+            "--alpha-margin", margin]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "config error: alpha_margin must not exceed the threshold exponent 0.5" in err
+    else:
+        assert json.loads(out)["recommended_max_observations"] == 1
+
+
+def test_audit_traces_that_are_not_utf8_exit_2(tmp_path, capsys):
+    traces = tmp_path / "t.csv"
+    traces.write_bytes(b"user_id,time,location\nu1,1,caf\xe9\n")
+    argv = ["audit", "--traces", str(traces), "--model", "iid", "--n", "10",
+            "--alpha-margin", "0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read traces: 'utf-8' codec can't decode" in err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"model": "iid2", "note": "caf\xe9"}')
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config: 'utf-8' codec can't decode" in err
+
+
+def test_lemma_rejects_m_beyond_int64(tmp_path, capsys):
+    # section (c) draws visit counts up to m as int64
+    huge = 10**20
+    code = main(
+        [
+            "lemma",
+            "--alpha", "1.0",
+            "--theta", "0.05",
+            "--phi", "0.1",
+            "--m-grid", str(huge),
+            "--n-grid", "3",
+            "--trials", "1",
+            "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: m_grid entry m={huge} exceeds numpy's int64 range" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_audit_markov_with_graph(tmp_path):
     graph = tmp_path / "graph3.csv"
     graph.write_text("from,to,free\n1,1,1\n1,2,1\n1,3,0\n2,3,0\n3,1,0\n3,2,1\n")

@@ -381,14 +381,14 @@ def test_sweep_error_names_the_failing_trial(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fail_at, context",
+    "fail_at, suffix",
     [
-        (2, "audit synthetic rerun, seed 3"),
-        (62, "audit fitted attack, trial 1, seed 3"),
+        (2, "(trial 1) (audit synthetic rerun, seed 3)"),
+        (62, "(audit fitted attack, trial 1, seed 3)"),
     ],
     ids=["synthetic", "fitted"],
 )
-def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, context):
+def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
     # 60 MAP calls for the synthetic rerun, then one per fitted-attack trial
     dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
     map_assignment = harness.adversary.map_assignment
@@ -404,8 +404,11 @@ def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, context):
     with pytest.raises(ValueError) as info:
         audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
     assert type(info.value) is ValueError
-    assert str(info.value) == f"no feasible permutation: injected ({context})"
-    assert str(info.value.__cause__) == "no feasible permutation: injected"
+    assert str(info.value) == f"no feasible permutation: injected {suffix}"
+    root = info.value.__cause__
+    while root.__cause__ is not None:  # the synthetic rerun names its trial first
+        root = root.__cause__
+    assert str(root) == "no feasible permutation: injected"
 
 
 def test_lemma_error_names_the_failing_check(monkeypatch):
@@ -425,9 +428,12 @@ def test_lemma_error_names_the_failing_check(monkeypatch):
         )
     assert type(info.value) is ValueError
     assert str(info.value) == (
-        "degenerate posterior: injected (lemma flatness check, n=3, m=5, seed 12)"
+        "degenerate posterior: injected (trial 1) "
+        "(lemma flatness check, n=3, m=5, seed 12)"
     )
-    assert str(info.value.__cause__) == "degenerate posterior: injected"
+    # trial 0 forms no crowd, so it never reaches the posterior
+    assert str(info.value.__cause__) == "degenerate posterior: injected (trial 1)"
+    assert str(info.value.__cause__.__cause__) == "degenerate posterior: injected"
 
 
 def test_results_csv_round_trip(tmp_path):
@@ -642,6 +648,17 @@ def test_ingest_traces_skips_blank_lines_and_extra_columns(tmp_path):
     assert dataset.user_ids == ("u1",)
     assert dataset.label_map == {"a": 0, "b": 1}
     assert dataset.trajectories[0].tolist() == [0, 1]
+
+
+def test_ingest_traces_numbers_iid_labels_user_by_user(tmp_path):
+    # users in order of first appearance, each user's labels in time
+    # order: c (u1's second label) comes before b (u2's first), although
+    # b is read first
+    path = tmp_path / "interleaved.csv"
+    path.write_text("user_id,time,location\nu1,1,a\nu2,1,b\nu1,2,c\n")
+    dataset, _ = ingest_traces(str(path), "iid")
+    assert dataset.label_map == {"a": 0, "c": 1, "b": 2}
+    assert [t.tolist() for t in dataset.trajectories] == [[0, 1], [2]]
 
 
 def test_ingest_traces_markov_contract(tmp_path):

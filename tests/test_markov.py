@@ -69,9 +69,7 @@ def test_canonical_free_edge_rule():
     g = MobilityGraph(r=3, edges=[(0, 0), (0, 1), (0, 2), (1, 2), (2, 0), (2, 1)])
     # per row, every out-edge except the lexicographically largest target
     assert g.free_edges == ((0, 0), (0, 1), (2, 0))
-    assert g.dependent_edge(0) == (0, 2)
-    assert g.dependent_edge(1) == (1, 2)
-    assert g.dependent_edge(2) == (2, 1)
+    assert np.argwhere(g.support & ~g.free).tolist() == [[0, 2], [1, 2], [2, 1]]
 
 
 def test_expand_three_state_params():
@@ -136,9 +134,9 @@ def test_free_params_are_checked_read_only_arrays():
 
 
 def test_graph_counts_free_edges_per_state():
-    assert three_state_graph().free_counts == (2, 0, 1)
+    assert three_state_graph().free.sum(axis=1).tolist() == [2, 0, 1]
     g = MobilityGraph(r=3, edges=[(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
-    assert g.free_counts == (0, 1, 2)
+    assert g.free.sum(axis=1).tolist() == [0, 1, 2]
     assert g == MobilityGraph(r=3, edges=list(reversed(g.edges)))
 
 
@@ -406,8 +404,19 @@ def test_exactly_one_dependent_edge_per_state():
         g = random_graph(rng, int(rng.integers(2, 7)))
         free = set(g.free_edges)
         for i in range(g.r):
-            dep = [(a, j) for a, j in g.edges if a == i and (a, j) not in free]
-            assert dep == [g.dependent_edge(i)]
+            dep = [j for a, j in g.edges if a == i and (a, j) not in free]
+            assert dep == np.flatnonzero(g.support[i] & ~g.free[i]).tolist()
+
+
+def test_graph_masks_are_read_only_edge_sets():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        g = random_graph(rng, int(rng.integers(1, 9)))
+        assert g.support.shape == g.free.shape == (g.r, g.r)
+        assert [tuple(e) for e in np.argwhere(g.support).tolist()] == list(g.edges)
+        assert [tuple(e) for e in np.argwhere(g.free).tolist()] == list(g.free_edges)
+        for mask in (g.support, g.free):
+            assert mask.dtype == bool and not mask.flags.writeable
 
 
 def test_load_graph_csv(tmp_path):

@@ -207,14 +207,11 @@ class _ScriptedRng:
     def random(self):
         return self.coins.pop(0)
 
-    def standard_exponential(self, size):
-        block = np.array(self.exponentials.pop(0), dtype=float)
-        assert block.shape == (size,)
-        return block
-
     def standard_gamma(self, shape, size):
-        assert shape == 2.0
-        block = np.array(self.gammas.pop(0), dtype=float)
+        # shape 1 (uniform-simplex) is served from the exponential script
+        assert shape in (1.0, 2.0)
+        script = self.exponentials if shape == 1.0 else self.gammas
+        block = np.array(script.pop(0), dtype=float)
         assert block.shape == (size,)
         return block
 
