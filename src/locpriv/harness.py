@@ -488,42 +488,6 @@ def _row_record(header: list[str], row: list[str]) -> dict:
     return record
 
 
-def _trace_locations(reader) -> dict[str, list[str]]:
-    """user -> locations in time order, from the rows of a trace file."""
-    per_user: dict[str, list[str]] = {}
-    last_time: dict[str, int] = {}
-    header = next(reader, None)
-    if header is None or [f.strip() for f in header] != [
-        "user_id",
-        "time",
-        "location",
-    ]:
-        raise ConfigError("trace file must have header 'user_id,time,location'")
-    for row in reader:
-        fields = row
-        if len(row) < 3:
-            if not row:  # blank line
-                continue
-            fields = row + [None] * (3 - len(row))
-        uid, stamp, loc = fields[0], fields[1], fields[2]
-        try:
-            t = int(stamp)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"non-integer time in row {_row_record(header, row)!r}"
-            ) from exc
-        if loc is None or loc == "":
-            raise ConfigError(f"missing location in row {_row_record(header, row)!r}")
-        if uid in last_time:
-            if t <= last_time[uid]:
-                raise ConfigError(f"times for user {uid!r} must be strictly increasing")
-            per_user[uid].append(loc)
-        else:
-            per_user[uid] = [loc]
-        last_time[uid] = t
-    return per_user
-
-
 def ingest_traces(
     path: str,
     model_kind: str,
@@ -549,9 +513,46 @@ def ingest_traces(
         raise ConfigError("a graph is only meaningful for the markov model")
     if r is not None:
         _count(r, "r", 2)
+    per_user: dict[str, list[str]] = {}  # user -> locations in time order
+    last_time: dict[str, int] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            per_user = _trace_locations(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [f.strip() for f in header] != [
+                "user_id",
+                "time",
+                "location",
+            ]:
+                raise ConfigError(
+                    "trace file must have header 'user_id,time,location'"
+                )
+            for row in reader:
+                fields = row
+                if len(row) < 3:
+                    if not row:  # blank line
+                        continue
+                    fields = row + [None] * (3 - len(row))
+                uid, stamp, loc = fields[0], fields[1], fields[2]
+                try:
+                    t = int(stamp)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"non-integer time in row {_row_record(header, row)!r}"
+                    ) from exc
+                if loc is None or loc == "":
+                    raise ConfigError(
+                        f"missing location in row {_row_record(header, row)!r}"
+                    )
+                if uid in last_time:
+                    if t <= last_time[uid]:
+                        raise ConfigError(
+                            f"times for user {uid!r} must be strictly increasing"
+                        )
+                    per_user[uid].append(loc)
+                else:
+                    per_user[uid] = [loc]
+                last_time[uid] = t
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read traces: {exc}") from exc
     if not per_user:

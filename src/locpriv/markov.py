@@ -57,34 +57,34 @@ class MobilityGraph:
         if self.r < 1:
             raise ValueError("graph needs at least one state")
         edges = sorted(set((int(i), int(j)) for i, j in self.edges))
-        support = np.zeros((self.r, self.r), dtype=bool)
+        out_degree = [0] * self.r
         for i, j in edges:
             if not (0 <= i < self.r and 0 <= j < self.r):
                 raise ValueError(f"edge ({i},{j}) out of range for r={self.r}")
-            support[i, j] = True
-        for i in range(self.r):
-            if not support[i].any():
-                raise ValueError(f"state {i} has no outgoing edge")
+            out_degree[i] += 1
+        if 0 in out_degree:
+            raise ValueError(f"state {out_degree.index(0)} has no outgoing edge")
         if self.free_edges is None:
-            free = support.copy()
-            for i in range(self.r):
-                free[i, np.flatnonzero(support[i])[-1]] = False
+            last = dict(edges)  # state -> its largest target, as edges are sorted
+            free_set = {(i, j) for i, j in edges if j != last[i]}
         else:
-            free_edges = set((int(i), int(j)) for i, j in self.free_edges)
-            if not free_edges <= set(edges):
+            free_set = set((int(i), int(j)) for i, j in self.free_edges)
+            if not free_set <= set(edges):
                 raise ValueError("free edges must be a subset of the edge set")
-            free = np.zeros_like(support)
-            for i, j in free_edges:
-                free[i, j] = True
+        for i, _ in free_set:
+            out_degree[i] -= 1
         for i in range(self.r):
-            if free[i].sum() != support[i].sum() - 1:
+            if out_degree[i] != 1:
                 raise ValueError(f"state {i} must have exactly one dependent out-edge")
-        support.flags.writeable = False
-        free.flags.writeable = False
+        support = np.zeros((self.r, self.r), dtype=bool)
+        free = np.zeros_like(support)
+        for e in edges:
+            support[e] = True
+            free[e] = e in free_set
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "free_edges", tuple(e for e in edges if free[e]))
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "free_edges", tuple(e for e in edges if e in free_set))
+        object.__setattr__(self, "support", _readonly(support))
+        object.__setattr__(self, "free", _readonly(free))
 
     @property
     def d(self) -> int:
@@ -239,8 +239,10 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     read-only (d,) array ordered like graph.free_edges."""
     values = np.empty(len(graph.free_edges))
     pos = 0
-    for row in graph.free.tolist():
-        n_free = sum(row)
+    free_counts = [0] * graph.r
+    for i, _ in graph.free_edges:
+        free_counts[i] += 1
+    for n_free in free_counts:
         if n_free == 0:
             continue
         while True:

@@ -331,6 +331,21 @@ def test_audit_iid_rejects_graph(tmp_path, capsys):
     assert "only meaningful for the markov model" in capsys.readouterr().err
 
 
+def test_audit_graph_with_a_mistyped_large_label_exits_2(tmp_path, capsys):
+    # r is the largest label: the missing out-edges are reported before any
+    # (r, r) array is built.
+    graph = tmp_path / "graph.csv"
+    graph.write_text("from,to,free\n1,1000000,auto\n")
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,1000000\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert "state 1 has no outgoing edge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("digits", [400, 300], ids=["n-beyond-float", "budget-beyond-float"])
 def test_audit_rejects_n_effective_whose_budget_is_not_finite(tmp_path, capsys, digits):
     # two locations: tau = 2, so the budget is n_effective ** 1.5; 10^400

@@ -405,6 +405,7 @@ def test_exactly_one_dependent_edge_per_state():
         free = set(g.free_edges)
         for i in range(g.r):
             dep = [j for a, j in g.edges if a == i and (a, j) not in free]
+            assert len(dep) == 1
             assert dep == np.flatnonzero(g.support[i] & ~g.free[i]).tolist()
 
 
