@@ -15,6 +15,10 @@ the likelihood matrix the adversary offers two attacks:
   respect to a first-row entry). Pseudonyms with equal statistics have
   identical columns; a class of mu of them is summed over its mu + 1
   sign counts instead of its 2^mu sign vectors.
+
+Both attacks start from one optimal assignment of the matrix and its
+LP-dual reduced costs; ``solve_assignment`` computes them once, so a
+trial that runs both attacks solves once.
 """
 from __future__ import annotations
 
@@ -32,11 +36,13 @@ from .anonymization import Permutation
 
 __all__ = [
     "AssignmentPosterior",
+    "SolvedAssignment",
     "count_stats",
     "likelihood_matrix_iid",
     "likelihood_matrix_markov",
     "map_assignment",
     "posterior_pi1",
+    "solve_assignment",
     "transition_stats",
 ]
 
@@ -132,6 +138,20 @@ class AssignmentPosterior:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+
+@dataclass(frozen=True)
+class SolvedAssignment:
+    """What both attacks need of a likelihood matrix, from solve_assignment:
+    the matrix ``L`` it was built from (the attacks check it by identity),
+    ``Lf``, L with -inf cells at the solver's sentinel, ``sigma``, one
+    optimal assignment (a column per row), and ``rc``, its reduced costs
+    (see _reduced_costs). The arrays are read-only."""
+
+    L: np.ndarray
+    Lf: np.ndarray
+    sigma: np.ndarray
+    rc: np.ndarray
 
 
 def _check_states(Y: np.ndarray, r: int) -> None:
@@ -241,21 +261,26 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
         rows *= sizes[split] + 1
         split += 1
     low_mult, low_weight = _level_table(sizes[:split])
-    high_mult, high_weight = _level_table(sizes[split:])
-    low_mult, high_mult = low_mult.astype(float), high_mult.astype(float)
+    low_mult = low_mult.astype(float)
     C = A[1:].take([0] + [cols[0] for cols in groups], axis=1)
     low_sums = C[:, : split + 1] @ low_mult.T
-    high = C[:, split + 1 :]
     out = np.zeros(C.shape[1])
-    out_low, out_high = out[: split + 1], out[split + 1 :]
-    sums = np.empty_like(low_sums)
-    v = np.empty_like(low_weight)
-    for h_mult, h_weight in zip(high_mult[:, 1:], high_weight):
-        np.add(low_sums, (high @ h_mult)[:, None], out=sums)
-        np.multiply.reduce(sums, axis=0, out=v)
-        v *= low_weight
-        out_low += h_weight * (v @ low_mult)
-        out_high += h_weight * np.add.reduce(v) * h_mult
+    if split == len(sizes):  # every class in the table: no level to shift by
+        # added to zeros, as in the loop, so that a zero minor reads +0.0
+        out += (np.multiply.reduce(low_sums, axis=0) * low_weight) @ low_mult
+    else:
+        high_mult, high_weight = _level_table(sizes[split:])
+        high_mult = high_mult.astype(float)
+        high = C[:, split + 1 :]
+        out_low, out_high = out[: split + 1], out[split + 1 :]
+        sums = np.empty_like(low_sums)
+        v = np.empty_like(low_weight)
+        for h_mult, h_weight in zip(high_mult[:, 1:], high_weight):
+            np.add(low_sums, (high @ h_mult)[:, None], out=sums)
+            np.multiply.reduce(sums, axis=0, out=v)
+            v *= low_weight
+            out_low += h_weight * (v @ low_mult)
+            out_high += h_weight * np.add.reduce(v) * h_mult
     owner = [0] * n
     for g, cols in enumerate(groups, 1):
         for j in cols:
@@ -288,16 +313,17 @@ def _reduced_costs(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return W + p[sigma][:, None] - p[None, :]
 
 
-def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
+def _near_ties(rc: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
     """near[u, j]: keeps every cell whose exact loss (how far the best
     permutation matching u to j falls below sigma) is at most 2 tol, and
     may keep a few more. It leaves sigma by cycles of edges (see
-    _reduced_costs) whose loss sums their nonnegative reduced costs, so
-    every edge of a cycle of loss at most 2 tol is tight, rc <= 2 tol:
-    (u, j) is near when tight and tight edges lead back from j to sigma(u).
+    _reduced_costs, whose rc it takes) whose loss sums their nonnegative
+    reduced costs, so every edge of a cycle of loss at most 2 tol is tight,
+    rc <= 2 tol: (u, j) is near when tight and tight edges lead back from j
+    to sigma(u).
     """
     n = sigma.size
-    tight = _reduced_costs(Lf, sigma) <= 2 * tol
+    tight = rc <= 2 * tol
     reach = np.empty((n, n))
     reach[sigma] = tight  # rc is 0 on sigma: every column reaches itself
     edges = np.count_nonzero(reach)
@@ -310,23 +336,38 @@ def _near_ties(Lf: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
     return tight & (reach[:, sigma].T > 0)
 
 
-def _optimal_assignment(L) -> tuple[np.ndarray, np.ndarray]:
-    """The validated likelihood matrix with -inf cells at the solver's
-    sentinel, and one optimal assignment sigma (a column per row)."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    if L.shape != (n, n) or n < 1:
+def solve_assignment(L: np.ndarray) -> SolvedAssignment:
+    """The work both attacks share, done once: validate L, find one optimal
+    assignment with one solver call, and take its reduced costs. Pass the
+    result as ``solved`` to posterior_pi1 and map_assignment on the same
+    L object; each attack solves by itself when given none."""
+    A = np.asarray(L, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n) or n < 1:
         raise ValueError("likelihood matrix must be square and nonempty")
-    if not (L < np.inf).all():
+    if not (A < np.inf).all():
         raise ValueError("likelihood matrix contains NaN or +inf")
-    Lf = np.where(np.isfinite(L), L, _NEG_SENTINEL)
-    rows, cols = linear_sum_assignment(Lf, maximize=True)
-    if np.any(Lf[rows, cols] <= _SENTINEL_CUTOFF):
+    Lf = np.where(np.isfinite(A), A, _NEG_SENTINEL)
+    rows, sigma = linear_sum_assignment(Lf, maximize=True)
+    if np.any(Lf[rows, sigma] <= _SENTINEL_CUTOFF):
         raise ValueError("no feasible permutation: every matching hits -inf")
-    return Lf, cols
+    rc = _reduced_costs(Lf, sigma)
+    Lf.flags.writeable = sigma.flags.writeable = rc.flags.writeable = False
+    return SolvedAssignment(L=L, Lf=Lf, sigma=sigma, rc=rc)
 
 
-def map_assignment(L: np.ndarray) -> Permutation:
+def _solved(L, solved: SolvedAssignment | None) -> SolvedAssignment:
+    """``solved`` when it was built from this very L, else a fresh solve."""
+    if solved is None:
+        return solve_assignment(L)
+    if solved.L is not L:
+        raise ValueError("solved was built from another likelihood matrix")
+    return solved
+
+
+def map_assignment(
+    L: np.ndarray, *, solved: SolvedAssignment | None = None
+) -> Permutation:
     """MAP user-to-pseudonym matching: argmax over permutations of the
     total log-likelihood, ties broken by lexicographically smallest
     forward array (totals within a small numeric tolerance count as tied).
@@ -343,19 +384,25 @@ def map_assignment(L: np.ndarray) -> Permutation:
     screen keeps although its loss exceeds 2 tol fails that test, so it
     costs a sub-assignment and never changes the answer. A row whose only
     screened column is the one it holds takes it without building a
-    candidate list. On a 2-vCPU Xeon VM one untraced call takes about
+    candidate list, and when every row is such a row the answer is sigma.
+    On a 2-vCPU Xeon VM one untraced call takes about
     1.3 / 8 / 28 ms at n = 64 / 128 / 256 on iid2 sweep-like inputs and
-    0.9 / 3.1 / 14 ms on random normal ones.
+    0.9 / 3.1 / 14 ms on random normal ones. ``solved`` is
+    solve_assignment(L) for this L object, when the caller already has it.
     """
-    Lf, cols = _optimal_assignment(L)
+    solved = _solved(L, solved)
+    Lf, cols = solved.Lf, solved.sigma
     n = cols.size
-    best = float(Lf[np.arange(n), cols].sum())
     finite = Lf[Lf > _SENTINEL_CUTOFF]
     tol = 1e-9 * max(1.0, float(np.abs(finite).max()) if finite.size else 1.0)
-    near = _near_ties(Lf, cols, tol)
+    near = _near_ties(solved.rc, cols, tol)
     # rows with one near column: it is sigma(u), as near[u, sigma(u)] holds
-    lone = (np.count_nonzero(near, axis=1) == 1).tolist()
+    lone = np.count_nonzero(near, axis=1) == 1
+    if lone.all():
+        return Permutation.from_forward(cols)
+    lone = lone.tolist()
 
+    best = float(Lf[np.arange(n), cols].sum())
     work = cols.copy()  # completes the fixed prefix within tol of best
     slack = 0.0
     forward = np.empty(n, dtype=np.int64)
@@ -422,9 +469,9 @@ def _balance(B: np.ndarray) -> np.ndarray:
         B /= rs[:, None]
         cs = B.sum(axis=0)
         B /= cs[None, :]
-        row_err, col_err = np.abs(rs - 1.0), np.abs(cs - 1.0)
-        if row_err.max() < 0.1 and col_err.max() < 0.1:
+        if np.abs(rs - 1.0).max() < 0.1 and np.abs(cs - 1.0).max() < 0.1:
             return B
+    row_err, col_err = np.abs(rs - 1.0), np.abs(cs - 1.0)
     raise ValueError(
         f"Sinkhorn balancing did not converge in {_SINKHORN_SWEEPS} sweeps: "
         f"worst row sum {rs[row_err.argmax()]:.4g}, "
@@ -432,7 +479,9 @@ def _balance(B: np.ndarray) -> np.ndarray:
     )
 
 
-def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
+def posterior_pi1(
+    L: np.ndarray, *, solved: SolvedAssignment | None = None
+) -> AssignmentPosterior:
     """Exact posterior over user 1's pseudonym.
 
     W_j is proportional to exp(L[0, j]) times the permanent of exp(L)
@@ -444,14 +493,16 @@ def posterior_pi1(L: np.ndarray) -> AssignmentPosterior:
     factors cancel in the normalization. Glynn's signed sum can leave a
     zero minor slightly negative: down to -(n * 1e-12) times the largest
     minor it is set to 0, and below that ValueError reports cancellation.
+    ``solved`` is solve_assignment(L) for this L object, when the caller
+    already has it.
     """
-    Lf, sigma = _optimal_assignment(L)
-    n = sigma.size
+    solved = _solved(L, solved)
+    n = solved.sigma.size
     if n > PERMANENT_FEASIBILITY_BOUND:
         raise ValueError(
             f"posterior limited to n <= {PERMANENT_FEASIBILITY_BOUND} (got n = {n})"
         )
-    B = _balance(np.exp(-_reduced_costs(Lf, sigma)))
+    B = _balance(np.exp(-solved.rc))
     minors = _glynn_row0_minors(B)
     lowest, highest = float(minors.min()), float(minors.max())
     if lowest < -n * _CANCELLATION_TOL * max(highest, 0.0):

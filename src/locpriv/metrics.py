@@ -65,9 +65,10 @@ def conditional_location_distribution(
         raise ValueError(f"time index k={k} outside 1..{m}")
     if post.n != n:
         raise ValueError("posterior size must match the number of pseudonyms")
-    q = np.zeros(r)
-    np.add.at(q, Y[k - 1], post.weights)
-    return q
+    states = Y[k - 1]
+    if states.min() < 0 or states.max() >= r:
+        raise ValueError(f"state at time {k} outside 0..{r - 1}")
+    return np.bincount(states, weights=post.weights, minlength=r)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ class AttackTrial:
     """One simulated epoch: the (m, n) observations, truth, and the
     adversary's log-likelihood matrix ``L[u, j]`` (user u generated
     pseudonym j's column), the evidence both attacks work from:
-    ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``.
+    ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``,
+    which share one ``adversary.solve_assignment(L)``.
     """
 
     Y: np.ndarray
@@ -111,17 +113,19 @@ def score_trial(
     pseudonym / the whole permutation; ``weight_max_dev`` = max |N * W_j - 1|
     over the pseudonyms of the N users in ``crowd``, the posterior
     renormalized to them, or None for no crowd or no mass on it. The exact
-    posterior runs at most once, and MAP only for "accuracy".
+    posterior runs at most once, and MAP only for "accuracy"; the
+    assignment solve they share runs once per trial.
     """
     out: dict[str, float | None] = {}
+    solved = adversary.solve_assignment(trial.L)
     if "mi" in metrics or "weights" in metrics:
-        post = adversary.posterior_pi1(trial.L)
+        post = adversary.posterior_pi1(trial.L, solved=solved)
     if "mi" in metrics:
         q = conditional_location_distribution(trial.Y, post, k, model.r)
         out["mi"] = h_marginal - entropy(q)
     truth = trial.perm.forward
     if "accuracy" in metrics:
-        guess = adversary.map_assignment(trial.L).forward
+        guess = adversary.map_assignment(trial.L, solved=solved).forward
         out["pi1_accuracy"] = float(guess[0] == truth[0])
         out["full_perm_accuracy"] = float(np.array_equal(guess, truth))
     if "weights" in metrics:

@@ -26,6 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import binom
 
+from locpriv import adversary
 from locpriv.adversary import _SENTINEL_CUTOFF, AssignmentPosterior
 from locpriv.anonymization import Permutation
 from locpriv.harness import RESULT_HEADER, ConfigError, ResultRow
@@ -191,6 +192,18 @@ def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> Permutation:
     return Permutation.from_forward(
         list(next(p for p, t in zip(perms, totals) if t >= best - tol))
     )
+
+
+def assert_shared_solve_matches_standalone(L: np.ndarray) -> None:
+    """Both attacks on one adversary.solve_assignment(L), MAP first, give
+    the forward array and (up to the posterior's size bound) the weights
+    that each computes alone, bit for bit."""
+    solved = adversary.solve_assignment(L)
+    shared = adversary.map_assignment(L, solved=solved).forward
+    assert shared.tobytes() == adversary.map_assignment(L).forward.tobytes()
+    if L.shape[0] <= adversary.PERMANENT_FEASIBILITY_BOUND:
+        shared = adversary.posterior_pi1(L, solved=solved).weights
+        assert shared.tobytes() == adversary.posterior_pi1(L).weights.tobytes()
 
 
 def tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:

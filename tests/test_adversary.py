@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
+    assert_shared_solve_matches_standalone,
     log_likelihood_iid,
     log_likelihood_markov,
     map_assignment_bruteforce,
@@ -27,7 +28,12 @@ from locpriv.adversary import (
     transition_stats,
 )
 from locpriv.anonymization import anonymize, sample_permutation
-from locpriv.markov import MobilityGraph, TransitionMatrix, expand_free_params
+from locpriv.markov import (
+    MobilityGraph,
+    TransitionMatrix,
+    expand_free_params,
+    sample_trajectory_markov,
+)
 from locpriv.metrics import simulate_attack_trial
 from locpriv.mobility import (
     IidModel,
@@ -280,7 +286,7 @@ def test_near_ties_contain_every_cell_of_small_exact_loss():
         tol = 1e-9 * max(1.0, float(np.abs(L[np.isfinite(L)]).max()))
         loss = tie_loss(Lf, sigma)
         exact = loss <= 2 * tol
-        near = adversary._near_ties(Lf, sigma, tol)
+        near = adversary._near_ties(adversary._reduced_costs(Lf, sigma), sigma, tol)
         assert near.dtype == bool and not (exact & ~near).any()
         assert near[np.arange(n), sigma].all()
         planted += np.count_nonzero(exact & (loss > 0))
@@ -306,8 +312,6 @@ def _sparse_three_state_law(rng):
 def test_near_ties_contain_every_cell_of_small_exact_loss_at_audit_scale():
     # Markov likelihood matrices at the audit's crowd sizes: forbidden
     # transitions give -inf cells and equal transition counts exact ties
-    from locpriv.markov import sample_trajectory_markov
-
     rng = np.random.default_rng(41)
     checked = with_inf = with_ties = 0
     for _ in range(60):
@@ -325,7 +329,7 @@ def test_near_ties_contain_every_cell_of_small_exact_loss_at_audit_scale():
             continue
         tol = 1e-9 * max(1.0, float(np.abs(L[np.isfinite(L)]).max()))
         exact = tie_loss(Lf, sigma) <= 2 * tol
-        near = adversary._near_ties(Lf, sigma, tol)
+        near = adversary._near_ties(adversary._reduced_costs(Lf, sigma), sigma, tol)
         assert near.dtype == bool and not (exact & ~near).any()
         assert near[np.arange(n), sigma].all()
         checked += 1
@@ -522,6 +526,59 @@ def test_posterior_with_column_classes_matches_sign_free_reference(n):
         assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
 
 
+def _fits_level_table(L):
+    """Whether every class of equal columns among 1..n-1 fits the level
+    table of _glynn_row0_minors, so no level loop runs."""
+    _, sizes = np.unique(L[:, 1:], axis=1, return_counts=True)
+    return math.prod(int(mu) + 1 for mu in sizes) <= 2**adversary._TABLE_BITS
+
+
+def _all_rows_lone(L):
+    """Whether MAP's screen leaves each row only its own column."""
+    solved = adversary.solve_assignment(L)
+    finite = solved.Lf[solved.Lf > adversary._SENTINEL_CUTOFF]
+    tol = 1e-9 * max(1.0, float(np.abs(finite).max()))
+    near = adversary._near_ties(solved.rc, solved.sigma, tol)
+    return bool((np.count_nonzero(near, axis=1) == 1).all())
+
+
+def test_shared_solve_matches_standalone():
+    # One solve_assignment handed to both attacks gives what each computes
+    # alone, bit for bit, on both branches of the minors (every class in
+    # the level table, or some beyond it) and of MAP (all rows lone or not).
+    rng = np.random.default_rng(47)
+    cases = []
+    for n in range(1, 21):  # iid2 counts coincide: equal columns
+        cases += [_sweep_like_iid2(n, rng) for _ in range(3)]
+    for n in (14, 16, 20):
+        cases.append(_with_classes(_sweep_like_iid2(n, rng), (2, 2, 3, 4), rng))
+    markov = 0
+    while markov < 30:  # Markov likelihoods with forbidden (-inf) cells
+        n = int(rng.integers(2, 17))
+        laws = [_sparse_three_state_law(rng) for _ in range(n)]
+        m = int(rng.integers(2, 12))
+        walks = [sample_trajectory_markov(T, m, rng) for T in laws]
+        Y = anonymize(walks, sample_permutation(n, rng))
+        L = likelihood_matrix_markov(laws, transition_stats(Y, 3))
+        try:
+            adversary.solve_assignment(L)
+        except ValueError:
+            continue
+        markov += np.isneginf(L).any()
+        cases.append(L)
+    for L in cases:
+        assert_shared_solve_matches_standalone(L)
+    fits = [_fits_level_table(L) for L in cases]
+    lone = [_all_rows_lone(L) for L in cases]
+    assert fits.count(True) >= 50 and fits.count(False) >= 10
+    assert lone.count(True) >= 10 and lone.count(False) >= 10
+    L = cases[-1]
+    solved = adversary.solve_assignment(L)
+    for attack in (posterior_pi1, map_assignment):
+        with pytest.raises(ValueError, match="another likelihood matrix"):
+            attack(L.copy(), solved=solved)
+
+
 def test_identical_columns_get_identical_weights():
     # pseudonyms with equal statistics are exchangeable: their weights
     # must agree bit for bit, whether or not column 0 is among them
@@ -657,7 +714,9 @@ def test_posterior_with_column_classes_property(case):
     assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("attack", [posterior_pi1, map_assignment])
+@pytest.mark.parametrize(
+    "attack", [posterior_pi1, map_assignment, adversary.solve_assignment]
+)
 @pytest.mark.parametrize(
     "L, message",
     [

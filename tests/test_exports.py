@@ -224,6 +224,12 @@ def test_attacks_are_called_only_by_the_trial_scorer():
         ("metrics.py", "score_trial", "map_assignment"),
         ("metrics.py", "score_trial", "posterior_pi1"),
     ]
+    # and solves once for both: outside the attacks themselves, the only
+    # call of the shared solve is the trial scorer's
+    assert _library_calls(("solve_assignment",)) == [
+        ("adversary.py", "_solved", "solve_assignment"),
+        ("metrics.py", "score_trial", "solve_assignment"),
+    ]
 
 
 def test_sampled_trials_run_only_in_the_trial_loop():

@@ -6,7 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import deanonymization_accuracy_mc, read_results_csv, three_state_graph
+from helpers import (
+    assert_shared_solve_matches_standalone,
+    deanonymization_accuracy_mc,
+    read_results_csv,
+    three_state_graph,
+)
 from locpriv import harness, metrics
 from locpriv.adversary import PERMANENT_FEASIBILITY_BOUND, posterior_pi1
 from locpriv.harness import (
@@ -364,11 +369,11 @@ def test_sweep_error_names_the_failing_trial(tmp_path, monkeypatch):
     seed = next(r.seed for r in read_results_csv(str(path)) if r.trial == 1)
     calls = []
 
-    def failing_posterior(L):
+    def failing_posterior(L, solved=None):
         calls.append(L)
         if len(calls) == 2:
             raise ValueError("degenerate posterior: injected")
-        return posterior_pi1(L)
+        return posterior_pi1(L, solved=solved)
 
     monkeypatch.setattr(harness.adversary, "posterior_pi1", failing_posterior)
     with pytest.raises(ValueError) as info:
@@ -394,11 +399,11 @@ def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
     map_assignment = harness.adversary.map_assignment
     calls = []
 
-    def failing_map(L):
+    def failing_map(L, solved=None):
         calls.append(L)
         if len(calls) == fail_at:
             raise ValueError("no feasible permutation: injected")
-        return map_assignment(L)
+        return map_assignment(L, solved=solved)
 
     monkeypatch.setattr(harness.adversary, "map_assignment", failing_map)
     with pytest.raises(ValueError) as info:
@@ -412,7 +417,7 @@ def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
 
 
 def test_lemma_error_names_the_failing_check(monkeypatch):
-    def failing_posterior(L):
+    def failing_posterior(L, solved=None):
         raise ValueError("degenerate posterior: injected")
 
     monkeypatch.setattr(harness.adversary, "posterior_pi1", failing_posterior)
@@ -510,7 +515,9 @@ def test_shipped_config_csv_bytes_pinned(tmp_path, name, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
+# The shipped configs with only beta raised to 2.8, cut at the trial the
+# exact posterior once failed on (see the first test below).
+_privacy_lost_cases = pytest.mark.parametrize(
     "name, overrides",
     [
         ("iid2_sweep.json", {"n_grid": [4, 8], "trials": 65}),
@@ -518,20 +525,67 @@ def test_shipped_config_csv_bytes_pinned(tmp_path, name, digest):
     ],
     ids=["iid2", "markov"],
 )
+
+
+@_privacy_lost_cases
 def test_shipped_config_completes_where_privacy_is_lost(name, overrides):
     # The shipped configs with only beta raised to 2.8, above the paper's
     # threshold, and cut down to the trials the exact posterior failed on
     # when it balanced from row maxima: iid2 cell 1 trial 64 (cancelled
     # minors) and markov cell 2 trial 0 (a vanished permanent).
-    with open(os.path.join(CONFIGS, name)) as f:
-        raw = json.load(f)
-    raw["schedule"]["beta"] = 2.8
-    raw.update(overrides)
-    config = parse_config(raw, base_dir=CONFIGS)
+    config = _privacy_lost_config(name, overrides)
     rows = run_sweep(config)
     mi = [r.value for r in rows if r.metric == "mi" and r.trial >= 0]
     assert len(mi) == len(config.n_grid) * config.trials
     assert all(np.isfinite(mi))
+
+
+def _privacy_lost_config(name, overrides):
+    with open(os.path.join(CONFIGS, name)) as f:
+        raw = json.load(f)
+    raw["schedule"]["beta"] = 2.8
+    raw.update(overrides)
+    return parse_config(raw, base_dir=CONFIGS)
+
+
+@_privacy_lost_cases
+def test_shared_solve_matches_standalone_where_privacy_is_lost(
+    monkeypatch, name, overrides
+):
+    # Every trial of the two beta = 2.8 reproducers, each cut ending at the
+    # trial that once failed, attacked on its one shared solve and alone.
+    config = _privacy_lost_config(name, overrides)
+    solve = harness.adversary.solve_assignment
+    seen = []
+
+    def recording(L):
+        seen.append(L)
+        return solve(L)
+
+    monkeypatch.setattr(harness.adversary, "solve_assignment", recording)
+    run_sweep(config)
+    monkeypatch.undo()
+    assert len(seen) == len(config.n_grid) * config.trials
+    for L in seen:
+        assert_shared_solve_matches_standalone(L)
+
+
+def test_sweep_trial_makes_one_assignment_solve(monkeypatch):
+    # mi, accuracy and weights: the posterior and MAP share one solve
+    cfg = make_config(
+        n_grid=[3, 4, 8], trials=6, metrics=["mi", "accuracy", "weights"]
+    )
+    solve = harness.adversary.linear_sum_assignment
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness.adversary, "linear_sum_assignment", counting)
+    rows = run_sweep(cfg)
+    assert len(calls) == 3 * 6
+    assert {r.metric for r in rows} >= {"mi", "pi1_accuracy", "weight_max_dev"}
 
 
 def test_ingest_traces_three_user_example(tmp_path):

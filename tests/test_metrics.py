@@ -63,6 +63,27 @@ def test_conditional_location_distribution():
     with pytest.raises(ValueError):
         conditional_location_distribution(Y, post, 2, r=3)
 
+    # a state outside 0..r-1 is an error, not a mass filed elsewhere
+    post = AssignmentPosterior(
+        weights=np.array([0.25, 0.75]), normalization_residual=0.0
+    )
+    for bad in ([[0, -1]], [[0, 2]]):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            conditional_location_distribution(np.array(bad), post, 1, r=2)
+
+    # one weighted bincount, bit for bit the sequential add.at sum
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        m, n, r = (int(v) for v in rng.integers(1, 9, size=3))
+        Y = rng.integers(0, r, size=(m, n))
+        w = rng.dirichlet(np.ones(n))
+        post = AssignmentPosterior(weights=w, normalization_residual=0.0)
+        k = int(rng.integers(1, m + 1))
+        expected = np.zeros(r)
+        np.add.at(expected, Y[k - 1], post.weights)
+        q = conditional_location_distribution(Y, post, k, r)
+        assert q.tobytes() == expected.tobytes()
+
 
 def test_marginal_location_distribution():
     model = IidModel(3)
