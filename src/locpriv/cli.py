@@ -80,8 +80,6 @@ def _apply_overrides(config, seed, out):
     if seed is not None:
         config = dataclasses.replace(config, seed=check_seed(seed))
     if out is not None:
-        if not out:
-            raise ConfigError("--out must be a nonempty path")
         config = dataclasses.replace(config, out_path=out)
     return config
 
@@ -137,6 +135,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":  # every command takes --out; reject it before any work
+            raise ConfigError("--out must be a nonempty path")
         return args.func(args)
     except ConfigError as exc:
         print(f"locpriv: config error: {exc}", file=sys.stderr)

@@ -208,8 +208,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     graph_path = raw.get("graph_path")
     density = None
     if model_name == "markov":
-        if not graph_path:
-            raise ConfigError("markov model requires graph_path")
+        if not graph_path or not isinstance(graph_path, str):
+            raise ConfigError("markov model requires graph_path, a nonempty string")
         if not os.path.isabs(graph_path):
             graph_path = os.path.join(base_dir, graph_path)
         try:
@@ -318,7 +318,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -426,17 +426,15 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             return profiles, crowd
 
         seeds = [substream_seed(config.seed, cell, t) for t in range(cell_trials)]
-        scores = run_trials(
-            model, m, map(np.random.default_rng, seeds), draw, active,
-            k=k_eff, h_marginal=h_marginal,
+        named = (
+            (np.random.default_rng(s), f"cell {cell}, n={n}, m={m}, trial {t}, seed {s}")
+            for t, s in enumerate(seeds)
         )
+        scores = run_trials(model, m, named, draw, active, k=k_eff, h_marginal=h_marginal)
         # Per-metric values for the aggregates, filled in the CSV's
         # metric order; a degenerate weight deviation is None.
         values: dict[str, list] = {}
-        for t, trial_seed in enumerate(seeds):
-            context = f"cell {cell}, n={n}, m={m}, trial {t}, seed {trial_seed}"
-            with _naming(context):
-                out = next(scores)
+        for t, (trial_seed, out) in enumerate(zip(seeds, scores)):
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:
@@ -501,7 +499,8 @@ def ingest_traces(
     0 user by user: users in order of first appearance, each user's labels
     in time order. For the markov model they must be the graph's 1-based
     integer state labels, and r is the graph's. Per-user times must be
-    strictly increasing in file order. The file is read as UTF-8.
+    strictly increasing in file order. The file is read as UTF-8, with or
+    without a byte-order mark.
     """
     if model_kind not in ("iid", "markov"):
         raise ConfigError("model must be iid or markov")
@@ -516,7 +515,7 @@ def ingest_traces(
     per_user: dict[str, list[str]] = {}  # user -> locations in time order
     last_time: dict[str, int] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [f.strip() for f in header] != [

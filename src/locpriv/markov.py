@@ -278,16 +278,16 @@ def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> Transition
 def load_graph_csv(path: str) -> MobilityGraph:
     """Read a graph file: header ``from,to,free``, 1-based state labels,
     free in {0, 1, auto}. All-auto selects the canonical free-edge rule;
-    mixing auto with explicit flags is rejected."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    mixing auto with explicit flags, or listing an edge twice, is rejected.
+    The file is read as UTF-8, with or without a byte-order mark."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None:
             # Rows are keyed by the stripped names, so padded ones read too.
             reader.fieldnames = [f.strip() for f in reader.fieldnames]
         if reader.fieldnames != ["from", "to", "free"]:
             raise ValueError("graph file must have header 'from,to,free'")
-        edges = []
-        flags = []
+        flags: dict[tuple[int, int], str] = {}  # edge -> free flag, in file order
         for row in reader:
             try:
                 i = int(row["from"]) - 1
@@ -297,14 +297,16 @@ def load_graph_csv(path: str) -> MobilityGraph:
             flag = (row["free"] or "").strip().lower()
             if flag not in ("0", "1", "auto"):
                 raise ValueError(f"free flag must be 0, 1 or auto, got {flag!r}")
-            edges.append((i, j))
-            flags.append(flag)
-    if not edges:
+            if (i, j) in flags:
+                raise ValueError(f"graph file lists edge ({i + 1}, {j + 1}) twice")
+            flags[i, j] = flag
+    if not flags:
         raise ValueError("graph file has no edges")
-    r = max(max(i, j) for i, j in edges) + 1
-    if all(f == "auto" for f in flags):
-        return MobilityGraph(r=r, edges=tuple(edges))
-    if any(f == "auto" for f in flags):
+    edges = tuple(flags)
+    r = max(max(e) for e in edges) + 1
+    if all(f == "auto" for f in flags.values()):
+        return MobilityGraph(r=r, edges=edges)
+    if "auto" in flags.values():
         raise ValueError("graph file mixes auto with explicit free flags")
-    free = tuple(e for e, f in zip(edges, flags) if f == "1")
-    return MobilityGraph(r=r, edges=tuple(edges), free_edges=free)
+    free = tuple(e for e, f in flags.items() if f == "1")
+    return MobilityGraph(r=r, edges=edges, free_edges=free)

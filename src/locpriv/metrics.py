@@ -12,7 +12,6 @@ permutation) is the cheap large-n companion metric.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,22 +138,25 @@ def score_trial(
     return out
 
 
-def run_trials(model, m: int, rngs, draw, metrics, *, k=None, h_marginal=0.0):
-    """Yield each sampled trial's ``score_trial`` values, one per generator
-    in ``rngs``. ``draw(rng)`` returns the trial's ``(profiles, crowd)``, or
-    None to skip the trial, which then yields None and draws nothing more;
-    the trajectories and the permutation come from the same generator.
+def run_trials(model, m: int, trials, draw, metrics, *, k=None, h_marginal=0.0):
+    """Yield each sampled trial's ``score_trial`` values, one per
+    ``(rng, name)`` pair in ``trials``. ``draw(rng)`` returns the trial's
+    ``(profiles, crowd)``, or None to skip the trial, which then yields None
+    and draws nothing more; the trajectories and the permutation come from
+    the same generator. A ValueError in the trial is re-raised as the same
+    type, chained, with its name appended, so the trial can be replayed.
     """
-    for rng in rngs:
-        drawn = draw(rng)
-        if drawn is None:
-            yield None
-            continue
-        profiles, crowd = drawn
-        trial = simulate_attack_trial(model, profiles, m, rng)
-        yield score_trial(
-            model, trial, metrics, k=k, h_marginal=h_marginal, crowd=crowd
-        )
+    for rng, name in trials:
+        scores = None
+        with _naming(name):
+            drawn = draw(rng)
+            if drawn is not None:
+                profiles, crowd = drawn
+                trial = simulate_attack_trial(model, profiles, m, rng)
+                scores = score_trial(
+                    model, trial, metrics, k=k, h_marginal=h_marginal, crowd=crowd
+                )
+        yield scores
 
 
 def deanonymization_accuracy(
@@ -166,11 +168,7 @@ def deanonymization_accuracy(
     if trials < 1:
         raise ValueError("need at least one trial")
     scores = run_trials(
-        model, m, itertools.repeat(rng, trials), lambda _: (profiles, None),
-        ("accuracy",),
+        model, m, ((rng, f"trial {t}") for t in range(trials)),
+        lambda _: (profiles, None), ("accuracy",),
     )
-    hits = 0.0
-    for t in range(trials):
-        with _naming(f"trial {t}"):
-            hits += next(scores)["pi1_accuracy"]
-    return hits / trials
+    return sum(s["pi1_accuracy"] for s in scores) / trials

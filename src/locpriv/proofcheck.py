@@ -14,13 +14,12 @@ instead.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _naming, run_trials
+from .metrics import run_trials
 from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
 
 __all__ = [
@@ -209,11 +208,9 @@ def weight_uniformity(
         return [IidProfile([1.0 - p, p]) for p in ps], members
 
     scores = run_trials(
-        IidModel(r=2), m, itertools.repeat(rng, trials), draw, ("weights",)
+        IidModel(r=2), m, ((rng, f"trial {t}") for t in range(trials)), draw,
+        ("weights",),
     )
-    deviations = []
-    for t in range(trials):
-        with _naming(f"trial {t}"):
-            out = next(scores)
-        deviations.append(None if out is None else out["weight_max_dev"])
-    return WeightUniformityResult.from_trials(deviations)
+    return WeightUniformityResult.from_trials(
+        [None if out is None else out["weight_max_dev"] for out in scores]
+    )

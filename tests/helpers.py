@@ -435,7 +435,8 @@ def mutual_information_mc(
     if not 1 <= k <= m:
         raise ValueError(f"time index k={k} outside 1..{m}")
     profile1, draw = _population(n, rng, profile_sampler, profile1, profiles)
-    scores = run_trials(model, m, itertools.repeat(rng, trials), draw, ("mi",), k=k)
+    named = ((rng, f"trial {t}") for t in range(trials))
+    scores = run_trials(model, m, named, draw, ("mi",), k=k)
     # Scored with h_marginal = 0, each trial's mi is exactly -H(X_1(k) | Y).
     cond = np.array([-s["mi"] for s in scores])
     return MiEstimate(
@@ -455,9 +456,8 @@ def deanonymization_accuracy_mc(
     if trials < 1:
         raise ValueError("need at least one trial")
     _, draw = _population(n, rng, profile_sampler, profile1, profiles)
-    scores = list(
-        run_trials(model, m, itertools.repeat(rng, trials), draw, ("accuracy",))
-    )
+    named = ((rng, f"trial {t}") for t in range(trials))
+    scores = list(run_trials(model, m, named, draw, ("accuracy",)))
     return AccuracyResult(
         pi1_accuracy=sum(s["pi1_accuracy"] for s in scores) / trials,
         full_perm_accuracy=sum(s["full_perm_accuracy"] for s in scores) / trials,

@@ -75,13 +75,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert f"config error: schedule c={c}, beta={beta} at n=100" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "lemma", "audit"])
 def test_empty_out_exits_2_before_running(tmp_path, capsys, monkeypatch, command):
     ran = []
-    monkeypatch.setattr("locpriv.cli.run_sweep", lambda *a, **k: ran.append(1))
-    assert main([command, "--config", write_config(tmp_path), "--out", ""]) == 2
+    for work in ("run_sweep", "run_lemma_battery", "load_graph_csv", "ingest_traces"):
+        monkeypatch.setattr(f"locpriv.cli.{work}", lambda *a, **k: ran.append(1))
+    args = {
+        "simulate": ["--config", write_config(tmp_path)],
+        "sweep": ["--config", write_config(tmp_path)],
+        "lemma": ["--alpha", "1.0", "--theta", "0.05", "--phi", "0.1",
+                  "--m-grid", "100", "--n-grid", "3", "--trials", "5", "--seed", "9"],
+        "audit": ["--traces", "traces.csv", "--model", "markov", "--graph", "graph.csv",
+                  "--n", "100", "--alpha-margin", "0.5"],
+    }[command]
+    assert main([command, *args, "--out", ""]) == 2
     assert not ran
-    assert "config error" in capsys.readouterr().err
+    assert "config error: --out must be a nonempty path" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -344,6 +353,22 @@ def test_audit_graph_with_a_mistyped_large_label_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "state 1 has no outgoing edge" in capsys.readouterr().err
+
+
+def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):
+    # the two rows' free flags contradict; neither may win silently
+    graph = tmp_path / "graph.csv"
+    graph.write_text("from,to,free\n1,2,1\n1,2,0\n1,1,0\n2,1,0\n2,2,1\n")
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,2\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert "config error: graph file: graph file lists edge (1, 2) twice" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("digits", [400, 300], ids=["n-beyond-float", "budget-beyond-float"])

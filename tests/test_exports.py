@@ -243,6 +243,18 @@ def test_sampled_trials_run_only_in_the_trial_loop():
     ]
 
 
+def test_trials_are_named_only_by_the_trial_loop():
+    # metrics.run_trials names each trial it runs, so no caller steps its
+    # generator to name them; the audit's two sections and the lemma
+    # battery's flatness check keep their outer labels.
+    assert _library_calls(("_naming",)) == [
+        ("harness.py", "audit", "_naming"),
+        ("harness.py", "audit", "_naming"),
+        ("harness.py", "run_lemma_battery", "_naming"),
+        ("metrics.py", "run_trials", "_naming"),
+    ]
+
+
 # Each module imports only modules before it in this order.
 LAYER_ORDER = (
     "anonymization",

@@ -178,6 +178,10 @@ def test_parse_config_validates_fields(tmp_path):
         make_config(schedule=[1.0, 1.2])
     with pytest.raises(ConfigError, match="only meaningful for the markov model"):
         make_config(graph_path=write_three_state_graph(tmp_path))
+    # a graph path that is not a string is a config error, not a crash
+    for bad_path in (5, ["graph3.csv"]):
+        with pytest.raises(ConfigError, match="graph_path, a nonempty string"):
+            make_config(model="markov", graph_path=bad_path, density=None)
     with pytest.raises(ConfigError, match="only the uniform-simplex prior"):
         make_config(
             model="markov",
@@ -754,6 +758,24 @@ def test_ingest_traces_iid_rejects_graph():
     path = os.path.join(CONFIGS, "demo_traces.csv")
     with pytest.raises(ConfigError, match="only meaningful for the markov model"):
         ingest_traces(path, "iid", graph=three_state_graph())
+
+
+def test_trace_and_config_files_may_start_with_a_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with one; the headers must still match
+    def with_bom(name):
+        path = tmp_path / name
+        with open(os.path.join(CONFIGS, name), "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        return str(path)
+
+    plain, bom = os.path.join(CONFIGS, "demo_traces.csv"), with_bom("demo_traces.csv")
+    reports = [
+        audit(*ingest_traces(path, "iid"), n_effective=100, alpha_margin=0.5, trials=20)
+        for path in (plain, bom)
+    ]
+    assert reports[0] == reports[1]
+    config = load_config(with_bom("iid2_sweep.json"))
+    assert config == load_config(os.path.join(CONFIGS, "iid2_sweep.json"))
 
 
 @pytest.mark.parametrize("r", [6.5, 7.0, True], ids=["6.5", "7.0", "true"])

@@ -443,6 +443,11 @@ def test_load_graph_csv(tmp_path):
     mixed.write_text("from,to,free\n1,1,auto\n1,2,1\n2,1,0\n2,2,0\n")
     with pytest.raises(ValueError):
         load_graph_csv(str(mixed))
+    # contradicting free flags for one edge: neither row may win silently
+    twice = tmp_path / "twice.csv"
+    twice.write_text("from,to,free\n1,2,1\n1,2,0\n1,1,0\n2,1,0\n2,2,1\n")
+    with pytest.raises(ValueError, match=r"graph file lists edge \(1, 2\) twice"):
+        load_graph_csv(str(twice))
 
 
 def test_load_graph_csv_reads_padded_header_blank_lines_and_extra_columns(tmp_path):
@@ -454,6 +459,12 @@ def test_load_graph_csv_reads_padded_header_blank_lines_and_extra_columns(tmp_pa
     g = load_graph_csv(str(path))
     assert g.edges == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 0), (2, 1))
     assert g.free_edges == ((0, 0), (0, 1), (2, 1))
+    # and so must a file that starts with a byte-order mark, as spreadsheet
+    # exports often do
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    h = load_graph_csv(str(bom))
+    assert (h.r, h.edges, h.free_edges) == (g.r, g.edges, g.free_edges)
 
 
 def test_markov_model_descriptor():

@@ -109,6 +109,29 @@ def test_mi_single_user_is_exact_marginal_entropy():
     assert est.method == "mc-permanent"
 
 
+def test_mi_estimator_error_names_the_failing_trial(monkeypatch):
+    # the trial loop names every trial, so the test estimators' errors can
+    # be replayed too
+    posterior_pi1 = adversary.posterior_pi1
+    calls = []
+
+    def failing_posterior(L, solved=None):
+        calls.append(L)
+        if len(calls) == 3:
+            raise ValueError("degenerate posterior: injected")
+        return posterior_pi1(L, solved=solved)
+
+    monkeypatch.setattr(adversary, "posterior_pi1", failing_posterior)
+    profiles = [IidProfile([0.7, 0.3]), IidProfile([0.3, 0.7])]
+    with pytest.raises(ValueError) as info:
+        mutual_information_mc(
+            IidModel(2), 2, 4, 2, 5, np.random.default_rng(0), profiles=profiles
+        )
+    assert type(info.value) is ValueError
+    assert str(info.value) == "degenerate posterior: injected (trial 2)"
+    assert str(info.value.__cause__) == "degenerate posterior: injected"
+
+
 def test_mi_matches_exhaustive_enumeration_tiny_case():
     exact = exact_mi_two_state([0.3, 0.7], m=2, k=1)
     profiles = [IidProfile([0.7, 0.3]), IidProfile([0.3, 0.7])]
