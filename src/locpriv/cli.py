@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .harness import (
@@ -84,11 +85,19 @@ def _apply_overrides(config, seed, out):
     return config
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject an output path in a missing directory before any work."""
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+
+
 def _cmd_sweep(args) -> int:
     """Run ``sweep``, or ``simulate``, which takes a one-cell config."""
     config = _apply_overrides(load_config(args.config), args.seed, args.out)
     if args.command == "simulate" and len(config.n_grid) != 1:
         raise ConfigError("simulate needs a config with exactly one n_grid entry")
+    _check_out_dir(config.out_path)
     rows = run_sweep(config)
     write_results_csv(rows, config.out_path)
     print(f"wrote {len(rows)} rows to {config.out_path}")
@@ -137,6 +146,8 @@ def main(argv=None) -> int:
     try:
         if args.out == "":  # every command takes --out; reject it before any work
             raise ConfigError("--out must be a nonempty path")
+        if args.out is not None:
+            _check_out_dir(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"locpriv: config error: {exc}", file=sys.stderr)

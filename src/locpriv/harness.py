@@ -62,6 +62,10 @@ _CELL_DRAW = 2**64 - 1
 # (eps = m^-(1/2 + phi), the proofcheck default).
 SWEEP_WEIGHT_PHI = 0.1
 
+# Largest i.i.d. location count r a config or an audit accepts: every
+# profile holds r-entry arrays, and every trial an (n, r) count table.
+MAX_IID_LOCATIONS = 10_000
+
 _METRIC_CHOICES = ("mi", "accuracy", "weights")
 _MODEL_CHOICES = ("iid2", "iidr", "markov")
 
@@ -153,6 +157,14 @@ def _count(value, what: str, low: int) -> int:
     return value
 
 
+def _locations(value) -> int:
+    """An i.i.d. location count r: a JSON integer in 2..MAX_IID_LOCATIONS."""
+    r = _count(value, "r", 2)
+    if r > MAX_IID_LOCATIONS:
+        raise ConfigError(f"r must be at most {MAX_IID_LOCATIONS}, got {r}")
+    return r
+
+
 def check_seed(value) -> int:
     """A master seed: an integer in [0, 2^64), the range substream_seed
     hashes without wrapping, so no two seeds replay the same streams."""
@@ -234,7 +246,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         else:
             if "r" not in raw:
                 raise ConfigError("iidr requires r")
-            r = _count(raw["r"], "r", 2)
+            r = _locations(raw["r"])
         model = IidModel(r=r)
         density = _parse_density(raw.get("density"), r)
 
@@ -511,7 +523,7 @@ def ingest_traces(
     if model_kind == "iid" and graph is not None:
         raise ConfigError("a graph is only meaningful for the markov model")
     if r is not None:
-        _count(r, "r", 2)
+        _locations(r)
     per_user: dict[str, list[str]] = {}  # user -> locations in time order
     last_time: dict[str, int] = {}
     try:

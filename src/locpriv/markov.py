@@ -128,11 +128,11 @@ class MarkovModel:
             raise ValueError("time index k must be >= 1")
         return np.linalg.matrix_power(profile.matrix, k - 1)[0].copy()
 
-    def likelihood_matrix(self, laws, Y: np.ndarray) -> np.ndarray:
-        """L[u, j] = log-likelihood that user u generated column j of Y."""
-        return adversary.likelihood_matrix_markov(
-            laws, adversary.transition_stats(Y, self.r)
-        )
+    def evidence(self, laws, Y: np.ndarray) -> tuple[np.ndarray, None]:
+        """L[u, j] = log-likelihood that user u generated column j of Y, and
+        no sort keys: MAP solves a Markov matrix."""
+        mats = adversary.transition_stats(Y, self.r)
+        return adversary.likelihood_matrix_markov(laws, mats), None
 
     def fit_profile(self, trace: Sequence[int]) -> TransitionMatrix:
         """The add-one smoothed transition matrix of one trace on the graph."""
@@ -294,6 +294,10 @@ def load_graph_csv(path: str) -> MobilityGraph:
                 j = int(row["to"]) - 1
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad graph row {row!r}") from exc
+            if min(i, j) < 0:
+                raise ValueError(
+                    f"graph file edge ({i + 1}, {j + 1}) has a label below 1"
+                )
             flag = (row["free"] or "").strip().lower()
             if flag not in ("0", "1", "auto"):
                 raise ValueError(f"free flag must be 0, 1 or auto, got {flag!r}")

@@ -76,12 +76,15 @@ class AttackTrial:
     adversary's log-likelihood matrix ``L[u, j]`` (user u generated
     pseudonym j's column), the evidence both attacks work from:
     ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``,
-    which share one ``adversary.solve_assignment(L)``.
+    which share one ``adversary.solve_assignment(L)``. ``sort_keys`` is
+    the model's (b, k) that lets MAP sort instead of solve (two-state
+    i.i.d. mobility), or None.
     """
 
     Y: np.ndarray
     perm: object
     L: np.ndarray
+    sort_keys: tuple | None
 
 
 def attack(model, profiles, trajectories, rng: np.random.Generator) -> AttackTrial:
@@ -91,7 +94,8 @@ def attack(model, profiles, trajectories, rng: np.random.Generator) -> AttackTri
     """
     perm = sample_permutation(len(profiles), rng)
     Y = anonymize(trajectories, perm)
-    return AttackTrial(Y=Y, perm=perm, L=model.likelihood_matrix(profiles, Y))
+    L, sort_keys = model.evidence(profiles, Y)
+    return AttackTrial(Y=Y, perm=perm, L=L, sort_keys=sort_keys)
 
 
 def simulate_attack_trial(
@@ -112,19 +116,25 @@ def score_trial(
     pseudonym / the whole permutation; ``weight_max_dev`` = max |N * W_j - 1|
     over the pseudonyms of the N users in ``crowd``, the posterior
     renormalized to them, or None for no crowd or no mass on it. The exact
-    posterior runs at most once, and MAP only for "accuracy"; the
-    assignment solve they share runs once per trial.
+    posterior runs at most once, and MAP only for "accuracy". The
+    assignment solve runs once, shared by both, where the posterior runs;
+    otherwise MAP sorts on the trial's sort keys where the model gives
+    them (two-state i.i.d.) and solves by itself only where it falls back
+    (two logits within 4 tol) or has no keys.
     """
     out: dict[str, float | None] = {}
-    solved = adversary.solve_assignment(trial.L)
+    solved = None
     if "mi" in metrics or "weights" in metrics:
+        solved = adversary.solve_assignment(trial.L)
         post = adversary.posterior_pi1(trial.L, solved=solved)
     if "mi" in metrics:
         q = conditional_location_distribution(trial.Y, post, k, model.r)
         out["mi"] = h_marginal - entropy(q)
     truth = trial.perm.forward
     if "accuracy" in metrics:
-        guess = adversary.map_assignment(trial.L, solved=solved).forward
+        guess = adversary.map_assignment(
+            trial.L, solved=solved, sort_keys=trial.sort_keys
+        ).forward
         out["pi1_accuracy"] = float(guess[0] == truth[0])
         out["full_perm_accuracy"] = float(np.array_equal(guess, truth))
     if "weights" in metrics:

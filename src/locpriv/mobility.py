@@ -117,9 +117,17 @@ class IidModel:
             raise ValueError("time index k must be >= 1")
         return np.array(profile.probs, copy=True)
 
-    def likelihood_matrix(self, laws, Y: np.ndarray) -> np.ndarray:
-        """L[u, j] = log-likelihood that user u generated column j of Y."""
-        return adversary.likelihood_matrix_iid(laws, adversary.count_stats(Y, self.r))
+    def evidence(self, laws, Y: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        """L[u, j] = log-likelihood that user u generated column j of Y, and
+        map_assignment's sort keys: at r = 2, where L[u, j] = a_u + b_u k_j,
+        the users' logits b = log p_1 - log p_0 and the pseudonyms' state-1
+        counts k; None at r > 2."""
+        counts = adversary.count_stats(Y, self.r)
+        L = adversary.likelihood_matrix_iid(laws, counts)
+        if self.r != 2:
+            return L, None
+        logp = np.log(np.stack([p.probs for p in laws]))  # the logs L is built from
+        return L, (logp[:, 1] - logp[:, 0], counts[:, 1])
 
     def fit_profile(self, trace: Sequence[int]) -> IidProfile:
         """The Laplace-smoothed profile of one trace."""

@@ -402,6 +402,115 @@ def test_map_assignment_respects_infeasible_cells():
     assert map_assignment(L).forward.tolist() == [1, 0]
 
 
+def _iid2_trial(rng, n, m, profiles=None):
+    """One two-state i.i.d. attack at a random density (or on ``profiles``)."""
+    if profiles is None:
+        density = ProfileDensity(str(rng.choice(["uniform-simplex", "bounded-mixture"])), 2)
+        profiles = [sample_profile(density, rng) for _ in range(n)]
+    return simulate_attack_trial(IidModel(2), profiles, m, rng)
+
+
+def test_map_sort_path_by_hand():
+    # users by logit: 1, 3, 0, 2 take counts 0, 1, 1, 2; the count-1 group
+    # (columns 0 and 2) goes to users 0 and 3 in index order
+    b = np.array([0.5, -1.0, 2.0, 0.1])
+    k = np.array([1, 0, 1, 2])
+    L = np.outer(b, k).astype(float)
+    assert adversary._sorted_matching(L, (b, k)).tolist() == [0, 1, 3, 2]
+    assert map_assignment(L).forward.tolist() == [0, 1, 3, 2]
+    assert map_assignment_bruteforce(L, 1e-9).forward.tolist() == [0, 1, 3, 2]
+
+
+def test_map_sort_path_matches_general_path():
+    # n = 2..128 at both densities, m down to 1 where most counts are
+    # equal: where the sort path answers it is the general path's forward
+    # array (and the brute-force rule's at n <= 6); with the keys MAP
+    # returns that array either way.
+    rng = np.random.default_rng(41)
+    sorted_trials = 0
+    for t in range(300):
+        n = int(rng.integers(2, 7)) if t % 2 else int(rng.integers(2, 129))
+        m = int(rng.integers(1, 6)) if t % 3 == 0 else round(n ** rng.uniform(0.5, 1.5))
+        trial = _iid2_trial(rng, n, m)
+        general = map_assignment(trial.L).forward
+        keyed = map_assignment(trial.L, sort_keys=trial.sort_keys).forward
+        assert np.array_equal(keyed, general)
+        forward = adversary._sorted_matching(trial.L, trial.sort_keys)
+        if forward is None:
+            continue
+        sorted_trials += 1
+        assert np.array_equal(forward, general)
+        if n <= 6:
+            tol = 1e-9 * max(1.0, float(np.abs(trial.L).max()))
+            assert np.array_equal(forward, map_assignment_bruteforce(trial.L, tol).forward)
+    assert sorted_trials >= 270
+
+
+def test_map_sort_path_falls_back_on_near_tied_logits(monkeypatch):
+    # One user's logit moved to within 0, 0.5, 1 or 2 tol of another's:
+    # the sort path declines, MAP solves, and the answer is the general
+    # path's. Trading the two users' columns then costs multiples of the
+    # gap, some right at tol, where the tie-break's recomputed totals may
+    # round past tol: it must still answer.
+    solve = adversary.linear_sum_assignment
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(43)
+    density = ProfileDensity("uniform-simplex", 2)
+    for t in range(80):
+        n = int(rng.integers(2, 65))
+        profiles = [sample_profile(density, rng) for _ in range(n)]
+        trial = _iid2_trial(rng, n, int(rng.integers(1, 2 * n)), profiles)
+        u, v = rng.choice(n, size=2, replace=False)
+        tol = 1e-9 * max(1.0, float(np.abs(trial.L).max()))
+        logit = trial.sort_keys[0][u] + (0.0, 0.5, 1.0, 2.0)[t % 4] * tol
+        q = 1.0 / (1.0 + math.exp(-logit))
+        profiles[v] = IidProfile([1.0 - q, q])
+        L, keys = IidModel(2).evidence(profiles, trial.Y)
+        assert adversary._sorted_matching(L, keys) is None
+        calls.clear()
+        keyed = map_assignment(L, sort_keys=keys).forward
+        assert calls, "the fall-back made no assignment solve"
+        assert np.array_equal(keyed, map_assignment(L).forward)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        np.array([[0.0, np.nan], [0.0, 0.0]]),
+        np.array([[np.inf, 0.0], [0.0, 0.0]]),
+        np.zeros((2, 3)),
+        np.zeros((0, 0)),
+        np.array([[-np.inf, 0.0], [-np.inf, 0.0]]),
+    ],
+    ids=["nan", "inf", "non-square", "empty", "infeasible"],
+)
+def test_map_sort_keys_keep_the_general_errors(L):
+    keys = (np.array([-1.0, 1.0]), np.array([0, 3]))
+    with pytest.raises(ValueError) as plain:
+        map_assignment(L)
+    with pytest.raises(ValueError) as keyed:
+        map_assignment(L, sort_keys=keys)
+    assert str(keyed.value) == str(plain.value)
+
+
+def test_map_sort_keys_checked_against_the_matrix():
+    L = np.array([[-np.inf, 0.0], [0.0, -np.inf]])  # not finite: the general path
+    keys = (np.array([-1.0, 1.0]), np.array([0, 3]))
+    assert map_assignment(L, sort_keys=keys).forward.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="sort keys do not match the likelihood matrix"):
+        map_assignment(np.zeros((3, 3)), sort_keys=keys)
+    L = np.outer(keys[0], keys[1]).astype(float)
+    other = adversary.solve_assignment(L.copy())
+    with pytest.raises(ValueError, match="solved was built from another likelihood matrix"):
+        map_assignment(L, solved=other, sort_keys=keys)
+
+
 def test_posterior_trivial_cases():
     post = posterior_pi1(np.array([[0.0]]))
     assert post.weights.tolist() == [1.0]

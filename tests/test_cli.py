@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 
 import pytest
 
+from locpriv import metrics
 from locpriv.cli import main
+from locpriv.harness import MAX_IID_LOCATIONS
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 BASE = {
@@ -94,9 +99,41 @@ def test_empty_out_exits_2_before_running(tmp_path, capsys, monkeypatch, command
 
 
 def test_runtime_errors_exit_1(tmp_path):
+    # an existing directory as the output file: writing it fails at run time
     cfg = write_config(tmp_path)
-    out = str(tmp_path / "no_such_dir" / "x.csv")
-    assert main(["sweep", "--config", cfg, "--out", out]) == 1
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "sweep-config-out", "lemma", "audit"])
+def test_out_in_missing_directory_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, command
+):
+    trials = []
+    simulate = metrics.simulate_attack_trial
+
+    def counting(*args, **kwargs):
+        trials.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "simulate_attack_trial", counting)
+    missing = tmp_path / "no_such_dir"
+    out = ["--out", str(missing / "x.csv")]
+    argv = {
+        "sweep": ["sweep", "--config", write_config(tmp_path), *out],
+        "sweep-config-out": [
+            "sweep", "--config", write_config(tmp_path, out_path=str(missing / "x.csv"))
+        ],
+        "lemma": ["lemma", "--alpha", "1.0", "--theta", "0.05", "--phi", "0.1",
+                  "--m-grid", "100", "--n-grid", "3", "--trials", "5", "--seed", "9",
+                  *out],
+        "audit": ["audit", "--traces", os.path.join(CONFIGS, "demo_traces.csv"),
+                  "--model", "iid", "--n", "100", "--alpha-margin", "0.1", *out],
+    }[command]
+    assert main(argv) == 2
+    assert f"config error: output directory {str(missing)!r} does not exist" in (
+        capsys.readouterr().err
+    )
+    assert trials == [] and not missing.exists()
 
 
 def test_argparse_errors_exit_2(tmp_path):
@@ -353,6 +390,35 @@ def test_audit_graph_with_a_mistyped_large_label_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "state 1 has no outgoing edge" in capsys.readouterr().err
+
+
+def test_audit_graph_label_below_one_exits_2(tmp_path, capsys):
+    # graph files count states from 1; the message names the file's labels
+    graph = tmp_path / "graph.csv"
+    graph.write_text("from,to,free\n0,1,auto\n")
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,1\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert "config error: graph file: graph file edge (0, 1) has a label below 1" in (
+        capsys.readouterr().err
+    )
+
+
+def test_audit_iid_rejects_r_beyond_the_location_limit(tmp_path, capsys):
+    # r sizes every fitted profile; past the limit it is a config error,
+    # not an allocation failure
+    huge = 10**11
+    code = main(
+        ["audit", "--traces", os.path.join(CONFIGS, "demo_traces.csv"), "--model", "iid",
+         "--r", str(huge), "--n", "100", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: r must be at most {MAX_IID_LOCATIONS}, got {huge}" in err
 
 
 def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):

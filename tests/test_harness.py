@@ -123,6 +123,10 @@ def test_parse_config_validates_fields(tmp_path):
         make_config(schedule={"c": "x", "beta": 1.0})
     with pytest.raises(ConfigError):
         make_config(model="iidr", r="three")
+    limit = harness.MAX_IID_LOCATIONS  # every profile holds r entries
+    assert make_config(model="iidr", r=limit).model == IidModel(limit)
+    with pytest.raises(ConfigError, match=f"r must be at most {limit}, got {limit + 1}"):
+        make_config(model="iidr", r=limit + 1)
     # counts must be JSON integers: no truncated floats, strings or booleans
     with pytest.raises(ConfigError):
         make_config(model="iidr", r=3.9)
@@ -403,11 +407,11 @@ def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
     map_assignment = harness.adversary.map_assignment
     calls = []
 
-    def failing_map(L, solved=None):
+    def failing_map(L, solved=None, sort_keys=None):
         calls.append(L)
         if len(calls) == fail_at:
             raise ValueError("no feasible permutation: injected")
-        return map_assignment(L, solved=solved)
+        return map_assignment(L, solved=solved, sort_keys=sort_keys)
 
     monkeypatch.setattr(harness.adversary, "map_assignment", failing_map)
     with pytest.raises(ValueError) as info:
@@ -590,6 +594,35 @@ def test_sweep_trial_makes_one_assignment_solve(monkeypatch):
     rows = run_sweep(cfg)
     assert len(calls) == 3 * 6
     assert {r.metric for r in rows} >= {"mi", "pi1_accuracy", "weight_max_dev"}
+
+
+@pytest.mark.parametrize(
+    "overrides, solves_per_trial",
+    [
+        (dict(model="iid2"), 0),
+        (dict(model="iidr", r=3), 1),
+        (dict(model="markov", graph_path="three_state_graph.csv", density=None), 1),
+    ],
+    ids=["iid2", "iidr3", "markov"],
+)
+def test_accuracy_only_sweep_solves_only_without_sort_keys(
+    monkeypatch, overrides, solves_per_trial
+):
+    # Accuracy alone runs no posterior: two-state i.i.d. MAP sorts and
+    # makes no assignment solve, every other model solves once per trial.
+    raw = dict(BASE_CONFIG, n_grid=[3, 8, 40], trials=5, metrics=["accuracy"])
+    cfg = parse_config({**raw, **overrides}, base_dir=CONFIGS)
+    solve = harness.adversary.linear_sum_assignment
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness.adversary, "linear_sum_assignment", counting)
+    rows = run_sweep(cfg)
+    assert len(calls) == solves_per_trial * 3 * 5
+    assert sum(r.metric == "pi1_accuracy" and r.trial >= 0 for r in rows) == 3 * 5
 
 
 def test_ingest_traces_three_user_example(tmp_path):

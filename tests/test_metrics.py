@@ -304,8 +304,11 @@ def test_accuracy_reproducible():
 
 
 def test_attack_trial_carries_the_likelihood_matrix():
-    # The kernel stops at L; both attacks are the callers' to run.
-    assert [f.name for f in dataclasses.fields(AttackTrial)] == ["Y", "perm", "L"]
+    # The kernel stops at L (and MAP's sort keys, which only two-state
+    # i.i.d. models give); both attacks are the callers' to run.
+    assert [f.name for f in dataclasses.fields(AttackTrial)] == [
+        "Y", "perm", "L", "sort_keys"
+    ]
     rng = np.random.default_rng(8)
     profiles = [IidProfile([0.2, 0.3, 0.5]), IidProfile([0.6, 0.3, 0.1])]
     trial = simulate_attack_trial(IidModel(r=3), profiles, 12, rng)
@@ -313,6 +316,7 @@ def test_attack_trial_carries_the_likelihood_matrix():
         profiles, adversary.count_stats(trial.Y, 3)
     )
     np.testing.assert_array_equal(trial.L, expected)
+    assert trial.sort_keys is None
     graph = three_state_graph()
     chains = [expand_free_params(v, graph) for v in ([0.2, 0.3, 0.4], [0.5, 0.1, 0.7])]
     trial = simulate_attack_trial(MarkovModel(graph=graph), chains, 12, rng)
@@ -320,3 +324,4 @@ def test_attack_trial_carries_the_likelihood_matrix():
         chains, adversary.transition_stats(trial.Y, 3)
     )
     np.testing.assert_array_equal(trial.L, expected)
+    assert trial.sort_keys is None
