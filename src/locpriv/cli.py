@@ -17,11 +17,11 @@ from .harness import (
     check_seed,
     ingest_traces,
     load_config,
+    load_graph,
     run_lemma_battery,
     run_sweep,
     write_results_csv,
 )
-from .markov import load_graph_csv
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -42,17 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="single-cell run from a config file")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=_cmd_sweep)
-
-    p_sweep = sub.add_parser("sweep", help="full (n, beta) grid from a config file")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    for name, text in (
+        ("simulate", "single-cell run from a config file"),
+        ("sweep", "full (n, beta) grid from a config file"),
+    ):
+        p_run = sub.add_parser(name, help=text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--seed", type=int, default=None)
+        p_run.add_argument("--out", default=None)
+        p_run.set_defaults(func=_cmd_sweep)
 
     p_lemma = sub.add_parser("lemma", help="proof-machinery numerical battery")
     p_lemma.add_argument("--alpha", type=float, required=True)
@@ -120,12 +118,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    graph = None
-    if args.graph is not None:
-        try:
-            graph = load_graph_csv(args.graph)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"graph file: {exc}") from exc
+    graph = None if args.graph is None else load_graph(args.graph)
     dataset, population = ingest_traces(
         args.traces, args.model, r=args.r, graph=graph
     )

@@ -44,6 +44,7 @@ __all__ = [
     "check_seed",
     "ingest_traces",
     "load_config",
+    "load_graph",
     "parse_config",
     "run_lemma_battery",
     "run_sweep",
@@ -88,6 +89,12 @@ def substream_seed(*parts: int) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
+def _digest(payload: dict) -> str:
+    """An experiment id: the first 12 hex digits of the SHA-256 of the
+    payload as key-sorted JSON."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_name: str
@@ -129,10 +136,7 @@ class ExperimentConfig:
             "metrics": list(self.metrics),
             "seed": self.seed,
         }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
-        return digest[:12]
+        return _digest(payload)
 
 
 def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -224,10 +228,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError("markov model requires graph_path, a nonempty string")
         if not os.path.isabs(graph_path):
             graph_path = os.path.join(base_dir, graph_path)
-        try:
-            graph = load_graph_csv(graph_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"graph file: {exc}") from exc
+        graph = load_graph(graph_path)
         if graph.d < 1:
             raise ConfigError("markov sweeps need a graph with d = |E| - r >= 1")
         if "r" in raw and _count(raw["r"], "r", 1) != graph.r:
@@ -326,6 +327,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         seed=seed,
         out_path=out_path,
     )
+
+
+def load_graph(path: str) -> MobilityGraph:
+    """``markov.load_graph_csv``, failing with ConfigError("graph file: ...")."""
+    try:
+        return load_graph_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"graph file: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -487,17 +496,6 @@ class TraceDataset:
     label_map: dict
 
 
-def _row_record(header: list[str], row: list[str]) -> dict:
-    """A trace row as csv.DictReader gives it, for error messages: fields
-    keyed by header name, missing ones None, extra ones as a list under None."""
-    record = dict(zip(header, row))
-    if len(row) > len(header):
-        record[None] = row[len(header):]
-    for key in header[len(row):]:
-        record[key] = None
-    return record
-
-
 def ingest_traces(
     path: str,
     model_kind: str,
@@ -511,7 +509,9 @@ def ingest_traces(
     0 user by user: users in order of first appearance, each user's labels
     in time order. For the markov model they must be the graph's 1-based
     integer state labels, and r is the graph's. Per-user times must be
-    strictly increasing in file order. The file is read as UTF-8, with or
+    strictly increasing in file order. Blank lines are skipped and extra
+    columns ignored; a bad row's error names its line, and an error found
+    after reading names the user. The file is read as UTF-8, with or
     without a byte-order mark.
     """
     if model_kind not in ("iid", "markov"):
@@ -529,48 +529,42 @@ def ingest_traces(
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [f.strip() for f in header] != [
-                "user_id",
-                "time",
-                "location",
-            ]:
-                raise ConfigError(
-                    "trace file must have header 'user_id,time,location'"
-                )
+            if [f.strip() for f in next(reader, [])] != ["user_id", "time", "location"]:
+                raise ConfigError("trace file must have header 'user_id,time,location'")
+
+            def bad(what: str) -> ConfigError:
+                return ConfigError(f"{what} on line {reader.line_num} of the trace file")
+
             for row in reader:
-                fields = row
-                if len(row) < 3:
-                    if not row:  # blank line
-                        continue
-                    fields = row + [None] * (3 - len(row))
-                uid, stamp, loc = fields[0], fields[1], fields[2]
+                if not row:  # blank line
+                    continue
+                uid = row[0]
                 try:
-                    t = int(stamp)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(
-                        f"non-integer time in row {_row_record(header, row)!r}"
-                    ) from exc
-                if loc is None or loc == "":
-                    raise ConfigError(
-                        f"missing location in row {_row_record(header, row)!r}"
-                    )
+                    t = int(row[1])
+                except IndexError:
+                    raise bad("non-integer time: none given") from None
+                except ValueError:
+                    raise bad(f"non-integer time {row[1]!r}") from None
+                if len(row) < 3 or row[2] == "":
+                    raise bad("missing location")
                 if uid in last_time:
                     if t <= last_time[uid]:
-                        raise ConfigError(
-                            f"times for user {uid!r} must be strictly increasing"
+                        raise bad(
+                            f"times for user {uid!r} must be strictly increasing "
+                            f"({t} after {last_time[uid]})"
                         )
-                    per_user[uid].append(loc)
+                    per_user[uid].append(row[2])
                 else:
-                    per_user[uid] = [loc]
+                    per_user[uid] = [row[2]]
                 last_time[uid] = t
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read traces: {exc}") from exc
     if not per_user:
         raise ConfigError("trace file has no rows")
 
+    # Errors past this point name the user whose trace caused them.
     label_map: dict[str, int] = {}
-    for seq in per_user.values():
+    for uid, seq in per_user.items():
         for loc in seq:
             if loc in label_map:
                 continue
@@ -581,10 +575,11 @@ def ingest_traces(
                 state = int(loc) - 1
             except ValueError:
                 raise ConfigError(
-                    f"markov traces need 1-based integer state labels, got {loc!r}"
+                    f"user {uid!r}: markov traces need 1-based integer state "
+                    f"labels, got {loc!r}"
                 ) from None
             if not 0 <= state < graph.r:
-                raise ConfigError(f"state label {loc!r} outside 1..{graph.r}")
+                raise ConfigError(f"user {uid!r}: state label {loc!r} outside 1..{graph.r}")
             label_map[loc] = state
 
     if model_kind == "markov":
@@ -600,10 +595,12 @@ def ingest_traces(
         _readonly([label_map[loc] for loc in seq], np.int64)
         for seq in per_user.values()
     )
-    try:
-        profiles = tuple(model.fit_profile(traj) for traj in trajectories)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    profiles = []
+    for uid, traj in zip(per_user, trajectories):
+        try:
+            profiles.append(model.fit_profile(traj))
+        except ValueError as exc:
+            raise ConfigError(f"user {uid!r}: {exc}") from exc
     dataset = TraceDataset(
         user_ids=tuple(per_user),
         trajectories=trajectories,
@@ -745,7 +742,7 @@ def run_lemma_battery(
         "trials": trials,
         "seed": seed,
     }
-    exp_id = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+    exp_id = _digest(payload)
     rows: list[ResultRow] = []
 
     def emit(n, m, metric, value):

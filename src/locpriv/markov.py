@@ -1,8 +1,9 @@
 """Markov-chain mobility on a shared location graph.
 
-All users move on one directed graph over states ``0..r-1`` (reported
-1-based in files and reports). Row-stochasticity removes one degree of
-freedom per state, so a graph with edge set E has d = |E| - r free
+All users move on one directed graph over states ``0..r-1``, labelled
+``1..r`` in files and reports; every message here that a bad input file
+can reach names states by those labels. Row-stochasticity removes one
+degree of freedom per state, so a graph with edge set E has d = |E| - r free
 transition probabilities; each state has exactly one dependent out-edge
 whose probability is forced by the row sum. The map from the free
 parameter vector to the full transition matrix is affine (dependent
@@ -60,10 +61,10 @@ class MobilityGraph:
         out_degree = [0] * self.r
         for i, j in edges:
             if not (0 <= i < self.r and 0 <= j < self.r):
-                raise ValueError(f"edge ({i},{j}) out of range for r={self.r}")
+                raise ValueError(f"edge ({i + 1},{j + 1}) has a label outside 1..{self.r}")
             out_degree[i] += 1
         if 0 in out_degree:
-            raise ValueError(f"state {out_degree.index(0)} has no outgoing edge")
+            raise ValueError(f"state {out_degree.index(0) + 1} has no outgoing edge")
         if self.free_edges is None:
             last = dict(edges)  # state -> its largest target, as edges are sorted
             free_set = {(i, j) for i, j in edges if j != last[i]}
@@ -75,7 +76,7 @@ class MobilityGraph:
             out_degree[i] -= 1
         for i in range(self.r):
             if out_degree[i] != 1:
-                raise ValueError(f"state {i} must have exactly one dependent out-edge")
+                raise ValueError(f"state {i + 1} must have exactly one dependent out-edge")
         support = np.zeros((self.r, self.r), dtype=bool)
         free = np.zeros_like(support)
         for e in edges:
@@ -268,7 +269,7 @@ def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> Transition
     off_graph = np.flatnonzero(~support.ravel()[pair])
     if off_graph.size:
         a, b = divmod(int(pair[off_graph[0]]), r)
-        raise ValueError(f"trace uses transition ({a},{b}) not in the graph")
+        raise ValueError(f"trace uses transition ({a + 1},{b + 1}) not in the graph")
     M = np.bincount(pair, minlength=r * r).reshape(r, r).astype(float)
     denom = M.sum(axis=1) + support.sum(axis=1)
     T = np.where(support, (M + 1.0) / denom[:, None], 0.0)
@@ -279,30 +280,32 @@ def load_graph_csv(path: str) -> MobilityGraph:
     """Read a graph file: header ``from,to,free``, 1-based state labels,
     free in {0, 1, auto}. All-auto selects the canonical free-edge rule;
     mixing auto with explicit flags, or listing an edge twice, is rejected.
-    The file is read as UTF-8, with or without a byte-order mark."""
+    Blank lines are skipped and extra columns ignored; a bad row's error
+    names its line. The file is read as UTF-8, with or without a
+    byte-order mark."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None:
-            # Rows are keyed by the stripped names, so padded ones read too.
-            reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        if reader.fieldnames != ["from", "to", "free"]:
+        reader = csv.reader(fh)
+        if [f.strip() for f in next(reader, [])] != ["from", "to", "free"]:
             raise ValueError("graph file must have header 'from,to,free'")
         flags: dict[tuple[int, int], str] = {}  # edge -> free flag, in file order
+
+        def bad(what: str) -> ValueError:
+            return ValueError(f"{what} on line {reader.line_num}")
+
         for row in reader:
+            if not row:  # blank line
+                continue
             try:
-                i = int(row["from"]) - 1
-                j = int(row["to"]) - 1
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad graph row {row!r}") from exc
+                i, j = int(row[0]) - 1, int(row[1]) - 1
+            except (IndexError, ValueError):
+                raise bad(f"from and to must be integer labels, got {row[:2]!r}") from None
             if min(i, j) < 0:
-                raise ValueError(
-                    f"graph file edge ({i + 1}, {j + 1}) has a label below 1"
-                )
-            flag = (row["free"] or "").strip().lower()
+                raise bad(f"edge ({i + 1}, {j + 1}) has a label below 1")
+            flag = row[2].strip().lower() if len(row) > 2 else ""
             if flag not in ("0", "1", "auto"):
-                raise ValueError(f"free flag must be 0, 1 or auto, got {flag!r}")
+                raise bad(f"free flag must be 0, 1 or auto, got {flag!r}")
             if (i, j) in flags:
-                raise ValueError(f"graph file lists edge ({i + 1}, {j + 1}) twice")
+                raise bad(f"edge ({i + 1}, {j + 1}) is listed twice")
             flags[i, j] = flag
     if not flags:
         raise ValueError("graph file has no edges")

@@ -83,7 +83,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "sweep", "lemma", "audit"])
 def test_empty_out_exits_2_before_running(tmp_path, capsys, monkeypatch, command):
     ran = []
-    for work in ("run_sweep", "run_lemma_battery", "load_graph_csv", "ingest_traces"):
+    for work in ("run_sweep", "run_lemma_battery", "load_graph", "ingest_traces"):
         monkeypatch.setattr(f"locpriv.cli.{work}", lambda *a, **k: ran.append(1))
     args = {
         "simulate": ["--config", write_config(tmp_path)],
@@ -389,7 +389,7 @@ def test_audit_graph_with_a_mistyped_large_label_exits_2(tmp_path, capsys):
          "--n", "10", "--alpha-margin", "0.1"]
     )
     assert code == 2
-    assert "state 1 has no outgoing edge" in capsys.readouterr().err
+    assert "config error: graph file: state 2 has no outgoing edge" in capsys.readouterr().err
 
 
 def test_audit_graph_label_below_one_exits_2(tmp_path, capsys):
@@ -403,9 +403,49 @@ def test_audit_graph_label_below_one_exits_2(tmp_path, capsys):
          "--n", "10", "--alpha-margin", "0.1"]
     )
     assert code == 2
-    assert "config error: graph file: graph file edge (0, 1) has a label below 1" in (
+    assert "config error: graph file: edge (0, 1) has a label below 1 on line 2" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "graph_rows, trace_rows, message",
+    [
+        # state 1's two out-edges are both free
+        (
+            "1,1,1\n1,2,1\n2,1,0\n2,2,0\n",
+            "u1,1,1\nu1,2,2\n",
+            "config error: graph file: state 1 must have exactly one dependent out-edge",
+        ),
+        # the shipped graph has no edge 2 -> 1
+        (
+            None,
+            "u1,1,1\nu1,2,2\nu1,3,1\n",
+            "config error: user 'u1': trace uses transition (2,1) not in the graph",
+        ),
+        (
+            None,
+            "u1,1,1\nu1,2,2\nu2,1,1\n",
+            "config error: user 'u2': need at least two observations to fit transitions",
+        ),
+    ],
+    ids=["graph-state", "off-graph-transition", "single-observation-user"],
+)
+def test_audit_errors_name_file_labels_and_the_user(
+    tmp_path, capsys, graph_rows, trace_rows, message
+):
+    graph = os.path.join(CONFIGS, "three_state_graph.csv")
+    if graph_rows is not None:
+        graph = tmp_path / "graph.csv"
+        graph.write_text("from,to,free\n" + graph_rows)
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\n" + trace_rows)
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_audit_iid_rejects_r_beyond_the_location_limit(tmp_path, capsys):
@@ -432,7 +472,7 @@ def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):
          "--n", "10", "--alpha-margin", "0.1"]
     )
     assert code == 2
-    assert "config error: graph file: graph file lists edge (1, 2) twice" in (
+    assert "config error: graph file: edge (1, 2) is listed twice on line 3" in (
         capsys.readouterr().err
     )
 

@@ -680,46 +680,48 @@ def test_ingest_traces_rejects_bad_files(tmp_path):
         ("user_id,time,location\n\n\n", "trace file has no rows"),
         (
             "user_id,time,location\nu1\n",
-            "non-integer time in row {'user_id': 'u1', 'time': None, 'location': None}",
+            "non-integer time: none given on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,5\n",
-            "missing location in row {'user_id': 'u1', 'time': '5', 'location': None}",
+            "missing location on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,noon,a\n",
-            "non-integer time in row {'user_id': 'u1', 'time': 'noon', 'location': 'a'}",
+            "non-integer time 'noon' on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,1.5,a,extra,more\n",
-            "non-integer time in row {'user_id': 'u1', 'time': '1.5', "
-            "'location': 'a', None: ['extra', 'more']}",
+            "non-integer time '1.5' on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,5,\n",
-            "missing location in row {'user_id': 'u1', 'time': '5', 'location': ''}",
+            "missing location on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,2,a\nu1,2,b\n",
-            "times for user 'u1' must be strictly increasing",
+            "times for user 'u1' must be strictly increasing (2 after 2) "
+            "on line 3 of the trace file",
         ),
         (
             "user_id,time,location\nu1,2,a\nu2,1,a\nu1,1,b\n",
-            "times for user 'u1' must be strictly increasing",
+            "times for user 'u1' must be strictly increasing (1 after 2) "
+            "on line 4 of the trace file",
         ),
         # the first failing row decides, and within a row the time check
         # runs before the location check, which runs before the order check
         (
             "user_id,time,location\nu1,x,\n",
-            "non-integer time in row {'user_id': 'u1', 'time': 'x', 'location': ''}",
+            "non-integer time 'x' on line 2 of the trace file",
         ),
         (
             "user_id,time,location\nu1,2,a\nu1,1,\n",
-            "missing location in row {'user_id': 'u1', 'time': '1', 'location': ''}",
+            "missing location on line 3 of the trace file",
         ),
         (
             "user_id,time,location\nu1,2,a\nu1,1,b\nu1,x,c\n",
-            "times for user 'u1' must be strictly increasing",
+            "times for user 'u1' must be strictly increasing (1 after 2) "
+            "on line 3 of the trace file",
         ),
     ],
 )
@@ -729,6 +731,22 @@ def test_ingest_traces_error_messages_pinned(tmp_path, body, message):
     with pytest.raises(ConfigError) as info:
         ingest_traces(str(path), "iid")
     assert str(info.value) == message
+
+
+def test_bad_rows_name_their_line(tmp_path):
+    # lines count from the header as line 1, blank lines included
+    graph = tmp_path / "graph.csv"
+    graph.write_text("from,to,free\n1,1,auto\n\n1,x,auto\n")
+    with pytest.raises(ConfigError) as info:
+        harness.load_graph(str(graph))
+    assert str(info.value) == (
+        "graph file: from and to must be integer labels, got ['1', 'x'] on line 4"
+    )
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,a\n\nu1,2,a\nu1,3,\n")
+    with pytest.raises(ConfigError) as info:
+        ingest_traces(str(traces), "iid")
+    assert str(info.value) == "missing location on line 5 of the trace file"
 
 
 def test_ingest_traces_skips_blank_lines_and_extra_columns(tmp_path):

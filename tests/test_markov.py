@@ -361,8 +361,9 @@ def test_fit_markov_profile_rejects_off_graph_transition():
 
 
 def test_fit_markov_profile_names_first_off_graph_transition():
-    # (2,2) at step 3 comes before (1,0) at step 5
-    with pytest.raises(ValueError, match=r"transition \(2,2\) not in the graph"):
+    # (2,2) at step 3 comes before (1,0) at step 5; the message names them
+    # by their file labels, 3 -> 3 and 2 -> 1
+    with pytest.raises(ValueError, match=r"transition \(3,3\) not in the graph"):
         fit_markov_profile([0, 1, 2, 2, 1, 0], three_state_graph())
 
 
@@ -446,7 +447,7 @@ def test_load_graph_csv(tmp_path):
     # contradicting free flags for one edge: neither row may win silently
     twice = tmp_path / "twice.csv"
     twice.write_text("from,to,free\n1,2,1\n1,2,0\n1,1,0\n2,1,0\n2,2,1\n")
-    with pytest.raises(ValueError, match=r"graph file lists edge \(1, 2\) twice"):
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) is listed twice on line 3"):
         load_graph_csv(str(twice))
 
 
