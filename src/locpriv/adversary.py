@@ -95,19 +95,25 @@ _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 # terms at O(n) each, mu running over the sizes of the classes of equal
 # columns among columns 1..n-1 (see _glynn_row0_minors): 2^(n-1) when
 # all columns differ, so each further distinct user doubles the time.
-# On a 2-vCPU Xeon VM n = 20 takes 6-10 ms (median about 7) on iid2 sweep
-# inputs at m = n^1.2 and about 23 ms when no two columns are equal.
+# On a 2-vCPU Xeon VM one posterior_pi1 call at n = 20 takes 2-8 ms
+# (median about 5) on iid2 sweep inputs at m = n^1.2 and about 11 ms when
+# no two columns are equal.
 PERMANENT_FEASIBILITY_BOUND = 20
 
 # _glynn_row0_minors tabulates the row sums of at most 2^_TABLE_BITS
 # level combinations in one matrix product (with every column class of
-# size 1: column 0 and the sign vectors of the next 11 columns) and loops
-# over the levels of any further classes.
-_TABLE_BITS = 11
+# size 1: column 0 and the sign vectors of the next 12 columns) and loops
+# over the levels of any further classes, as many at a time as fill a
+# tile of _TILE (level, table row) products: 256 kB, which stays in a
+# core's L2 cache while every matrix row multiplies into it. On that VM
+# the tile's add and multiply take about 0.4 ns per element over
+# 4096-wide table rows and about 1.0 ns over 2048-wide ones.
+_TABLE_BITS = 12
+_TILE = 2**15
 
 # Level tables kept by _level_table. Up to n = PERMANENT_FEASIBILITY_BOUND
-# none exceeds 2^_TABLE_BITS rows of 12 int8 multipliers and a float
-# weight (40 kB), so the cache stays under 0.7 MB however many class-size
+# none exceeds 2^_TABLE_BITS rows of 13 int8 multipliers and a float
+# weight (84 kB), so the cache stays under 1.4 MB however many class-size
 # tuples occur.
 _TABLE_CACHE = 16
 
@@ -246,9 +252,13 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     for bit. The level sums of column 0 and the smallest classes, at most
     2^_TABLE_BITS of them, come from one matrix product (a row of sums
     per matrix row, so the product over rows runs along contiguous
-    memory); each level of the remaining classes shifts them by its own
-    row sums, one cheap pass each. When no two columns are equal this is
-    the plain sum over 2^(n-1) sign vectors, term for term.
+    memory). Each level of the remaining classes shifts them by its own
+    row sums, all levels' shifts coming from one more product. The loop
+    takes the levels a tile at a time (see _TILE): it adds each matrix
+    row's shifted sums and multiplies them into the tile in place, the
+    rows in order, and folds the finished tile into the minors with two
+    matrix-vector products. When no two columns are equal this is the
+    plain sum over 2^(n-1) sign vectors, term for term.
     """
     n = A.shape[0]
     raw = A.T.tobytes()
@@ -272,17 +282,21 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
         out += (np.multiply.reduce(low_sums, axis=0) * low_weight) @ low_mult
     else:
         high_mult, high_weight = _level_table(sizes[split:])
-        high_mult = high_mult.astype(float)
-        high = C[:, split + 1 :]
-        out_low, out_high = out[: split + 1], out[split + 1 :]
-        sums = np.empty_like(low_sums)
-        v = np.empty_like(low_weight)
-        for h_mult, h_weight in zip(high_mult[:, 1:], high_weight):
-            np.add(low_sums, (high @ h_mult)[:, None], out=sums)
-            np.multiply.reduce(sums, axis=0, out=v)
-            v *= low_weight
-            out_low += h_weight * (v @ low_mult)
-            out_high += h_weight * np.add.reduce(v) * h_mult
+        high_mult = high_mult[:, 1:].astype(float)
+        shifts = C[:, split + 1 :] @ high_mult.T  # row i's shift at each level
+        step = max(1, _TILE // rows)  # levels per tile
+        tile = np.empty((2, step, rows))
+        terms = np.zeros(rows)  # each table row's products, weighted, over all levels
+        for lo in range(0, high_weight.size, step):
+            h_weight = high_weight[lo : lo + step]
+            v, t = tile[:, : h_weight.size]
+            np.add(low_sums[0], shifts[0, lo : lo + step, None], out=v)
+            for i in range(1, n - 1):  # the rows in order, as one reduce takes them
+                np.add(low_sums[i], shifts[i, lo : lo + step, None], out=t)
+                v *= t
+            terms += h_weight @ v
+            out[split + 1 :] += (v @ low_weight * h_weight) @ high_mult[lo : lo + step]
+        out[: split + 1] += (terms * low_weight) @ low_mult
     owner = [0] * n
     for g, cols in enumerate(groups, 1):
         for j in cols:

@@ -286,7 +286,7 @@ def load_graph_csv(path: str) -> MobilityGraph:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if [f.strip() for f in next(reader, [])] != ["from", "to", "free"]:
-            raise ValueError("graph file must have header 'from,to,free'")
+            raise ValueError("must have header 'from,to,free'")
         flags: dict[tuple[int, int], str] = {}  # edge -> free flag, in file order
 
         def bad(what: str) -> ValueError:
@@ -308,12 +308,12 @@ def load_graph_csv(path: str) -> MobilityGraph:
                 raise bad(f"edge ({i + 1}, {j + 1}) is listed twice")
             flags[i, j] = flag
     if not flags:
-        raise ValueError("graph file has no edges")
+        raise ValueError("has no edges")
     edges = tuple(flags)
     r = max(max(e) for e in edges) + 1
     if all(f == "auto" for f in flags.values()):
         return MobilityGraph(r=r, edges=edges)
     if "auto" in flags.values():
-        raise ValueError("graph file mixes auto with explicit free flags")
+        raise ValueError("mixes auto with explicit free flags")
     free = tuple(e for e, f in flags.items() if f == "1")
     return MobilityGraph(r=r, edges=edges, free_edges=free)

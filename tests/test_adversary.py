@@ -581,29 +581,32 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
 
 
 def test_posterior_weights_pinned_n16():
-    # Re-frozen when the balance began from the assignment's LP duals
-    # (every weight within 4e-16 of the subset DP): the weights must replay
-    # bit for bit. Pseudonyms 5 and 8,
-    # and 6 and 7, have equal statistics and so equal weights.
+    # Re-frozen when the level loop of the minors began to run over tiles
+    # of a 4096-row level table: every weight moved by at most 8.4e-16
+    # from the previous pin and lies within 4.5e-16 of the subset DP. The
+    # weights must replay bit for bit. Pseudonyms 5 and 8, and 6 and 7,
+    # have equal statistics and so equal weights.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
-    assert posterior_pi1(L).weights.tolist() == [
-        0.3022206429549857,
-        0.09370479475454026,
-        4.215547685475755e-08,
-        0.013766468863780865,
-        0.5196920845590886,
-        5.569785607031358e-11,
-        0.00017306805417430368,
-        0.00017306805417430368,
-        5.569785607031358e-11,
-        0.0007520955122956095,
-        0.002487087516868404,
-        0.023833407093712098,
-        6.061102335873008e-05,
-        0.043136535166331265,
-        3.163813380925179e-09,
-        9.101600402970141e-08,
+    w = posterior_pi1(L).weights
+    assert w.tolist() == [
+        0.30222064295498485,
+        0.09370479475454024,
+        4.21554768547575e-08,
+        0.013766468863780856,
+        0.5196920845590892,
+        5.569785607031345e-11,
+        0.00017306805417430238,
+        0.00017306805417430238,
+        5.569785607031345e-11,
+        0.0007520955122956128,
+        0.002487087516868402,
+        0.023833407093712122,
+        6.0611023358730165e-05,
+        0.0431365351663313,
+        3.1638133809250198e-09,
+        9.101600402970175e-08,
     ]
+    assert np.abs(w - _posterior_dp(L)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 16, 20])
@@ -686,6 +689,83 @@ def test_shared_solve_matches_standalone():
     for attack in (posterior_pi1, map_assignment):
         with pytest.raises(ValueError, match="another likelihood matrix"):
             attack(L.copy(), solved=solved)
+
+
+def _class_sizes(L):
+    """Sizes of the classes of equal columns among columns 1..n-1."""
+    _, sizes = np.unique(L[:, 1:], axis=1, return_counts=True)
+    return sizes.tolist()
+
+
+def _level_split(sizes):
+    """The class sizes, sorted, that _glynn_row0_minors puts in its level
+    table and those whose levels its loop runs over: the smallest classes
+    go in while the table's rows stay within 2^_TABLE_BITS."""
+    sizes = sorted(sizes)
+    rows, split = 1, 0
+    limit = 2**adversary._TABLE_BITS
+    while split < len(sizes) and rows * (sizes[split] + 1) <= limit:
+        rows *= sizes[split] + 1
+        split += 1
+    return tuple(sizes[:split]), tuple(sizes[split:])
+
+
+@pytest.mark.parametrize("classes", [(), (2, 2, 3, 4)], ids=["distinct", "classes"])
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_tiled_level_loop_matches_sign_free_reference(monkeypatch, n, classes):
+    # The level loop with 2 and 3 levels per tile (several tiles, the last
+    # cut short where the level count is odd or not a multiple of 3), with
+    # every level in one tile, and with the default tile.
+    rng = np.random.default_rng(3000 * n + len(classes))
+    L = _with_classes(rng.normal(size=(n, n)), classes, rng)
+    low, high = _level_split(_class_sizes(L))
+    rows = math.prod(mu + 1 for mu in low)
+    levels = math.prod(mu + 1 for mu in high)
+    assert levels > 3 and levels % 3
+    reference = _posterior_dp(L)
+    equal = {}
+    for j in range(n):
+        equal.setdefault(L[:, j].tobytes(), []).append(j)
+    for step in (2, 3, levels, adversary._TILE // rows):
+        monkeypatch.setattr(adversary, "_TILE", step * rows)
+        w = posterior_pi1(L).weights
+        assert np.abs(w - reference).max() <= 1e-12
+        for cols in equal.values():
+            assert len(set(w[cols].tolist())) == 1
+
+
+def _partitions(total, smallest=1):
+    """Every way to write total as a sum of parts >= smallest, each as a
+    nondecreasing tuple."""
+    if total == 0:
+        yield ()
+    for first in range(smallest, total + 1):
+        for rest in _partitions(total - first, first):
+            yield (first, *rest)
+
+
+def test_level_table_cache_stays_within_its_stated_size():
+    # the _TABLE_CACHE largest tables _glynn_row0_minors builds up to
+    # n = PERMANENT_FEASIBILITY_BOUND fit the 1.4 MB the cache's comment states
+    wanted = set()
+    for n in range(1, adversary.PERMANENT_FEASIBILITY_BOUND + 1):
+        for sizes in _partitions(n - 1):
+            low, high = _level_split(sizes)
+            wanted.update((low, high) if high else (low,))
+
+    def nbytes(sizes):
+        mult, weight = adversary._level_table(sizes)
+        assert weight.size <= 2**adversary._TABLE_BITS
+        return mult.nbytes + weight.nbytes
+
+    largest = sorted(wanted, key=nbytes)[-adversary._TABLE_CACHE :]
+    adversary._level_table.cache_clear()
+    try:
+        total = sum(map(nbytes, largest))
+        assert adversary._level_table.cache_info().currsize == adversary._TABLE_CACHE
+        assert total <= 1.4e6
+    finally:
+        adversary._level_table.cache_clear()
 
 
 def test_identical_columns_get_identical_weights():

@@ -477,6 +477,33 @@ def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("from,to,free\n", "has no edges"),
+        ("src,dst,free\n1,2,1\n", "must have header 'from,to,free'"),
+        (
+            "from,to,free\n1,1,auto\n1,2,1\n2,1,0\n2,2,0\n",
+            "mixes auto with explicit free flags",
+        ),
+    ],
+    ids=["header-only", "bad-header", "mixed-flags"],
+)
+def test_audit_graph_file_errors_name_the_file_once(tmp_path, capsys, text, message):
+    graph = tmp_path / "graph.csv"
+    graph.write_text(text)
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,2\n")
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: graph file: {message}\n" in err
+    assert err.count("graph file") == 1
+
+
 @pytest.mark.parametrize("digits", [400, 300], ids=["n-beyond-float", "budget-beyond-float"])
 def test_audit_rejects_n_effective_whose_budget_is_not_finite(tmp_path, capsys, digits):
     # two locations: tau = 2, so the budget is n_effective ** 1.5; 10^400

@@ -502,9 +502,12 @@ def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
 @pytest.mark.parametrize(
     "name, digest",
     [
+        # Re-frozen when the minors' level loop began to run over tiles of a
+        # 4096-row level table: only n = 16 mi and weight_max_dev values
+        # moved, by at most 1.1e-14; every discrete field is unchanged.
         (
             "iid2_sweep.json",
-            "7b1e36a3c327ff895f382d598cffe75687d03343237077a69226fb63b2b10550",
+            "f9f0e9e04747a7d85161ed85f3313d5f333695bf49a0788f66970812bf40e569",
         ),
         (
             "markov_sweep.json",
