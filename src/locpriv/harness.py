@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,10 +51,6 @@ __all__ = [
     "substream_seed",
     "write_results_csv",
 ]
-
-RESULT_HEADER = (
-    "experiment_id,model,n,m,beta,trial,metric,value,std_error,seed"
-)
 
 # Reserved trial index for per-cell draws (user 1's profile).
 _CELL_DRAW = 2**64 - 1
@@ -376,6 +372,9 @@ class ResultRow:
         ]
 
 
+RESULT_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def _fmt(x: float) -> str:
     # 17 significant digits: enough for exact float round-trips.
     return format(float(x), ".17g")
@@ -399,7 +398,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    exp_id = config.experiment_id()
+    exp_id, seed = config.experiment_id(), config.seed
     model = config.model
     sampler = model.profile_sampler(config.density)
     rows: list[ResultRow] = []
@@ -407,7 +406,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         m = schedule_observations(n, config.schedule)
         k_eff = m if config.k == "last" else int(config.k)
         cell_rng = np.random.default_rng(
-            substream_seed(config.seed, cell, _CELL_DRAW)
+            substream_seed(seed, cell, _CELL_DRAW)
         )
         profile1 = sampler(cell_rng)
         # The metrics this cell computes: those on the exact posterior (mi,
@@ -422,22 +421,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         h_marginal = entropy(model.marginal(profile1, k_eff)) if "mi" in active else 0.0
         eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
 
-        def emit(trial, metric, value, std_error, seed):
-            rows.append(
-                ResultRow(
-                    experiment_id=exp_id,
-                    model=config.model_name,
-                    n=n,
-                    m=m,
-                    beta=config.schedule.beta,
-                    trial=trial,
-                    metric=metric,
-                    value=value,
-                    std_error=std_error,
-                    seed=seed,
-                )
-            )
-
         def draw(rng):
             profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
             crowd = None
@@ -446,31 +429,33 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 crowd = proofcheck.crowd(state1, eps)
             return profiles, crowd
 
-        seeds = [substream_seed(config.seed, cell, t) for t in range(cell_trials)]
+        seeds = [substream_seed(seed, cell, t) for t in range(cell_trials)]
         named = (
             (np.random.default_rng(s), f"cell {cell}, n={n}, m={m}, trial {t}, seed {s}")
             for t, s in enumerate(seeds)
         )
         scores = run_trials(model, m, named, draw, active, k=k_eff, h_marginal=h_marginal)
-        # Per-metric values for the aggregates, filled in the CSV's
-        # metric order; a degenerate weight deviation is None.
+        # The cell's (trial, metric, value, std_error, seed) records in row
+        # order, and per-metric values for the aggregates, filled in the
+        # CSV's metric order; a degenerate weight deviation is None.
+        records = []
         values: dict[str, list] = {}
         for t, (trial_seed, out) in enumerate(zip(seeds, scores)):
             for metric, value in out.items():
                 values.setdefault(metric, []).append(value)
                 if value is not None:
-                    emit(t, metric, value, None, trial_seed)
+                    records.append((t, metric, value, None, trial_seed))
 
         for met in config.metrics:
             if met not in active:
-                emit(-1, f"{met}_skipped", 1.0, None, config.seed)
+                records.append((-1, f"{met}_skipped", 1.0, None, seed))
         for metric, vals in values.items():
             if metric == "weight_max_dev":
                 res = proofcheck.WeightUniformityResult.from_trials(vals)
                 if res.median is not None:
-                    emit(-1, metric, res.median, None, config.seed)
+                    records.append((-1, metric, res.median, None, seed))
                 degenerate = float(res.degenerate_trials)
-                emit(-1, "weight_degenerate_count", degenerate, None, config.seed)
+                records.append((-1, "weight_degenerate_count", degenerate, None, seed))
                 continue
             mean = float(np.mean(vals))
             if metric != "mi":  # a hit rate: binomial standard error
@@ -479,7 +464,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
             else:
                 se = None
-            emit(-1, metric, mean, se, config.seed)
+            records.append((-1, metric, mean, se, seed))
+        beta = config.schedule.beta
+        rows.extend(ResultRow(exp_id, config.model_name, n, m, beta, *r) for r in records)
     return rows
 
 
@@ -743,30 +730,15 @@ def run_lemma_battery(
         "seed": seed,
     }
     exp_id = _digest(payload)
-    rows: list[ResultRow] = []
-
-    def emit(n, m, metric, value):
-        rows.append(
-            ResultRow(
-                experiment_id=exp_id,
-                model="iid2",
-                n=n,
-                m=m,
-                beta=beta_exp,
-                trial=-1,
-                metric=metric,
-                value=value,
-                std_error=None,
-                seed=seed,
-            )
-        )
+    rows = []  # (n, m, metric, value) per row, in CSV order
 
     rng = np.random.default_rng(substream_seed(seed, 2, 0))
     records = proofcheck.delta_uniformity_experiment(params, m_grid, 10_000, rng)
     for rec in records:
-        emit(0, rec.m, "identity_product", rec.product_identity)
-        emit(0, rec.m, "identity_power", rec.power_identity)
-        emit(0, rec.m, "identity_gap", abs(rec.product_identity - rec.power_identity))
+        gap = abs(rec.product_identity - rec.power_identity)
+        rows.append((0, rec.m, "identity_product", rec.product_identity))
+        rows.append((0, rec.m, "identity_power", rec.power_identity))
+        rows.append((0, rec.m, "identity_gap", gap))
 
     for idx, n in enumerate(n_grid):
         m = schedule_observations(n, sched)
@@ -778,22 +750,25 @@ def run_lemma_battery(
             ps[0] = 0.5
             ps[1:] = rng.random(n - 1)
             sizes[t] = proofcheck.critical_set(ps, eps).size
-        emit(n, m, "critical_set_mean", float(sizes.mean()))
-        emit(n, m, "critical_set_predicted", 2.0 * n * eps)
+        rows.append((n, m, "critical_set_mean", float(sizes.mean())))
+        rows.append((n, m, "critical_set_predicted", 2.0 * n * eps))
 
     for rec in records:
-        emit(0, rec.m, "delta_max_abs_log", rec.max_abs_log_delta)
-        emit(0, rec.m, "delta_envelope", rec.envelope)
+        rows.append((0, rec.m, "delta_max_abs_log", rec.max_abs_log_delta))
+        rows.append((0, rec.m, "delta_envelope", rec.envelope))
 
     for idx, n in enumerate(n_grid):
         m = schedule_observations(n, sched)
         if n > adversary.PERMANENT_FEASIBILITY_BOUND:
-            emit(n, m, "weight_skipped", 1.0)
+            rows.append((n, m, "weight_skipped", 1.0))
             continue
         rng = np.random.default_rng(substream_seed(seed, 3, idx))
         with _naming(f"lemma flatness check, n={n}, m={m}, seed {seed}"):
             res = proofcheck.weight_uniformity(params, n, m, trials, rng)
         if res.median is not None:
-            emit(n, m, "weight_max_dev_median", res.median)
-        emit(n, m, "weight_degenerate_count", float(res.degenerate_trials))
-    return rows
+            rows.append((n, m, "weight_max_dev_median", res.median))
+        rows.append((n, m, "weight_degenerate_count", float(res.degenerate_trials)))
+    return [
+        ResultRow(exp_id, "iid2", n, m, beta_exp, -1, metric, value, None, seed)
+        for n, m, metric, value in rows
+    ]

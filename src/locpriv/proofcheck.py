@@ -49,13 +49,15 @@ class LemmaParams:
     phi: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.theta, self.phi))):
+            raise ValueError("alpha, theta and phi must be finite")
         if not 0.0 < self.theta < self.phi:
             raise ValueError("need 0 < theta < phi")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("need 0 < alpha < 2 so m(n) grows")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:  # NaN where alpha * phi and 2 * phi overflow
             raise ValueError(
-                f"lambda = {self.lam:.6g} <= 0: crowd size would not grow"
+                f"lambda = {self.lam:.6g} is not positive: crowd size would not grow"
             )
 
     @property

@@ -67,6 +67,20 @@ def test_assignment_posterior_rejects_non_finite_weights():
             AssignmentPosterior(weights=bad, normalization_residual=0.0)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1.5, -0.5], "must be nonnegative"),
+        ([0.5, 0.4], "must sum to 1 within 1e-10"),
+        ([0.5, 0.5 + 1e-9], "must sum to 1 within 1e-10"),
+    ],
+    ids=["negative", "sum-0.9", "sum-1+1e-9"],
+)
+def test_assignment_posterior_rejects_malformed_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        AssignmentPosterior(weights=weights, normalization_residual=0.0)
+
+
 def test_count_stats_examples():
     stats = count_stats(col_matrix([1, 0, 1, 1]), r=2)
     assert stats[0].tolist() == [1, 3]

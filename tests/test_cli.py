@@ -256,6 +256,27 @@ def test_lemma_rejects_bad_exponents(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_lemma_rejects_infinite_phi_before_any_section(tmp_path, capsys):
+    # lambda is NaN at phi = inf, which no comparison rejects; the finite
+    # check must stop it before the crowd-size section meets eps = m^-inf = 0
+    code = main(
+        [
+            "lemma",
+            "--alpha", "1",
+            "--theta", "0.05",
+            "--phi", "inf",
+            "--m-grid", "10",
+            "--n-grid", "4",
+            "--trials", "2",
+            "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 2
+    assert "config error: alpha, theta and phi must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "m_grid, n_grid, trials",
     [("100", "32", "0"), ("0", "3", "5"), ("-5", "3", "5"), ("100", "0", "5")],
@@ -277,6 +298,30 @@ def test_lemma_rejects_bad_numbers(tmp_path, capsys, m_grid, n_grid, trials):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "m_grid, message",
+    [("x", "not a comma-separated int list: 'x'"), (",", "empty int list")],
+    ids=["x", "comma"],
+)
+def test_lemma_rejects_unparsable_grids(tmp_path, capsys, m_grid, message):
+    argv = [
+        "lemma",
+        "--alpha", "1.0",
+        "--theta", "0.05",
+        "--phi", "0.1",
+        "--m-grid", m_grid,
+        "--n-grid", "3",
+        "--trials", "1",
+        "--seed", "1",
+        "--out", str(tmp_path / "x.csv"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --m-grid: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -428,8 +473,15 @@ def test_audit_graph_label_below_one_exits_2(tmp_path, capsys):
             "u1,1,1\nu1,2,2\nu2,1,1\n",
             "config error: user 'u2': need at least two observations to fit transitions",
         ),
+        (
+            None,
+            "u1,1,1\nu1,2,4\n",
+            "config error: user 'u1': state label '4' outside 1..3",
+        ),
     ],
-    ids=["graph-state", "off-graph-transition", "single-observation-user"],
+    ids=[
+        "graph-state", "off-graph-transition", "single-observation-user", "label-above-r"
+    ],
 )
 def test_audit_errors_name_file_labels_and_the_user(
     tmp_path, capsys, graph_rows, trace_rows, message
@@ -461,6 +513,17 @@ def test_audit_iid_rejects_r_beyond_the_location_limit(tmp_path, capsys):
     assert f"config error: r must be at most {MAX_IID_LOCATIONS}, got {huge}" in err
 
 
+def test_audit_iid_rejects_r_below_the_distinct_label_count(tmp_path, capsys):
+    # the demo traces use five locations; r = 4 cannot hold their counts
+    code = main(
+        ["audit", "--traces", os.path.join(CONFIGS, "demo_traces.csv"), "--model", "iid",
+         "--r", "4", "--n", "100", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: r=4 too small for 5 distinct locations" in err
+
+
 def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):
     # the two rows' free flags contradict; neither may win silently
     graph = tmp_path / "graph.csv"
@@ -486,8 +549,12 @@ def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):
             "from,to,free\n1,1,auto\n1,2,1\n2,1,0\n2,2,0\n",
             "mixes auto with explicit free flags",
         ),
+        (
+            "from,to,free\n1,2,yes\n",
+            "free flag must be 0, 1 or auto, got 'yes' on line 2",
+        ),
     ],
-    ids=["header-only", "bad-header", "mixed-flags"],
+    ids=["header-only", "bad-header", "mixed-flags", "bad-flag"],
 )
 def test_audit_graph_file_errors_name_the_file_once(tmp_path, capsys, text, message):
     graph = tmp_path / "graph.csv"

@@ -196,6 +196,12 @@ def test_parse_config_validates_fields(tmp_path):
     cycle.write_text("from,to,free\n1,2,auto\n2,3,auto\n3,1,auto\n")
     with pytest.raises(ConfigError, match="d = "):
         make_config(model="markov", graph_path=str(cycle), density=None)
+    for schedule in ({"c": 0, "beta": 1.2}, {"c": 1.0, "beta": -0.5}):
+        with pytest.raises(ConfigError, match="schedule needs c > 0 and beta > 0"):
+            make_config(schedule=schedule)
+    for out_path in ("", 3, None):
+        with pytest.raises(ConfigError, match="out_path must be a nonempty string"):
+            make_config(out_path=out_path)
     # integers are JSON numbers too
     cfg = make_config(
         schedule={"c": 1, "beta": 1},
@@ -1067,6 +1073,34 @@ def test_lemma_weight_rows_pinned():
         (6, 15, "weight_max_dev_median", 0.7081071588048947),
         (6, 15, "weight_degenerate_count", 3.0),
     ]
+
+
+def test_lemma_battery_csv_bytes_pinned(tmp_path):
+    # The whole battery as written: all four sections, an n above the
+    # posterior's feasibility bound (a weight_skipped row) and, at seed
+    # 322, an n = 10 where neither trial forms a crowd (no median row).
+    assert 21 > PERMANENT_FEASIBILITY_BOUND
+    rows = run_lemma_battery(
+        alpha=0.5,
+        theta=0.05,
+        phi=0.1,
+        m_grid=[100, 1000],
+        n_grid=[3, 10, 21],
+        trials=2,
+        seed=322,
+    )
+    weight_rows = [(r.n, r.metric) for r in rows if r.metric.startswith("weight_")]
+    assert weight_rows == [
+        (3, "weight_max_dev_median"),
+        (3, "weight_degenerate_count"),
+        (10, "weight_degenerate_count"),
+        (21, "weight_skipped"),
+    ]
+    path = tmp_path / "lemma.csv"
+    write_results_csv(rows, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ecf1004ed0608921ed6a799e212f7ac8d1ad2ea42b78e05e650740fc212f5dc7"
+    )
 
 
 def test_audit_iid_demo_report_pinned():

@@ -29,6 +29,10 @@ def test_derive_lemma_params_rejects_bad_exponents():
         LemmaParams(0.0, 0.05, 0.1)
     with pytest.raises(ValueError):
         LemmaParams(2.0, 0.05, 0.1)
+    with pytest.raises(ValueError, match="alpha, theta and phi must be finite"):
+        LemmaParams(1.0, 0.05, math.inf)  # lambda = nan
+    with pytest.raises(ValueError, match="lambda = nan is not positive"):
+        LemmaParams(1.9, 0.05, 1.5e308)  # alpha * phi and 2 * phi overflow
 
 
 def test_exponent_identities_exact():
