@@ -34,10 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anonymization import Permutation
-
 __all__ = [
-    "AssignmentPosterior",
     "SolvedAssignment",
     "count_stats",
     "likelihood_matrix_iid",
@@ -126,29 +123,6 @@ _CANCELLATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class AssignmentPosterior:
-    """Posterior weights W_j = P(pseudonym of user 1 = j | statistics)."""
-
-    weights: np.ndarray
-    normalization_residual: float
-
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)  # a copy, made read-only below
-        if not np.isfinite(weights).all():
-            raise ValueError("posterior weights must be finite")
-        if weights.min() < 0.0:
-            raise ValueError("posterior weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > 1e-10:
-            raise ValueError("posterior weights must sum to 1 within 1e-10")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(frozen=True)
 class SolvedAssignment:
     """What both attacks need of a likelihood matrix, from solve_assignment:
     the matrix ``L`` it was built from (the attacks check it by identity),
@@ -193,18 +167,19 @@ def transition_stats(Y: np.ndarray, r: int) -> np.ndarray:
     return mats
 
 
-def likelihood_matrix_iid(profiles, counts: np.ndarray) -> np.ndarray:
-    """L[u, j] = log-likelihood that user u generated pseudonym j's counts
-    (the (n, r) array from count_stats)."""
-    logp = np.log(np.stack([p.probs for p in profiles]))
-    return logp @ counts.T.astype(float)
+def likelihood_matrix_iid(laws: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """L[u, j] = log-likelihood that user u, of law laws[u] in the (n, r)
+    stack, generated pseudonym j's counts (the (n, r) array from
+    count_stats)."""
+    return np.log(laws) @ counts.T.astype(float)
 
 
-def likelihood_matrix_markov(chains, mats: np.ndarray) -> np.ndarray:
-    """Markov analogue of likelihood_matrix_iid over the (n, r, r) array
-    from transition_stats; -inf marks impossible pairs."""
+def likelihood_matrix_markov(laws: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Markov analogue of likelihood_matrix_iid over the (n, r, r) stack of
+    transition matrices and the (n, r, r) array from transition_stats;
+    -inf marks impossible pairs."""
     n, r, _ = mats.shape
-    Tflat = np.stack([c.matrix.reshape(r * r) for c in chains])
+    Tflat = np.reshape(laws, (n, r * r))
     logT = np.where(Tflat > 0.0, np.log(np.where(Tflat > 0.0, Tflat, 1.0)), 0.0)
     Mflat = mats.reshape(n, r * r).astype(float)
     L = logT @ Mflat.T
@@ -420,10 +395,11 @@ def map_assignment(
     *,
     solved: SolvedAssignment | None = None,
     sort_keys: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Permutation:
-    """MAP user-to-pseudonym matching: argmax over permutations of the
-    total log-likelihood, ties broken by lexicographically smallest
-    forward array (totals within a small numeric tolerance count as tied).
+) -> np.ndarray:
+    """MAP user-to-pseudonym matching, as the read-only forward array:
+    argmax over permutations of the total log-likelihood, ties broken by
+    lexicographically smallest forward array (totals within a small
+    numeric tolerance count as tied).
 
     One assignment solve finds the optimum. The tie-break then fixes rows
     in order, each to the smallest column that still completes to a
@@ -456,7 +432,8 @@ def map_assignment(
     if sort_keys is not None and (solved is None or solved.L is L):
         forward = _sorted_matching(L, sort_keys)
         if forward is not None:
-            return Permutation.from_forward(forward)
+            forward.flags.writeable = False
+            return forward
     solved = _solved(L, solved)
     Lf, cols = solved.Lf, solved.sigma
     n = cols.size
@@ -466,7 +443,7 @@ def map_assignment(
     # rows with one near column: it is sigma(u), as near[u, sigma(u)] holds
     lone = np.count_nonzero(near, axis=1) == 1
     if lone.all():
-        return Permutation.from_forward(cols)
+        return cols  # read-only, as solve_assignment leaves it
     lone = lone.tolist()
 
     best = float(Lf[np.arange(n), cols].sum())
@@ -519,7 +496,8 @@ def map_assignment(
         forward[u] = chosen
         used[chosen] = True
         fixed += Lf[u, chosen]
-    return Permutation.from_forward(forward)
+    forward.flags.writeable = False
+    return forward
 
 
 def _balance(B: np.ndarray) -> np.ndarray:
@@ -549,8 +527,9 @@ def _balance(B: np.ndarray) -> np.ndarray:
 
 def posterior_pi1(
     L: np.ndarray, *, solved: SolvedAssignment | None = None
-) -> AssignmentPosterior:
-    """Exact posterior over user 1's pseudonym.
+) -> np.ndarray:
+    """Exact posterior over user 1's pseudonym: the read-only weights
+    W_j = P(pseudonym of user 1 = j | statistics).
 
     W_j is proportional to exp(L[0, j]) times the permanent of exp(L)
     with row 0 and column j struck out. It runs on B = exp(-rc), rc the
@@ -561,8 +540,9 @@ def posterior_pi1(
     factors cancel in the normalization. Glynn's signed sum can leave a
     zero minor slightly negative: down to -(n * 1e-12) times the largest
     minor it is set to 0, and below that ValueError reports cancellation.
-    ``solved`` is solve_assignment(L) for this L object, when the caller
-    already has it.
+    A total weight that is not positive and finite raises ValueError
+    before anything is divided by it. ``solved`` is solve_assignment(L)
+    for this L object, when the caller already has it.
     """
     solved = _solved(L, solved)
     n = solved.sigma.size
@@ -580,8 +560,12 @@ def posterior_pi1(
             f"times the largest (tolerance -{n * _CANCELLATION_TOL:.3g})"
         )
     w = B[0] * np.maximum(minors, 0.0)
-    w = w / float(w.sum())
+    total = float(w.sum())
+    if not 0.0 < total < math.inf:
+        raise ValueError(
+            f"degenerate posterior: total weight {total!r} is not positive and finite"
+        )
+    w = w / total
     w = w / w.sum()
-    return AssignmentPosterior(
-        weights=w, normalization_residual=abs(float(w.sum()) - 1.0)
-    )
+    w.flags.writeable = False
+    return w

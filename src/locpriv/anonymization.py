@@ -18,36 +18,11 @@ import numpy as np
 
 __all__ = [
     "ObservationSchedule",
-    "Permutation",
     "anonymize",
     "sample_permutation",
     "schedule_observations",
     "threshold_exponent",
 ]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0..n-1}; forward maps user -> pseudonym."""
-
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    @classmethod
-    def from_forward(cls, forward: Sequence[int]) -> "Permutation":
-        forward = np.array(forward, dtype=np.int64)  # a copy, made read-only below
-        n = forward.size
-        if sorted(forward.tolist()) != list(range(n)):
-            raise ValueError("forward array is not a permutation of 0..n-1")
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[forward] = np.arange(n)
-        forward.flags.writeable = False
-        inverse.flags.writeable = False
-        return cls(forward=forward, inverse=inverse)
-
-    @property
-    def n(self) -> int:
-        return int(self.forward.size)
 
 
 @dataclass(frozen=True)
@@ -62,23 +37,31 @@ class ObservationSchedule:
             raise ValueError("schedule needs c > 0 and beta > 0")
 
 
-def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform draw over all n! permutations."""
+def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw over all n! permutations, as the read-only int64
+    forward array: user u gets pseudonym forward[u]."""
     if n < 1:
         raise ValueError("need at least one user")
-    return Permutation.from_forward(rng.permutation(n))
+    forward = rng.permutation(n)
+    forward.flags.writeable = False
+    return forward
 
 
-def anonymize(trajectories: Sequence[np.ndarray], perm: Permutation) -> np.ndarray:
+def anonymize(
+    trajectories: Sequence[np.ndarray], forward: Sequence[int]
+) -> np.ndarray:
     """The read-only, C-contiguous (m, n) observation matrix: column
     forward[u] holds user u's trajectory. One row gather of the stacked
-    (n, m) trajectories by perm.inverse, then one transposing copy; the
-    dtype is the trajectories'."""
-    if len(trajectories) != perm.n:
-        raise ValueError("permutation size must match the number of users")
+    (n, m) trajectories by the inverse permutation, then one transposing
+    copy; the dtype is the trajectories'. Raises unless ``forward`` is a
+    permutation of 0..n-1, n the number of trajectories."""
+    forward = np.asarray(forward)
+    n = len(trajectories)
+    if forward.shape != (n,) or sorted(forward.tolist()) != list(range(n)):
+        raise ValueError("forward array is not a permutation of 0..n-1")
     if len({len(t) for t in trajectories}) != 1:
         raise ValueError("all trajectories must have the same length")
-    Y = np.array(trajectories)[perm.inverse].T.copy()
+    Y = np.array(trajectories)[np.argsort(forward)].T.copy()
     Y.flags.writeable = False
     return Y
 

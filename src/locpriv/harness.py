@@ -422,12 +422,12 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
         eps = float(m) ** -(0.5 + SWEEP_WEIGHT_PHI)
 
         def draw(rng):
-            profiles = [profile1] + [sampler(rng) for _ in range(n - 1)]
+            laws = np.stack([profile1] + [sampler(rng) for _ in range(n - 1)])
+            laws.flags.writeable = False
             crowd = None
             if "weights" in active:
-                state1 = np.array([p.probs[1] for p in profiles])
-                crowd = proofcheck.crowd(state1, eps)
-            return profiles, crowd
+                crowd = proofcheck.crowd(laws[:, 1], eps)
+            return laws, crowd
 
         seeds = [substream_seed(seed, cell, t) for t in range(cell_trials)]
         named = (

@@ -7,7 +7,9 @@ degree of freedom per state, so a graph with edge set E has d = |E| - r free
 transition probabilities; each state has exactly one dependent out-edge
 whose probability is forced by the row sum. The map from the free
 parameter vector to the full transition matrix is affine (dependent
-probability = 1 - sum of the row's free entries).
+probability = 1 - sum of the row's free entries). A user's law is its
+read-only (r, r) row-stochastic transition matrix, supported on the
+graph's edges; a trial's n users travel as one read-only (n, r, r) stack.
 """
 from __future__ import annotations
 
@@ -23,16 +25,12 @@ from .mobility import BOUNDARY_MARGIN, _dirichlet, _readonly, _trace_states
 __all__ = [
     "MarkovModel",
     "MobilityGraph",
-    "TransitionMatrix",
     "expand_free_params",
     "fit_markov_profile",
     "load_graph_csv",
     "sample_free_params",
     "sample_trajectory_markov",
 ]
-
-_ROW_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MobilityGraph:
@@ -96,7 +94,7 @@ class MobilityGraph:
 class MarkovModel:
     """Model descriptor for Markov mobility on a fixed graph.
 
-    A user's law is a ``TransitionMatrix`` on the graph; its d = |E| - r
+    A user's law is a transition matrix on the graph; its d = |E| - r
     free parameters set the privacy threshold exponent 2/d. The adversary
     attacks it through each pseudonym's transition counts.
     """
@@ -118,16 +116,21 @@ class MarkovModel:
         graph = self.graph
         return lambda rng: expand_free_params(sample_free_params(graph, rng), graph)
 
-    def sample_trajectory(
-        self, profile: TransitionMatrix, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return sample_trajectory_markov(profile, m, rng)
+    def sample_trajectories(
+        self, laws: np.ndarray, m: int, rng: np.random.Generator
+    ) -> list[np.ndarray]:
+        """One length-m walk per transition matrix of the (n, r, r) stack,
+        user by user from ``rng``. The walk tables are each row's
+        cumulative sum with its last entry set to exactly 1."""
+        cdf = np.cumsum(laws, axis=2)
+        cdf[:, :, -1] = 1.0
+        return [sample_trajectory_markov(table, m, rng) for table in cdf]
 
-    def marginal(self, profile: TransitionMatrix, k: int) -> np.ndarray:
+    def marginal(self, profile: np.ndarray, k: int) -> np.ndarray:
         """Exact law of the user's location at time k; walks start at state 0."""
         if k < 1:
             raise ValueError("time index k must be >= 1")
-        return np.linalg.matrix_power(profile.matrix, k - 1)[0].copy()
+        return np.linalg.matrix_power(profile, k - 1)[0].copy()
 
     def evidence(self, laws, Y: np.ndarray) -> tuple[np.ndarray, None]:
         """L[u, j] = log-likelihood that user u generated column j of Y, and
@@ -135,42 +138,9 @@ class MarkovModel:
         mats = adversary.transition_stats(Y, self.r)
         return adversary.likelihood_matrix_markov(laws, mats), None
 
-    def fit_profile(self, trace: Sequence[int]) -> TransitionMatrix:
+    def fit_profile(self, trace: Sequence[int]) -> np.ndarray:
         """The add-one smoothed transition matrix of one trace on the graph."""
         return fit_markov_profile(trace, self.graph)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic matrix supported on the graph's edge set.
-
-    Rows sum to 1 within 1e-12 and positive entries stay inside E;
-    the chain need not be irreducible or aperiodic (fitted matrices may
-    leave some edges of E unused). ``cdf`` is the read-only walk table:
-    each row's cumulative sum with its last entry set to exactly 1, built
-    once here rather than on every ``sample_trajectory_markov`` call.
-    """
-
-    matrix: np.ndarray
-    graph: MobilityGraph
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        r = self.graph.r
-        if matrix.shape != (r, r):
-            raise ValueError(f"matrix must be {r}x{r}")
-        if matrix.min() < 0.0:
-            raise ValueError("transition probabilities must be nonnegative")
-        if np.abs(matrix.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
-            raise ValueError("rows must sum to 1 within 1e-12")
-        if np.any((matrix > 0.0) & ~self.graph.support):
-            raise ValueError("positive entry outside the graph's edge set")
-        cdf = np.cumsum(matrix, axis=1)
-        cdf[:, -1] = 1.0
-        cdf.flags.writeable = False
-        object.__setattr__(self, "matrix", _readonly(matrix))
-        object.__setattr__(self, "cdf", cdf)
 
 
 def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
@@ -185,10 +155,9 @@ def _free_params(values: Sequence[float], graph: MobilityGraph) -> np.ndarray:
     return values
 
 
-def expand_free_params(
-    params: Sequence[float], graph: MobilityGraph
-) -> TransitionMatrix:
-    """Fill the free edges verbatim, force each dependent edge by the row sum.
+def expand_free_params(params: Sequence[float], graph: MobilityGraph) -> np.ndarray:
+    """The read-only transition matrix of the free parameters: fill the free
+    edges verbatim, force each dependent edge by the row sum.
 
     Raises if any free entry leaves (0, 1) or any dependent probability is
     not strictly positive.
@@ -205,24 +174,26 @@ def expand_free_params(
             f"dependent edge ({i},{j})"
         )
     T[dependent] = residual
-    return TransitionMatrix(matrix=T, graph=graph)
+    T.flags.writeable = False
+    return T
 
 
 def sample_trajectory_markov(
-    T: TransitionMatrix, m: int, rng: np.random.Generator
+    cdf: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Length-m read-only int64 walk from state 0 (label 1 in external files).
 
-    Step t inverts the current state's CDF (the law's ``cdf`` table) at
-    the uniform draw u[t-1]. The successor of every state is tabulated for
-    every draw up front (one vectorized search per state, r * (m-1)
-    entries), so the walk itself is a chain of list lookups, read into the
-    array without an intermediate copy.
+    ``cdf`` is the law's (r, r) walk table (see
+    ``MarkovModel.sample_trajectories``). Step t inverts the current
+    state's row of it at the uniform draw u[t-1]. The successor of every
+    state is tabulated for every draw up front (one vectorized search per
+    state, r * (m-1) entries), so the walk itself is a chain of list
+    lookups, read into the array without an intermediate copy.
     """
     if m < 1:
         raise ValueError("Markov trajectories need at least one observation")
     u = rng.random(m - 1)
-    nxt = [np.searchsorted(row, u, side="right").tolist() for row in T.cdf]
+    nxt = [np.searchsorted(row, u, side="right").tolist() for row in cdf]
     walk = [0]
     append = walk.append
     cur = 0
@@ -256,10 +227,11 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     return values
 
 
-def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> TransitionMatrix:
+def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> np.ndarray:
     """Add-one (Laplace) smoothed transition-frequency estimate on the
-    graph's edges: T(i,j) = (M(i,j) + 1) / (departures_i + outdeg_i) on E.
-    Every state has an out-edge, so every row has positive mass."""
+    graph's edges, as a read-only matrix: T(i,j) = (M(i,j) + 1) /
+    (departures_i + outdeg_i) on E. Every state has an out-edge, so every
+    row has positive mass."""
     r = graph.r
     states = _trace_states(trace, r)
     if states.size < 2:
@@ -273,7 +245,8 @@ def fit_markov_profile(trace: Sequence[int], graph: MobilityGraph) -> Transition
     M = np.bincount(pair, minlength=r * r).reshape(r, r).astype(float)
     denom = M.sum(axis=1) + support.sum(axis=1)
     T = np.where(support, (M + 1.0) / denom[:, None], 0.0)
-    return TransitionMatrix(matrix=T, graph=graph)
+    T.flags.writeable = False
+    return T
 
 
 def load_graph_csv(path: str) -> MobilityGraph:

@@ -56,25 +56,27 @@ def entropy(p: Sequence[float] | np.ndarray) -> float:
 
 
 def conditional_location_distribution(
-    Y: np.ndarray, post: adversary.AssignmentPosterior, k: int, r: int
+    Y: np.ndarray, weights: np.ndarray, k: int, r: int
 ) -> np.ndarray:
-    """P(X_1(k) = x | Y) = sum_j W_j * 1[column j of Y is at x at time k]."""
+    """P(X_1(k) = x | Y) = sum_j W_j * 1[column j of Y is at x at time k],
+    W the posterior weights from ``adversary.posterior_pi1``."""
     m, n = Y.shape
     if not 1 <= k <= m:
         raise ValueError(f"time index k={k} outside 1..{m}")
-    if post.n != n:
+    if len(weights) != n:
         raise ValueError("posterior size must match the number of pseudonyms")
     states = Y[k - 1]
     if states.min() < 0 or states.max() >= r:
         raise ValueError(f"state at time {k} outside 0..{r - 1}")
-    return np.bincount(states, weights=post.weights, minlength=r)
+    return np.bincount(states, weights=weights, minlength=r)
 
 
 @dataclass(frozen=True)
 class AttackTrial:
-    """One simulated epoch: the (m, n) observations, truth, and the
-    adversary's log-likelihood matrix ``L[u, j]`` (user u generated
-    pseudonym j's column), the evidence both attacks work from:
+    """One simulated epoch: the (m, n) observations, the true forward
+    array (user u has pseudonym ``forward[u]``), and the adversary's
+    log-likelihood matrix ``L[u, j]`` (user u generated pseudonym j's
+    column), the evidence both attacks work from:
     ``adversary.posterior_pi1(L)`` and ``adversary.map_assignment(L)``,
     which share one ``adversary.solve_assignment(L)``. ``sort_keys`` is
     the model's (b, k) that lets MAP sort instead of solve (two-state
@@ -82,28 +84,28 @@ class AttackTrial:
     """
 
     Y: np.ndarray
-    perm: object
+    forward: np.ndarray
     L: np.ndarray
     sort_keys: tuple | None
 
 
-def attack(model, profiles, trajectories, rng: np.random.Generator) -> AttackTrial:
+def attack(model, laws, trajectories, rng: np.random.Generator) -> AttackTrial:
     """Draw a pseudonym permutation, anonymize the users' trajectories,
     and build the likelihood matrix of an adversary who knows the users'
-    laws exactly, from the model's sufficient statistics.
+    laws (the model's stack of them) exactly, from the model's sufficient
+    statistics.
     """
-    perm = sample_permutation(len(profiles), rng)
-    Y = anonymize(trajectories, perm)
-    L, sort_keys = model.evidence(profiles, Y)
-    return AttackTrial(Y=Y, perm=perm, L=L, sort_keys=sort_keys)
+    forward = sample_permutation(len(laws), rng)
+    Y = anonymize(trajectories, forward)
+    L, sort_keys = model.evidence(laws, Y)
+    return AttackTrial(Y=Y, forward=forward, L=L, sort_keys=sort_keys)
 
 
 def simulate_attack_trial(
-    model, profiles, m: int, rng: np.random.Generator
+    model, laws, m: int, rng: np.random.Generator
 ) -> AttackTrial:
     """Sample each user's trajectory of length m, then ``attack``."""
-    trajectories = [model.sample_trajectory(p, m, rng) for p in profiles]
-    return attack(model, profiles, trajectories, rng)
+    return attack(model, laws, model.sample_trajectories(laws, m, rng), rng)
 
 
 def score_trial(
@@ -126,21 +128,21 @@ def score_trial(
     solved = None
     if "mi" in metrics or "weights" in metrics:
         solved = adversary.solve_assignment(trial.L)
-        post = adversary.posterior_pi1(trial.L, solved=solved)
+        weights = adversary.posterior_pi1(trial.L, solved=solved)
     if "mi" in metrics:
-        q = conditional_location_distribution(trial.Y, post, k, model.r)
+        q = conditional_location_distribution(trial.Y, weights, k, model.r)
         out["mi"] = h_marginal - entropy(q)
-    truth = trial.perm.forward
+    truth = trial.forward
     if "accuracy" in metrics:
         guess = adversary.map_assignment(
             trial.L, solved=solved, sort_keys=trial.sort_keys
-        ).forward
+        )
         out["pi1_accuracy"] = float(guess[0] == truth[0])
         out["full_perm_accuracy"] = float(np.array_equal(guess, truth))
     if "weights" in metrics:
         dev = None
         if crowd is not None:
-            w = post.weights[truth[crowd]]
+            w = weights[truth[crowd]]
             mass = float(w.sum())
             if mass > 0.0:
                 dev = float(np.abs(crowd.size * (w / mass) - 1.0).max())
@@ -151,18 +153,19 @@ def score_trial(
 def run_trials(model, m: int, trials, draw, metrics, *, k=None, h_marginal=0.0):
     """Yield each sampled trial's ``score_trial`` values, one per
     ``(rng, name)`` pair in ``trials``. ``draw(rng)`` returns the trial's
-    ``(profiles, crowd)``, or None to skip the trial, which then yields None
-    and draws nothing more; the trajectories and the permutation come from
-    the same generator. A ValueError in the trial is re-raised as the same
-    type, chained, with its name appended, so the trial can be replayed.
+    ``(laws, crowd)``, laws the model's stack of the users' laws, or None
+    to skip the trial, which then yields None and draws nothing more; the
+    trajectories and the permutation come from the same generator. A
+    ValueError in the trial is re-raised as the same type, chained, with
+    its name appended, so the trial can be replayed.
     """
     for rng, name in trials:
         scores = None
         with _naming(name):
             drawn = draw(rng)
             if drawn is not None:
-                profiles, crowd = drawn
-                trial = simulate_attack_trial(model, profiles, m, rng)
+                laws, crowd = drawn
+                trial = simulate_attack_trial(model, laws, m, rng)
                 scores = score_trial(
                     model, trial, metrics, k=k, h_marginal=h_marginal, crowd=crowd
                 )
@@ -170,15 +173,15 @@ def run_trials(model, m: int, trials, draw, metrics, *, k=None, h_marginal=0.0):
 
 
 def deanonymization_accuracy(
-    model, profiles, m: int, trials: int, rng: np.random.Generator
+    model, laws, m: int, trials: int, rng: np.random.Generator
 ) -> float:
-    """Fraction of ``trials`` attacks on the fixed ``profiles``, all drawn
+    """Fraction of ``trials`` attacks on the fixed ``laws`` stack, all drawn
     from ``rng``, where MAP matching recovers user 1's pseudonym. A
     ValueError in trial t is re-raised with "trial t" appended."""
     if trials < 1:
         raise ValueError("need at least one trial")
     scores = run_trials(
         model, m, ((rng, f"trial {t}") for t in range(trials)),
-        lambda _: (profiles, None), ("accuracy",),
+        lambda _: (laws, None), ("accuracy",),
     )
     return sum(s["pi1_accuracy"] for s in scores) / trials

@@ -1,13 +1,15 @@
 """User mobility profiles for the i.i.d. movement model.
 
 A user is described by a probability vector over ``r`` locations (states
-``0..r-1``). Profiles are drawn from a bounded prior density supported on
-the open probability simplex; the density value is pinched between two
-positive constants, which is all the privacy analysis needs.
+``0..r-1``), a read-only (r,) float array; a trial's n users travel as
+one read-only (n, r) stack. Profiles are drawn from a bounded prior
+density supported on the open probability simplex; the density value is
+pinched between two positive constants, which is all the privacy
+analysis needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -18,7 +20,6 @@ from . import adversary
 __all__ = [
     "BOUNDARY_MARGIN",
     "IidModel",
-    "IidProfile",
     "Population",
     "ProfileDensity",
     "fit_iid_profile",
@@ -30,8 +31,6 @@ __all__ = [
 # resampled; keeps every profile strictly interior as the open-support
 # prior requires.
 BOUNDARY_MARGIN = 1e-9
-
-_SUM_TOL = 1e-12
 
 
 def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
@@ -49,45 +48,12 @@ def _trace_states(trace: Sequence[int], r: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IidProfile:
-    """Probability vector over the r locations; strictly interior.
-
-    ``cdf`` is the read-only cumulative vector ``Generator.choice`` builds
-    from ``probs`` (``probs.cumsum()`` over its last entry, which is
-    exactly 1), kept for trajectory draws. The sum check reads the
-    sequential sum off the unnormalized cumulative vector.
-    """
-
-    probs: np.ndarray
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 2:
-            raise ValueError("profile needs at least two locations")
-        values = probs.tolist()
-        # a chained comparison is False for NaN, so NaN entries fail too;
-        # on a list this beats two numpy reductions for the small r used
-        if not all(0.0 < p < 1.0 for p in values):
-            raise ValueError("profile entries must lie strictly in (0, 1)")
-        sums = list(accumulate(values))  # probs.cumsum(), bit for bit
-        total = sums[-1]
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError("profile entries must sum to 1 within 1e-12")
-        cdf = np.array([s / total for s in sums])
-        probs.flags.writeable = False
-        cdf.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "cdf", cdf)
-
-
-@dataclass(frozen=True)
 class IidModel:
     """Model descriptor for i.i.d. mobility over r locations.
 
-    A user's law is an ``IidProfile``; its d = r - 1 free parameters set
-    the privacy threshold exponent 2/d. The adversary attacks it through
-    each pseudonym's visit counts.
+    A user's law is a probability vector over the r locations; its
+    d = r - 1 free parameters set the privacy threshold exponent 2/d. The
+    adversary attacks it through each pseudonym's visit counts.
     """
 
     r: int
@@ -106,16 +72,21 @@ class IidModel:
         """rng -> a profile drawn from the prior ``density``."""
         return lambda rng: sample_profile(density, rng)
 
-    def sample_trajectory(
-        self, profile: IidProfile, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return sample_trajectory_iid(profile, m, rng)
+    def sample_trajectories(
+        self, laws: np.ndarray, m: int, rng: np.random.Generator
+    ) -> list[np.ndarray]:
+        """One length-m trajectory per law of the (n, r) stack, user by
+        user from ``rng``. The CDF table is the one ``Generator.choice``
+        builds: each row's cumulative sum over its last entry."""
+        cdf = np.cumsum(laws, axis=1)
+        cdf /= cdf[:, -1:]
+        return [sample_trajectory_iid(row, m, rng) for row in cdf]
 
-    def marginal(self, profile: IidProfile, k: int) -> np.ndarray:
+    def marginal(self, profile: np.ndarray, k: int) -> np.ndarray:
         """Exact law of the user's location at time k: the profile itself."""
         if k < 1:
             raise ValueError("time index k must be >= 1")
-        return np.array(profile.probs, copy=True)
+        return np.array(profile, copy=True)
 
     def evidence(self, laws, Y: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """L[u, j] = log-likelihood that user u generated column j of Y, and
@@ -126,10 +97,10 @@ class IidModel:
         L = adversary.likelihood_matrix_iid(laws, counts)
         if self.r != 2:
             return L, None
-        logp = np.log(np.stack([p.probs for p in laws]))  # the logs L is built from
+        logp = np.log(laws)  # the logs L is built from
         return L, (logp[:, 1] - logp[:, 0], counts[:, 1])
 
-    def fit_profile(self, trace: Sequence[int]) -> IidProfile:
+    def fit_profile(self, trace: Sequence[int]) -> np.ndarray:
         """The Laplace-smoothed profile of one trace."""
         return fit_iid_profile(trace, self.r)
 
@@ -163,15 +134,16 @@ class ProfileDensity:
 
 @dataclass(frozen=True)
 class Population:
-    """n users sharing one model kind; profiles are per-user laws."""
+    """n users sharing one model kind; ``profiles`` is the read-only stack
+    of their laws, (n, r) for i.i.d. and (n, r, r) for Markov mobility."""
 
     model: object  # IidModel or markov.MarkovModel
-    profiles: tuple = field(default_factory=tuple)
+    profiles: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.profiles) < 1:
             raise ValueError("population needs at least one user")
-        object.__setattr__(self, "profiles", tuple(self.profiles))
+        object.__setattr__(self, "profiles", _readonly(self.profiles, float))
 
     @property
     def n(self) -> int:
@@ -194,8 +166,9 @@ def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> list[flo
     return [x * scale for x in g]
 
 
-def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProfile:
-    """Draw one profile from the prior, rejecting near-boundary draws.
+def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> np.ndarray:
+    """Draw one read-only profile from the prior, rejecting near-boundary
+    draws.
 
     Each attempt consumes the stream exactly as ``rng.dirichlet(np.ones(r))``
     does, after a ``rng.random()`` mixture coin for ``bounded-mixture``
@@ -212,28 +185,32 @@ def sample_profile(density: ProfileDensity, rng: np.random.Generator) -> IidProf
         if min(probs) >= BOUNDARY_MARGIN:
             # numpy's sum: left to right below 8 entries, pairwise from 8 on
             total = list(accumulate(probs))[-1] if r < 8 else np.add.reduce(probs)
-            return IidProfile([p / total for p in probs])
+            return _readonly([p / total for p in probs])
 
 
 def sample_trajectory_iid(
-    profile: IidProfile, m: int, rng: np.random.Generator
+    cdf: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m independent draws from the profile, as a read-only int64 array.
+    """m independent draws from a profile, as a read-only int64 array.
 
-    Equal bit for bit to ``rng.choice(profile.probs.size, size=m, p=profile.probs)``:
-    the lines ``choice`` runs once ``p`` is validated, which ``IidProfile``
-    already guarantees, against the profile's cached CDF.
+    ``cdf`` is the profile's cumulative vector over its last entry (see
+    ``IidModel.sample_trajectories``). Equal bit for bit to
+    ``rng.choice(r, size=m, p=profile)``: the lines ``choice`` runs once
+    ``p`` is validated, against the CDF it builds.
     """
     if m < 0:
         raise ValueError("observation count must be nonnegative")
-    states = profile.cdf.searchsorted(rng.random(m), side="right")
+    states = cdf.searchsorted(rng.random(m), side="right")
     states.flags.writeable = False
     return states
 
 
-def fit_iid_profile(trace: Sequence[int], r: int) -> IidProfile:
-    """Add-one (Laplace) smoothed visit-frequency estimate of a profile:
-    probs[i] = (count_i + 1) / (m + r), strictly interior for any trace."""
+def fit_iid_profile(trace: Sequence[int], r: int) -> np.ndarray:
+    """Add-one (Laplace) smoothed visit-frequency estimate of a profile, as
+    a read-only array: probs[i] = (count_i + 1) / (m + r), strictly
+    interior for any trace."""
     states = _trace_states(trace, r)
     counts = np.bincount(states, minlength=r).astype(float)
-    return IidProfile((counts + 1.0) / (states.size + r))
+    probs = (counts + 1.0) / (states.size + r)
+    probs.flags.writeable = False
+    return probs

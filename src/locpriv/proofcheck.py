@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import run_trials
-from .mobility import BOUNDARY_MARGIN, IidModel, IidProfile
+from .mobility import BOUNDARY_MARGIN, IidModel
 
 __all__ = [
     "DeltaUniformityRecord",
@@ -207,7 +207,9 @@ def weight_uniformity(
         members = crowd(ps, eps)
         if members is None:
             return None
-        return [IidProfile([1.0 - p, p]) for p in ps], members
+        laws = np.column_stack((1.0 - ps, ps))
+        laws.flags.writeable = False
+        return laws, members
 
     scores = run_trials(
         IidModel(r=2), m, ((rng, f"trial {t}") for t in range(trials)), draw,

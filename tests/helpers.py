@@ -27,12 +27,10 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.stats import binom
 
 from locpriv import adversary
-from locpriv.adversary import _SENTINEL_CUTOFF, AssignmentPosterior
-from locpriv.anonymization import Permutation
+from locpriv.adversary import _SENTINEL_CUTOFF
 from locpriv.harness import RESULT_HEADER, ConfigError, ResultRow
-from locpriv.markov import MobilityGraph, TransitionMatrix, _free_params
+from locpriv.markov import MobilityGraph, _free_params
 from locpriv.metrics import entropy, run_trials
-from locpriv.mobility import IidProfile
 
 
 def three_state_graph() -> MobilityGraph:
@@ -66,11 +64,12 @@ def expand_free_params_stepwise(params, graph: MobilityGraph) -> np.ndarray:
 
 
 def sample_trajectory_markov_stepwise(
-    T: TransitionMatrix, m: int, rng: np.random.Generator
+    T: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Length-m walk from state 0, one CDF search per step (reference for
-    the tabulated walk in locpriv.markov; it draws the same uniforms)."""
-    cdf = np.cumsum(T.matrix, axis=1)
+    """Length-m walk from state 0 under transition matrix T, one CDF search
+    per step (reference for the tabulated walk in locpriv.markov; it draws
+    the same uniforms)."""
+    cdf = np.cumsum(T, axis=1)
     cdf[:, -1] = 1.0
     states = np.empty(m, dtype=np.int64)
     states[0] = 0
@@ -177,11 +176,11 @@ def mi_identical_profiles_shortcut(
     return value, float(h.std(ddof=1) / math.sqrt(trials))
 
 
-def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> Permutation:
-    """Exhaustive search over all n! permutations (test oracle): the first,
-    in lexicographic order, whose total is within tol of the maximum, so
-    with tol = 0 the lexicographically smallest exact optimum. -inf cells
-    are infeasible."""
+def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Exhaustive search over all n! permutations (test oracle): the forward
+    array of the first, in lexicographic order, whose total is within tol
+    of the maximum, so with tol = 0 the lexicographically smallest exact
+    optimum. -inf cells are infeasible."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     perms = list(itertools.permutations(range(n)))
@@ -189,9 +188,7 @@ def map_assignment_bruteforce(L: np.ndarray, tol: float = 0.0) -> Permutation:
     best = max(totals)
     if best == -np.inf:
         raise ValueError("no feasible permutation: every matching hits -inf")
-    return Permutation.from_forward(
-        list(next(p for p, t in zip(perms, totals) if t >= best - tol))
-    )
+    return np.array(next(p for p, t in zip(perms, totals) if t >= best - tol))
 
 
 def assert_shared_solve_matches_standalone(L: np.ndarray) -> None:
@@ -199,11 +196,11 @@ def assert_shared_solve_matches_standalone(L: np.ndarray) -> None:
     the forward array and (up to the posterior's size bound) the weights
     that each computes alone, bit for bit."""
     solved = adversary.solve_assignment(L)
-    shared = adversary.map_assignment(L, solved=solved).forward
-    assert shared.tobytes() == adversary.map_assignment(L).forward.tobytes()
+    shared = adversary.map_assignment(L, solved=solved)
+    assert shared.tobytes() == adversary.map_assignment(L).tobytes()
     if L.shape[0] <= adversary.PERMANENT_FEASIBILITY_BOUND:
-        shared = adversary.posterior_pi1(L, solved=solved).weights
-        assert shared.tobytes() == adversary.posterior_pi1(L).weights.tobytes()
+        shared = adversary.posterior_pi1(L, solved=solved)
+        assert shared.tobytes() == adversary.posterior_pi1(L).tobytes()
 
 
 def tie_loss(Lf: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -264,9 +261,9 @@ def row0_minors_dp(B: np.ndarray) -> np.ndarray:
     return np.array([dp[full ^ (1 << j)] for j in range(n)])
 
 
-def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
-    """Posterior over user 1's pseudonym by enumerating all n! permutations
-    (test oracle for small n)."""
+def posterior_pi1_bruteforce(L: np.ndarray) -> np.ndarray:
+    """Posterior weights over user 1's pseudonym by enumerating all n!
+    permutations (test oracle for small n)."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     totals = []
@@ -282,26 +279,27 @@ def posterior_pi1_bruteforce(L: np.ndarray) -> AssignmentPosterior:
     shift = totals.max()
     w = np.zeros(n)
     np.add.at(w, np.asarray(firsts), np.exp(totals - shift))
-    w /= w.sum()
-    return AssignmentPosterior(weights=w, normalization_residual=abs(float(w.sum()) - 1.0))
+    return w / w.sum()
 
 
-def log_likelihood_iid(profile: IidProfile, counts: np.ndarray) -> float:
+def log_likelihood_iid(profile: np.ndarray, counts: np.ndarray) -> float:
     """Multinomial kernel: sum_i counts[i] * ln p(i)."""
+    profile = np.asarray(profile, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if counts.size != profile.probs.size:
+    if counts.size != profile.size:
         raise ValueError("counts length must equal the number of states")
-    return float(counts @ np.log(profile.probs))
+    return float(counts @ np.log(profile))
 
 
-def log_likelihood_markov(T: TransitionMatrix, M: np.ndarray) -> float:
+def log_likelihood_markov(T: np.ndarray, M: np.ndarray) -> float:
     """Markov kernel: sum_{i,k} M(i,k) * ln T(i,k); -inf if M puts mass on
     a zero-probability transition (this user cannot have produced it)."""
+    T = np.asarray(T, dtype=float)
     M = np.asarray(M, dtype=float)
     mask = M > 0
-    if np.any(T.matrix[mask] == 0.0):
+    if np.any(T[mask] == 0.0):
         return float("-inf")
-    return float(np.sum(M[mask] * np.log(T.matrix[mask])))
+    return float(np.sum(M[mask] * np.log(T[mask])))
 
 
 @dataclass(frozen=True)
@@ -310,19 +308,19 @@ class ChainReport:
     aperiodic: bool
 
 
-def contract_transition_matrix(T: TransitionMatrix, graph: MobilityGraph) -> np.ndarray:
+def contract_transition_matrix(T: np.ndarray, graph: MobilityGraph) -> np.ndarray:
     """Read the free-edge probabilities back out of a transition matrix, as
     a read-only (d,) array ordered like graph.free_edges."""
-    return _free_params([T.matrix[i, j] for (i, j) in graph.free_edges], graph)
+    return _free_params([T[i, j] for (i, j) in graph.free_edges], graph)
 
 
-def validate_chain(T: TransitionMatrix) -> ChainReport:
+def validate_chain(T: np.ndarray) -> ChainReport:
     """Report irreducibility (one SCC) and aperiodicity (cycle gcd 1).
 
     A component's period is the gcd of depth[u] + 1 - depth[v] over its
     internal edges u -> v, with depths from a BFS inside the component.
     """
-    adj = csr_matrix(T.matrix > 0.0)
+    adj = csr_matrix(np.asarray(T) > 0.0)
     n_comps, labels = connected_components(adj, directed=True, connection="strong")
     g = 0
     for c in range(n_comps):
@@ -336,18 +334,19 @@ def validate_chain(T: TransitionMatrix) -> ChainReport:
     return ChainReport(irreducible=n_comps == 1, aperiodic=bool(g == 1))
 
 
-def stationary_distribution(T: TransitionMatrix) -> np.ndarray:
+def stationary_distribution(T: np.ndarray) -> np.ndarray:
     """Solve pi T = pi, sum(pi) = 1 for an irreducible aperiodic chain."""
+    T = np.asarray(T, dtype=float)
     report = validate_chain(T)
     if not (report.irreducible and report.aperiodic):
         raise ValueError(f"chain is not irreducible+aperiodic: {report}")
-    r = T.graph.r
-    A = T.matrix.T - np.eye(r)
+    r = T.shape[0]
+    A = T.T - np.eye(r)
     A[-1, :] = 1.0
     b = np.zeros(r)
     b[-1] = 1.0
     pi = np.linalg.solve(A, b)
-    residual = np.abs(pi @ T.matrix - pi).max()
+    residual = np.abs(pi @ T - pi).max()
     if residual > 1e-10:
         raise ValueError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
     pi = np.clip(pi, 0.0, None)
@@ -402,22 +401,22 @@ class AccuracyResult:
 
 
 def _population(n, rng, profile_sampler, profile1, profiles):
-    """User 1's profile and a ``run_trials`` draw: the fixed profile list,
-    or profile 1 and n - 1 fresh sampler draws. Profile 1 is drawn from
-    ``rng`` up front unless pinned."""
+    """User 1's profile and a ``run_trials`` draw: the stack of the fixed
+    profiles, or of profile 1 and n - 1 fresh sampler draws. Profile 1 is
+    drawn from ``rng`` up front unless pinned."""
     if profiles is not None:
         if profile1 is not None or profile_sampler is not None:
             raise ValueError("profiles excludes profile1 and profile_sampler")
-        profiles = list(profiles)
-        if len(profiles) != n:
+        laws = np.array(profiles, dtype=float)
+        if len(laws) != n:
             raise ValueError("fixed profile list must have length n")
-        return profiles[0], lambda _: (profiles, None)
+        return laws[0], lambda _: (laws, None)
     if profile_sampler is None:
         raise ValueError("need either fixed profiles or a profile sampler")
     if profile1 is None:
         profile1 = profile_sampler(rng)
     return profile1, lambda rng: (
-        [profile1] + [profile_sampler(rng) for _ in range(n - 1)],
+        np.stack([profile1] + [profile_sampler(rng) for _ in range(n - 1)]),
         None,
     )
 

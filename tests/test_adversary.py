@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from helpers import (
 )
 from locpriv import adversary
 from locpriv.adversary import (
-    AssignmentPosterior,
     count_stats,
     likelihood_matrix_iid,
     likelihood_matrix_markov,
@@ -28,20 +28,9 @@ from locpriv.adversary import (
     transition_stats,
 )
 from locpriv.anonymization import anonymize, sample_permutation
-from locpriv.markov import (
-    MobilityGraph,
-    TransitionMatrix,
-    expand_free_params,
-    sample_trajectory_markov,
-)
+from locpriv.markov import MarkovModel, MobilityGraph, expand_free_params
 from locpriv.metrics import simulate_attack_trial
-from locpriv.mobility import (
-    IidModel,
-    IidProfile,
-    ProfileDensity,
-    sample_profile,
-    sample_trajectory_iid,
-)
+from locpriv.mobility import IidModel, ProfileDensity, sample_profile
 
 
 THREE_STATE = MobilityGraph(
@@ -59,26 +48,6 @@ def permanent(A):
     """Glynn's permanent expanded along row 0, from the posterior's minors."""
     A = np.asarray(A, dtype=float)
     return float(A[0] @ adversary._glynn_row0_minors(A))
-
-
-def test_assignment_posterior_rejects_non_finite_weights():
-    for bad in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [np.inf, 1.0], [0.5, 0.5, -np.inf]):
-        with pytest.raises(ValueError, match="finite"):
-            AssignmentPosterior(weights=bad, normalization_residual=0.0)
-
-
-@pytest.mark.parametrize(
-    "weights, message",
-    [
-        ([1.5, -0.5], "must be nonnegative"),
-        ([0.5, 0.4], "must sum to 1 within 1e-10"),
-        ([0.5, 0.5 + 1e-9], "must sum to 1 within 1e-10"),
-    ],
-    ids=["negative", "sum-0.9", "sum-1+1e-9"],
-)
-def test_assignment_posterior_rejects_malformed_weights(weights, message):
-    with pytest.raises(ValueError, match=message):
-        AssignmentPosterior(weights=weights, normalization_residual=0.0)
 
 
 def test_count_stats_examples():
@@ -146,9 +115,9 @@ def test_stats_reject_states_out_of_range():
 
 
 def test_log_likelihood_iid():
-    p = IidProfile([0.5, 0.5])
+    p = np.array([0.5, 0.5])
     assert log_likelihood_iid(p, [1, 1]) == pytest.approx(2 * math.log(0.5))
-    p2 = IidProfile([0.2, 0.8])
+    p2 = np.array([0.2, 0.8])
     assert log_likelihood_iid(p2, [0, 7]) == pytest.approx(7 * math.log(0.8))
 
 
@@ -156,7 +125,7 @@ def test_log_likelihood_iid_swap_ratio():
     # the two-user likelihood-ratio Delta evaluated through the kernel:
     # exp(LL(pi,a) + LL(pj,b) - LL(pi,b) - LL(pj,a)) = 4/9
     m = 10
-    pi, pj = IidProfile([0.5, 0.5]), IidProfile([0.4, 0.6])
+    pi, pj = np.array([0.5, 0.5]), np.array([0.4, 0.6])
     a = np.array([m - 5, 5])
     b = np.array([m - 3, 3])
     delta = math.exp(
@@ -196,10 +165,10 @@ def test_permanent_matches_enumeration():
 
 
 def test_map_assignment_trivial_cases():
-    assert map_assignment(np.array([[0.0]])).forward.tolist() == [0]
+    assert map_assignment(np.array([[0.0]])).tolist() == [0]
     L = np.full((4, 4), -10.0)
     np.fill_diagonal(L, 0.0)
-    assert map_assignment(L).forward.tolist() == [0, 1, 2, 3]
+    assert map_assignment(L).tolist() == [0, 1, 2, 3]
 
 
 def test_map_assignment_matches_bruteforce():
@@ -207,9 +176,7 @@ def test_map_assignment_matches_bruteforce():
     for _ in range(300):
         n = int(rng.integers(1, 7))
         L = rng.normal(size=(n, n))
-        assert np.array_equal(
-            map_assignment(L).forward, map_assignment_bruteforce(L).forward
-        )
+        assert np.array_equal(map_assignment(L), map_assignment_bruteforce(L))
 
 
 def _tie_heavy(rng, n):
@@ -230,12 +197,12 @@ def test_map_assignment_matches_bruteforce_on_ties():
         n = int(rng.integers(1, 8))
         L = _tie_heavy(rng, n)
         try:
-            expected = map_assignment_bruteforce(L).forward
+            expected = map_assignment_bruteforce(L)
         except ValueError:
             with pytest.raises(ValueError):
                 map_assignment(L)
             continue
-        assert np.array_equal(map_assignment(L).forward, expected)
+        assert np.array_equal(map_assignment(L), expected)
 
 
 def test_map_assignment_near_ties_at_tolerance():
@@ -254,9 +221,7 @@ def test_map_assignment_near_ties_at_tolerance():
             * rng.choice([-1.0, 1.0], size=len(cells))
             * tol
         )
-        assert np.array_equal(
-            map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
-        )
+        assert np.array_equal(map_assignment(L), map_assignment_bruteforce(L, tol))
 
 
 def _planted_near_ties(rng, n):
@@ -305,9 +270,7 @@ def test_near_ties_contain_every_cell_of_small_exact_loss():
         assert near[np.arange(n), sigma].all()
         planted += np.count_nonzero(exact & (loss > 0))
         if n <= 7:
-            assert np.array_equal(
-                map_assignment(L).forward, map_assignment_bruteforce(L, tol).forward
-            )
+            assert np.array_equal(map_assignment(L), map_assignment_bruteforce(L, tol))
     assert planted >= 300
 
 
@@ -320,7 +283,7 @@ def _sparse_three_state_law(rng):
         w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
         w[int(rng.integers(len(targets)))] += 0.1
         matrix[i, targets] = w / w.sum()
-    return TransitionMatrix(matrix=matrix, graph=THREE_STATE)
+    return matrix
 
 
 def test_near_ties_contain_every_cell_of_small_exact_loss_at_audit_scale():
@@ -333,7 +296,7 @@ def test_near_ties_contain_every_cell_of_small_exact_loss_at_audit_scale():
         m = int(rng.integers(2, 25))
         laws = [_sparse_three_state_law(rng) for _ in range(n)]
         Y = anonymize(
-            [sample_trajectory_markov(T, m, rng) for T in laws],
+            MarkovModel(THREE_STATE).sample_trajectories(laws, m, rng),
             sample_permutation(n, rng),
         )
         L = likelihood_matrix_markov(laws, transition_stats(Y, 3))
@@ -361,9 +324,10 @@ def test_likelihood_matrix_iid_takes_one_log_of_the_stacked_laws():
             n = int(rng.integers(1, 65))
             profiles = [sample_profile(density, rng) for _ in range(n)]
             counts = rng.integers(0, 150, size=(n, r))
-            per_profile = np.stack([np.log(p.probs) for p in profiles])
+            per_profile = np.stack([np.log(p) for p in profiles])
             expected = per_profile @ counts.T.astype(float)
-            assert np.array_equal(likelihood_matrix_iid(profiles, counts), expected)
+            laws = np.stack(profiles)
+            assert np.array_equal(likelihood_matrix_iid(laws, counts), expected)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +342,7 @@ def test_map_assignment_pinned_with_duplicated_columns(n, digest):
     # counts coincide give identical likelihood columns, hence tied optima.
     L = _sweep_like_iid2(n, np.random.default_rng(200 + n))
     assert np.unique(L, axis=1).shape[1] < n
-    forward = map_assignment(L).forward
+    forward = map_assignment(L)
     assert hashlib.sha256(forward.tobytes()).hexdigest() == digest
 
 
@@ -403,9 +367,9 @@ def test_map_assignment_solve_count(monkeypatch):
 def test_map_assignment_tie_break_lexicographic():
     # identical rows: every permutation ties; smallest forward array wins
     L = np.zeros((3, 3))
-    assert map_assignment(L).forward.tolist() == [0, 1, 2]
+    assert map_assignment(L).tolist() == [0, 1, 2]
     L = np.array([[0.0, 0.0], [0.0, 0.0]])
-    assert map_assignment(L).forward.tolist() == [0, 1]
+    assert map_assignment(L).tolist() == [0, 1]
 
 
 def test_map_assignment_respects_infeasible_cells():
@@ -413,7 +377,7 @@ def test_map_assignment_respects_infeasible_cells():
     with pytest.raises(ValueError):
         map_assignment(L)
     L = np.array([[-np.inf, 0.0], [0.0, -np.inf]])
-    assert map_assignment(L).forward.tolist() == [1, 0]
+    assert map_assignment(L).tolist() == [1, 0]
 
 
 def _iid2_trial(rng, n, m, profiles=None):
@@ -431,8 +395,8 @@ def test_map_sort_path_by_hand():
     k = np.array([1, 0, 1, 2])
     L = np.outer(b, k).astype(float)
     assert adversary._sorted_matching(L, (b, k)).tolist() == [0, 1, 3, 2]
-    assert map_assignment(L).forward.tolist() == [0, 1, 3, 2]
-    assert map_assignment_bruteforce(L, 1e-9).forward.tolist() == [0, 1, 3, 2]
+    assert map_assignment(L).tolist() == [0, 1, 3, 2]
+    assert map_assignment_bruteforce(L, 1e-9).tolist() == [0, 1, 3, 2]
 
 
 def test_map_sort_path_matches_general_path():
@@ -446,8 +410,8 @@ def test_map_sort_path_matches_general_path():
         n = int(rng.integers(2, 7)) if t % 2 else int(rng.integers(2, 129))
         m = int(rng.integers(1, 6)) if t % 3 == 0 else round(n ** rng.uniform(0.5, 1.5))
         trial = _iid2_trial(rng, n, m)
-        general = map_assignment(trial.L).forward
-        keyed = map_assignment(trial.L, sort_keys=trial.sort_keys).forward
+        general = map_assignment(trial.L)
+        keyed = map_assignment(trial.L, sort_keys=trial.sort_keys)
         assert np.array_equal(keyed, general)
         forward = adversary._sorted_matching(trial.L, trial.sort_keys)
         if forward is None:
@@ -456,7 +420,7 @@ def test_map_sort_path_matches_general_path():
         assert np.array_equal(forward, general)
         if n <= 6:
             tol = 1e-9 * max(1.0, float(np.abs(trial.L).max()))
-            assert np.array_equal(forward, map_assignment_bruteforce(trial.L, tol).forward)
+            assert np.array_equal(forward, map_assignment_bruteforce(trial.L, tol))
     assert sorted_trials >= 270
 
 
@@ -484,13 +448,13 @@ def test_map_sort_path_falls_back_on_near_tied_logits(monkeypatch):
         tol = 1e-9 * max(1.0, float(np.abs(trial.L).max()))
         logit = trial.sort_keys[0][u] + (0.0, 0.5, 1.0, 2.0)[t % 4] * tol
         q = 1.0 / (1.0 + math.exp(-logit))
-        profiles[v] = IidProfile([1.0 - q, q])
+        profiles[v] = np.array([1.0 - q, q])
         L, keys = IidModel(2).evidence(profiles, trial.Y)
         assert adversary._sorted_matching(L, keys) is None
         calls.clear()
-        keyed = map_assignment(L, sort_keys=keys).forward
+        keyed = map_assignment(L, sort_keys=keys)
         assert calls, "the fall-back made no assignment solve"
-        assert np.array_equal(keyed, map_assignment(L).forward)
+        assert np.array_equal(keyed, map_assignment(L))
 
 
 @pytest.mark.parametrize(
@@ -516,7 +480,7 @@ def test_map_sort_keys_keep_the_general_errors(L):
 def test_map_sort_keys_checked_against_the_matrix():
     L = np.array([[-np.inf, 0.0], [0.0, -np.inf]])  # not finite: the general path
     keys = (np.array([-1.0, 1.0]), np.array([0, 3]))
-    assert map_assignment(L, sort_keys=keys).forward.tolist() == [1, 0]
+    assert map_assignment(L, sort_keys=keys).tolist() == [1, 0]
     with pytest.raises(ValueError, match="sort keys do not match the likelihood matrix"):
         map_assignment(np.zeros((3, 3)), sort_keys=keys)
     L = np.outer(keys[0], keys[1]).astype(float)
@@ -527,12 +491,12 @@ def test_map_sort_keys_checked_against_the_matrix():
 
 def test_posterior_trivial_cases():
     post = posterior_pi1(np.array([[0.0]]))
-    assert post.weights.tolist() == [1.0]
+    assert post.tolist() == [1.0]
 
     # identical users: symmetry forces the uniform posterior
     L = np.tile(np.array([-1.0, -2.0, -0.5, -3.0]), (4, 1))
     post = posterior_pi1(L)
-    assert np.abs(post.weights - 0.25).max() < 1e-12
+    assert np.abs(post - 0.25).max() < 1e-12
 
 
 def test_posterior_matches_bruteforce():
@@ -540,8 +504,8 @@ def test_posterior_matches_bruteforce():
     for _ in range(150):
         n = int(rng.integers(1, 7))
         L = rng.normal(scale=4.0, size=(n, n))
-        a = posterior_pi1(L).weights
-        b = posterior_pi1_bruteforce(L).weights
+        a = posterior_pi1(L)
+        b = posterior_pi1_bruteforce(L)
         assert np.abs(a - b).max() <= 1e-10
 
 
@@ -553,12 +517,12 @@ def test_posterior_with_infeasible_cells_matches_bruteforce():
         mask = rng.random((n, n)) < 0.2
         L[mask] = -np.inf
         try:
-            a = posterior_pi1(L).weights
+            a = posterior_pi1(L)
         except ValueError:
             with pytest.raises(ValueError):
                 posterior_pi1_bruteforce(L)
             continue
-        b = posterior_pi1_bruteforce(L).weights
+        b = posterior_pi1_bruteforce(L)
         assert np.abs(a - b).max() <= 1e-10
 
 
@@ -568,8 +532,8 @@ def _sweep_like_iid2(n, rng):
     m = round(n**1.2)
     ps = rng.uniform(0.01, 0.99, size=n)
     ones = rng.binomial(m, ps)
-    profiles = [IidProfile([1 - p, p]) for p in ps]
-    return likelihood_matrix_iid(profiles, np.stack([m - ones, ones], axis=1))
+    laws = np.stack([1 - ps, ps], axis=1)
+    return likelihood_matrix_iid(laws, np.stack([m - ones, ones], axis=1))
 
 
 def _posterior_dp(L):
@@ -583,7 +547,7 @@ def test_posterior_matches_sign_free_reference(n):
     # Glynn's signed sum against a subset DP that adds only
     # nonnegative terms, up to the feasibility bound.
     L = _sweep_like_iid2(n, np.random.default_rng(100 + n))
-    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-9
+    assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-9
 
 
 def test_posterior_with_infeasible_cells_matches_sign_free_reference():
@@ -591,7 +555,7 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
     L = rng.normal(scale=3.0, size=(8, 8))
     L[rng.random((8, 8)) < 0.4] = -np.inf
     np.fill_diagonal(L, 0.0)  # keeps the identity matching feasible
-    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-9
+    assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-9
 
 
 def test_posterior_weights_pinned_n16():
@@ -601,7 +565,7 @@ def test_posterior_weights_pinned_n16():
     # weights must replay bit for bit. Pseudonyms 5 and 8, and 6 and 7,
     # have equal statistics and so equal weights.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
-    w = posterior_pi1(L).weights
+    w = posterior_pi1(L)
     assert w.tolist() == [
         0.30222064295498485,
         0.09370479475454024,
@@ -627,7 +591,7 @@ def test_posterior_weights_pinned_n16():
 def test_posterior_matches_sign_free_reference_tightly(n):
     for seed in range(3):
         L = _sweep_like_iid2(n, np.random.default_rng(1000 * n + seed))
-        assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+        assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-12
 
 
 def _with_classes(L, sizes, rng):
@@ -649,7 +613,7 @@ def test_posterior_with_column_classes_matches_sign_free_reference(n):
     for seed in range(2):
         rng = np.random.default_rng(2000 * n + seed)
         L = _with_classes(_sweep_like_iid2(n, rng), (2, 2, 3, 4), rng)
-        assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+        assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-12
 
 
 def _fits_level_table(L):
@@ -683,7 +647,7 @@ def test_shared_solve_matches_standalone():
         n = int(rng.integers(2, 17))
         laws = [_sparse_three_state_law(rng) for _ in range(n)]
         m = int(rng.integers(2, 12))
-        walks = [sample_trajectory_markov(T, m, rng) for T in laws]
+        walks = MarkovModel(THREE_STATE).sample_trajectories(laws, m, rng)
         Y = anonymize(walks, sample_permutation(n, rng))
         L = likelihood_matrix_markov(laws, transition_stats(Y, 3))
         try:
@@ -742,7 +706,7 @@ def test_tiled_level_loop_matches_sign_free_reference(monkeypatch, n, classes):
         equal.setdefault(L[:, j].tobytes(), []).append(j)
     for step in (2, 3, levels, adversary._TILE // rows):
         monkeypatch.setattr(adversary, "_TILE", step * rows)
-        w = posterior_pi1(L).weights
+        w = posterior_pi1(L)
         assert np.abs(w - reference).max() <= 1e-12
         for cols in equal.values():
             assert len(set(w[cols].tolist())) == 1
@@ -789,7 +753,7 @@ def test_identical_columns_get_identical_weights():
     L = _sweep_like_iid2(12, rng)
     L[:, [3, 7, 9]] = L[:, [3]]
     L[:, [0, 5]] = L[:, [0]]
-    w = posterior_pi1(L).weights
+    w = posterior_pi1(L)
     assert w[3] == w[7] == w[9]
     assert w[0] == w[5]
     assert len(set(w.tolist())) == 12 - 3
@@ -813,9 +777,29 @@ def test_posterior_rejects_cancelled_minors(monkeypatch):
         posterior_pi1(np.zeros((3, 3)))
 
 
+def test_posterior_rejects_degenerate_weights_before_dividing(monkeypatch):
+    # all-zero minors leave no weight; the total is checked before anything
+    # is divided by it, so numpy warns of nothing
+    _cancelled_minors(monkeypatch, [0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError,
+            match=r"^degenerate posterior: total weight 0\.0 is not positive and finite$",
+        ):
+            posterior_pi1(np.zeros((3, 3)))
+
+
+def test_assignment_posterior_rejects_non_finite_weights(monkeypatch):
+    for minors in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1.0, np.inf, np.nan]):
+        _cancelled_minors(monkeypatch, minors)
+        with pytest.raises(ValueError, match="degenerate posterior: .* finite$"):
+            posterior_pi1(np.zeros((3, 3)))
+
+
 def test_posterior_zeroes_rounded_minors(monkeypatch):
     _cancelled_minors(monkeypatch, [1.0, 0.5, -1e-12])
-    weights = posterior_pi1(np.zeros((3, 3))).weights
+    weights = posterior_pi1(np.zeros((3, 3)))
     assert weights.tolist() == [2 / 3, 1 / 3, 0.0]
 
 
@@ -830,8 +814,8 @@ def test_posterior_concentrated_matches_bruteforce():
         rng = np.random.default_rng(seed)
         profiles = [sample_profile(density, rng) for _ in range(8)]
         L = simulate_attack_trial(model, profiles, 1448, rng).L
-        w = posterior_pi1(L).weights
-        assert np.abs(w - posterior_pi1_bruteforce(L).weights).max() <= 1e-12
+        w = posterior_pi1(L)
+        assert np.abs(w - posterior_pi1_bruteforce(L)).max() <= 1e-12
 
 
 def test_posterior_reports_sinkhorn_non_convergence(monkeypatch):
@@ -840,7 +824,7 @@ def test_posterior_reports_sinkhorn_non_convergence(monkeypatch):
     # bring every sum within 0.1 of 1 at n = 20.
     n = 20
     L = np.where(np.triu(np.ones((n, n))) > 0, 0.0, -np.inf)
-    assert posterior_pi1(L).weights[0] >= 1.0 - 1e-12
+    assert posterior_pi1(L)[0] >= 1.0 - 1e-12
     monkeypatch.setattr(adversary, "_SINKHORN_SWEEPS", 55)
     with pytest.raises(
         ValueError,
@@ -866,9 +850,9 @@ def test_posterior_shift_invariance_property(L, data):
     n = L.shape[0]
     shifts = hnp.arrays(np.float64, n, elements=st.floats(-50.0, 50.0))
     rows, cols = data.draw(shifts), data.draw(shifts)
-    w = posterior_pi1(L).weights
-    assert np.abs(posterior_pi1(L + rows[:, None]).weights - w).max() <= 1e-12
-    assert np.abs(posterior_pi1(L + cols[None, :]).weights - w).max() <= 1e-12
+    w = posterior_pi1(L)
+    assert np.abs(posterior_pi1(L + rows[:, None]) - w).max() <= 1e-12
+    assert np.abs(posterior_pi1(L + cols[None, :]) - w).max() <= 1e-12
 
 
 @_properties
@@ -879,15 +863,15 @@ def test_posterior_permutation_property(L, rnd):
     n = L.shape[0]
     cols = np.array(rnd.sample(range(n), n))
     others = np.array([0] + rnd.sample(range(1, n), n - 1))
-    w = posterior_pi1(L).weights
-    assert np.abs(posterior_pi1(L[:, cols]).weights - w[cols]).max() <= 1e-12
-    assert np.abs(posterior_pi1(L[others]).weights - w).max() <= 1e-12
+    w = posterior_pi1(L)
+    assert np.abs(posterior_pi1(L[:, cols]) - w[cols]).max() <= 1e-12
+    assert np.abs(posterior_pi1(L[others]) - w).max() <= 1e-12
 
 
 @_properties
 @given(_likelihoods())
 def test_posterior_matches_sign_free_reference_property(L):
-    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+    assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-12
 
 
 @st.composite
@@ -904,7 +888,7 @@ def _classed_likelihoods(draw):
 @given(_classed_likelihoods())
 def test_posterior_identical_columns_property(case):
     L, sources = case
-    w = posterior_pi1(L).weights
+    w = posterior_pi1(L)
     for i, j in itertools.combinations(range(len(sources)), 2):
         if sources[i] == sources[j]:
             assert w[i] == w[j]
@@ -914,7 +898,7 @@ def test_posterior_identical_columns_property(case):
 @given(_classed_likelihoods())
 def test_posterior_with_column_classes_property(case):
     L, _ = case
-    assert np.abs(posterior_pi1(L).weights - _posterior_dp(L)).max() <= 1e-12
+    assert np.abs(posterior_pi1(L) - _posterior_dp(L)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -948,8 +932,8 @@ def test_posterior_weights_sum_to_one():
     for _ in range(50):
         n = int(rng.integers(1, 8))
         post = posterior_pi1(rng.normal(scale=10.0, size=(n, n)))
-        assert abs(post.weights.sum() - 1.0) <= 1e-10
-        assert post.weights.min() >= 0.0
+        assert abs(post.sum() - 1.0) <= 1e-10
+        assert post.min() >= 0.0
 
 
 def test_row_shift_invariance():
@@ -962,27 +946,27 @@ def test_row_shift_invariance():
         shifts = rng.normal(scale=5.0, size=n)
         L2 = L + shifts[:, None]
         assert np.abs(
-            posterior_pi1(L).weights - posterior_pi1(L2).weights
+            posterior_pi1(L) - posterior_pi1(L2)
         ).max() <= 1e-12
-        assert np.array_equal(map_assignment(L).forward, map_assignment(L2).forward)
+        assert np.array_equal(map_assignment(L), map_assignment(L2))
 
 
 def test_iid_sufficiency_time_permutation():
     # reordering observations within a column preserves the statistics and
     # therefore the posterior, bit for bit
     rng = np.random.default_rng(8)
-    profiles = [IidProfile([p, 1 - p]) for p in (0.3, 0.5, 0.62, 0.8)]
-    trajs = [sample_trajectory_iid(p, 6, rng) for p in profiles]
+    profiles = np.array([[p, 1 - p] for p in (0.3, 0.5, 0.62, 0.8)])
+    trajs = IidModel(2).sample_trajectories(profiles, 6, rng)
     perm = sample_permutation(4, rng)
     Y = anonymize(trajs, perm)
     L = likelihood_matrix_iid(profiles, count_stats(Y, 2))
-    base = posterior_pi1(L).weights
+    base = posterior_pi1(L)
 
     shuffled = Y.copy()
     for j in range(4):
         shuffled[:, j] = shuffled[rng.permutation(6), j]
     L2 = likelihood_matrix_iid(profiles, count_stats(shuffled, 2))
-    assert np.abs(posterior_pi1(L2).weights - base).max() <= 1e-12
+    assert np.abs(posterior_pi1(L2) - base).max() <= 1e-12
 
 
 def _paths_with_transition_counts(M, length, start=0):
@@ -1016,13 +1000,11 @@ def test_markov_sufficiency_alternate_realizations():
         expand_free_params(v, THREE_STATE)
         for v in ([0.2, 0.3, 0.4], [0.4, 0.2, 0.6], [0.1, 0.6, 0.5], [0.3, 0.3, 0.3])
     ]
-    from locpriv.markov import sample_trajectory_markov
-
-    trajs = [sample_trajectory_markov(T, 8, rng) for T in T_users]
+    trajs = MarkovModel(THREE_STATE).sample_trajectories(T_users, 8, rng)
     perm = sample_permutation(4, rng)
     Y = anonymize(trajs, perm)
     stats = transition_stats(Y, 3)
-    base = posterior_pi1(likelihood_matrix_markov(T_users, stats)).weights
+    base = posterior_pi1(likelihood_matrix_markov(T_users, stats))
 
     rewritten = Y.copy()
     changed = 0
@@ -1037,7 +1019,7 @@ def test_markov_sufficiency_alternate_realizations():
     assert changed >= 1
     stats2 = transition_stats(rewritten, 3)
     assert np.array_equal(stats2, stats)
-    post2 = posterior_pi1(likelihood_matrix_markov(T_users, stats2)).weights
+    post2 = posterior_pi1(likelihood_matrix_markov(T_users, stats2))
     assert np.abs(post2 - base).max() <= 1e-12
 
 
@@ -1045,13 +1027,11 @@ def test_markov_forced_edges_contribute_nothing():
     # rows with a single out-edge carry probability 1: their counts add
     # exactly zero to every log-likelihood, so zeroing them changes nothing
     rng = np.random.default_rng(10)
-    from locpriv.markov import sample_trajectory_markov
-
     T_users = [
         expand_free_params(v, THREE_STATE)
         for v in ([0.2, 0.3, 0.4], [0.25, 0.5, 0.7], [0.15, 0.35, 0.2])
     ]
-    trajs = [sample_trajectory_markov(T, 10, rng) for T in T_users]
+    trajs = MarkovModel(THREE_STATE).sample_trajectories(T_users, 10, rng)
     Y = anonymize(trajs, sample_permutation(3, rng))
     stats = transition_stats(Y, 3)
     L = likelihood_matrix_markov(T_users, stats)
@@ -1077,20 +1057,20 @@ def test_column_shift_invariance():
         shifts = rng.normal(scale=3.0, size=n)
         L2 = L + shifts[None, :]
         assert np.abs(
-            posterior_pi1(L).weights - posterior_pi1(L2).weights
+            posterior_pi1(L) - posterior_pi1(L2)
         ).max() <= 1e-12
-        assert np.array_equal(map_assignment(L).forward, map_assignment(L2).forward)
+        assert np.array_equal(map_assignment(L), map_assignment(L2))
 
 
 def test_posterior_survives_extreme_scales():
     # likelihoods hundreds of log-units apart: balancing keeps the
     # permanent alive where naive row factoring underflows
     rng = np.random.default_rng(12)
-    profiles = [IidProfile([p, 1 - p]) for p in (0.01, 0.012, 0.985, 0.99, 0.5)]
-    trajs = [sample_trajectory_iid(p, 500, rng) for p in profiles]
+    profiles = np.array([[p, 1 - p] for p in (0.01, 0.012, 0.985, 0.99, 0.5)])
+    trajs = IidModel(2).sample_trajectories(profiles, 500, rng)
     perm = sample_permutation(5, rng)
     Y = anonymize(trajs, perm)
     L = likelihood_matrix_iid(profiles, count_stats(Y, 2))
     post = posterior_pi1(L)
     brute = posterior_pi1_bruteforce(L)
-    assert np.abs(post.weights - brute.weights).max() <= 1e-10
+    assert np.abs(post - brute).max() <= 1e-10

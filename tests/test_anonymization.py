@@ -7,14 +7,13 @@ from scipy.stats import chisquare
 from locpriv.adversary import count_stats, transition_stats
 from locpriv.anonymization import (
     ObservationSchedule,
-    Permutation,
     anonymize,
     sample_permutation,
     schedule_observations,
     threshold_exponent,
 )
 from locpriv.markov import MarkovModel, MobilityGraph, expand_free_params
-from locpriv.mobility import IidModel, IidProfile
+from locpriv.mobility import IidModel
 
 
 THREE_STATE = MobilityGraph(
@@ -25,17 +24,19 @@ THREE_STATE = MobilityGraph(
 
 
 def test_permutation_bijection():
-    perm = Permutation.from_forward([2, 0, 1])
-    assert perm.inverse.tolist() == [1, 2, 0]
-    for u in range(3):
-        assert perm.inverse[perm.forward[u]] == u
+    # drawn forward arrays are bijections; anonymize takes only bijections
+    rng = np.random.default_rng(0)
+    for n in range(1, 30):
+        forward = sample_permutation(n, rng)
+        assert sorted(forward.tolist()) == list(range(n))
     with pytest.raises(ValueError):
-        Permutation.from_forward([0, 0, 1])
+        anonymize([np.zeros(2)] * 3, np.array([0, 0, 1]))
 
 
 def test_sample_permutation_identity_for_one():
-    perm = sample_permutation(1, np.random.default_rng(0))
-    assert perm.forward.tolist() == [0]
+    forward = sample_permutation(1, np.random.default_rng(0))
+    assert forward.tolist() == [0]
+    assert forward.dtype == np.int64 and not forward.flags.writeable
     with pytest.raises(ValueError):
         sample_permutation(0, np.random.default_rng(0))
 
@@ -46,7 +47,7 @@ def test_sample_permutation_uniform_chi_square():
     keys = {p: i for i, p in enumerate(itertools.permutations(range(3)))}
     counts = np.zeros(6)
     for _ in range(draws):
-        counts[keys[tuple(sample_permutation(3, rng).forward.tolist())]] += 1
+        counts[keys[tuple(sample_permutation(3, rng).tolist())]] += 1
     _, pvalue = chisquare(counts)
     assert pvalue > 0.001
 
@@ -57,8 +58,7 @@ def test_anonymize_worked_example():
     x1 = np.array([1, 2, 3, 4]) - 1
     x2 = np.array([2, 1, 3, 5]) - 1
     x3 = np.array([4, 5, 1, 3]) - 1
-    perm = Permutation.from_forward([2, 0, 1])
-    Y = anonymize([x1, x2, x3], perm)
+    Y = anonymize([x1, x2, x3], [2, 0, 1])
     expected = np.array([[2, 4, 1], [1, 5, 2], [3, 1, 3], [5, 3, 4]]) - 1
     assert np.array_equal(Y, expected)
 
@@ -66,14 +66,13 @@ def test_anonymize_worked_example():
 def test_anonymize_identity_and_recovery():
     rng = np.random.default_rng(2)
     trajs = [rng.integers(0, 4, size=6) for _ in range(5)]
-    identity = Permutation.from_forward(range(5))
-    Y = anonymize(trajs, identity)
+    Y = anonymize(trajs, np.arange(5))
     assert np.array_equal(Y, np.stack(trajs, axis=1))
 
-    perm = sample_permutation(5, rng)
-    Y = anonymize(trajs, perm)
+    forward = sample_permutation(5, rng)
+    Y = anonymize(trajs, forward)
     for u, t in enumerate(trajs):
-        assert np.array_equal(Y[:, perm.forward[u]], t)
+        assert np.array_equal(Y[:, forward[u]], t)
 
 
 def test_anonymize_matches_stacked_column_gather():
@@ -83,9 +82,11 @@ def test_anonymize_matches_stacked_column_gather():
         m = int(rng.choice([0, 1, 5, 147, 400]))
         dtype = rng.choice([np.int64, np.int32])
         trajs = [rng.integers(0, 5, size=m).astype(dtype) for _ in range(n)]
-        perm = sample_permutation(n, rng)
-        Y = anonymize(trajs, perm)
-        expected = np.stack(trajs, axis=1)[:, perm.inverse]
+        forward = sample_permutation(n, rng)
+        Y = anonymize(trajs, forward)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[forward] = np.arange(n)
+        expected = np.stack(trajs, axis=1)[:, inverse]
         assert Y.dtype == expected.dtype and np.array_equal(Y, expected)
         assert Y.flags.c_contiguous and not Y.flags.writeable
 
@@ -93,10 +94,14 @@ def test_anonymize_matches_stacked_column_gather():
 def test_anonymize_rejects_mismatches():
     t4 = np.array([0, 1, 0, 1])
     t3 = np.array([0, 1, 0])
-    with pytest.raises(ValueError):
-        anonymize([t4, t3], Permutation.from_forward([0, 1]))
-    with pytest.raises(ValueError):
-        anonymize([t4, t4], Permutation.from_forward([0, 1, 2]))
+    with pytest.raises(ValueError, match="same length"):
+        anonymize([t4, t3], np.array([0, 1]))
+    # forward arrays that are not a permutation of 0..n-1: a duplicate, an
+    # entry out of range, a -1 that a plain scatter would wrap to n - 1,
+    # and wrong lengths
+    for forward in ([0, 0, 1], [0, 1, 3], [0, 1, -1], [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.n-1"):
+            anonymize([t4, t4, t4], np.array(forward))
 
 
 def test_schedule_observations_examples():
@@ -160,10 +165,10 @@ def test_observation_matrix_shape():
 def test_samplers_and_anonymize_return_read_only_int64_arrays(model):
     rng = np.random.default_rng(7)
     if isinstance(model, IidModel):
-        profile = IidProfile([0.2, 0.3, 0.5])
+        profile = np.array([0.2, 0.3, 0.5])
     else:
         profile = expand_free_params([0.2, 0.3, 0.4], THREE_STATE)
-    trajs = [model.sample_trajectory(profile, 6, rng) for _ in range(4)]
+    trajs = model.sample_trajectories(np.stack([profile] * 4), 6, rng)
     Y = anonymize(trajs, sample_permutation(4, rng))
     for arr, shape in [(t, (6,)) for t in trajs] + [(Y, (6, 4))]:
         assert arr.dtype == np.int64 and arr.shape == shape

@@ -295,8 +295,10 @@ def test_modules_import_only_earlier_layers():
     assert late == []
 
 
-# Sufficient statistics, likelihoods and profile fits belong to the model:
-# the library reaches them only through IidModel and MarkovModel methods.
+# Sufficient statistics, likelihoods, profile fits and the per-user
+# trajectory samplers (whose CDF tables only the models build) belong to
+# the model: the library reaches them only through IidModel and
+# MarkovModel methods.
 MODEL_OWNED = {
     "count_stats",
     "transition_stats",
@@ -304,6 +306,8 @@ MODEL_OWNED = {
     "likelihood_matrix_markov",
     "fit_iid_profile",
     "fit_markov_profile",
+    "sample_trajectory_iid",
+    "sample_trajectory_markov",
 }
 
 

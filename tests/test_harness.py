@@ -647,14 +647,14 @@ def test_ingest_traces_three_user_example(tmp_path):
         [1, 0, 1, 1, 1],
     ]
     # smoothing 1.0: (count + 1) / (4 + 5)
-    assert np.allclose(pop.profiles[0].probs, np.array([2, 2, 2, 2, 1]) / 9)
+    assert np.allclose(pop.profiles[0], np.array([2, 2, 2, 2, 1]) / 9)
 
 
 def test_ingest_traces_single_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("user_id,time,location\nu1,5,home\n")
     dataset, pop = ingest_traces(str(path), "iid")
-    assert pop.profiles[0].probs.tolist() == [2 / 3, 1 / 3]
+    assert pop.profiles[0].tolist() == [2 / 3, 1 / 3]
 
 
 def test_ingest_traces_rejects_bad_files(tmp_path):
@@ -1138,7 +1138,7 @@ def test_audit_synthetic_rerun_pinned():
     rng = np.random.default_rng(substream_seed(34, 0, 0))
     acc = deanonymization_accuracy_mc(
         pop.model, pop.n, report["observations_per_user"], 200, rng,
-        profiles=list(pop.profiles),
+        profiles=pop.profiles,
     )
     assert report["pi1_accuracy"] == acc.pi1_accuracy
     assert report["pi1_accuracy"].hex() == "0x1.23d70a3d70a3dp-1"

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,10 @@ from helpers import (
 from locpriv.markov import (
     MarkovModel,
     MobilityGraph,
-    TransitionMatrix,
     expand_free_params,
     fit_markov_profile,
     load_graph_csv,
     sample_free_params,
-    sample_trajectory_markov,
 )
 from locpriv.mobility import fit_iid_profile
 
@@ -34,9 +30,14 @@ def three_state_graph() -> MobilityGraph:
     )
 
 
-def two_state(a: float, b: float) -> TransitionMatrix:
-    g = MobilityGraph(r=2, edges=[(0, 0), (0, 1), (1, 0), (1, 1)])
-    return TransitionMatrix(matrix=[[1 - a, a], [b, 1 - b]], graph=g)
+def two_state(a: float, b: float) -> np.ndarray:
+    return np.array([[1 - a, a], [b, 1 - b]])
+
+
+def walk(g: MobilityGraph, T: np.ndarray, m: int, rng) -> np.ndarray:
+    """One length-m walk of law T on g, through the model's stacked sampler."""
+    (states,) = MarkovModel(g).sample_trajectories(np.array([T]), m, rng)
+    return states
 
 
 def random_graph(rng, r):
@@ -75,7 +76,7 @@ def test_canonical_free_edge_rule():
 def test_expand_three_state_params():
     T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     expected = np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]])
-    assert np.allclose(T.matrix, expected, atol=0)
+    assert np.allclose(T, expected, atol=0)
 
 
 def test_expand_rejects_boundary():
@@ -104,7 +105,7 @@ def test_expand_matches_stepwise_reference():
                 expand_free_params(params, g)
             assert str(got.value) == str(err)
             continue
-        assert np.array_equal(expand_free_params(params, g).matrix, want)
+        assert np.array_equal(expand_free_params(params, g), want)
     assert 0 < raised < 300
 
 
@@ -125,10 +126,7 @@ def test_free_params_are_checked_read_only_arrays():
         with pytest.raises(ValueError):
             expand_free_params(bad, g)
     # a fitted matrix may put 0 on a free edge: no interior free parameter
-    T = TransitionMatrix(
-        matrix=np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]]),
-        graph=g,
-    )
+    T = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]])
     with pytest.raises(ValueError, match="strictly in"):
         contract_transition_matrix(T, g)
 
@@ -165,7 +163,7 @@ def test_roundtrip_random_graphs():
         back = contract_transition_matrix(T, g)
         assert np.array_equal(back, params)
         # dependent probability forced exactly by the row sum
-        assert np.abs(T.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(T.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def _oracle_chain_report(matrix):
@@ -193,19 +191,15 @@ def _oracle_chain_report(matrix):
 
 
 def test_validate_chain_examples():
-    g = MobilityGraph(r=2, edges=[(0, 1), (1, 0)])
-    swap = TransitionMatrix(matrix=[[0, 1], [1, 0]], graph=g)
-    rep = validate_chain(swap)
+    rep = validate_chain(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert rep.irreducible and not rep.aperiodic
 
-    absorbers = MobilityGraph(r=2, edges=[(0, 0), (1, 1)])
-    T = TransitionMatrix(matrix=[[1, 0], [0, 1]], graph=absorbers)
-    assert not validate_chain(T).irreducible
+    assert not validate_chain(np.eye(2)).irreducible
 
     chain = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     rep = validate_chain(chain)
     assert rep.irreducible and rep.aperiodic
-    assert (rep.irreducible, rep.aperiodic) == _oracle_chain_report(chain.matrix)
+    assert (rep.irreducible, rep.aperiodic) == _oracle_chain_report(chain)
 
 
 def test_validate_chain_matches_oracle_on_random_graphs():
@@ -214,7 +208,7 @@ def test_validate_chain_matches_oracle_on_random_graphs():
         g = random_graph(rng, int(rng.integers(2, 6)))
         T = expand_free_params(sample_free_params(g, rng), g)
         rep = validate_chain(T)
-        assert (rep.irreducible, rep.aperiodic) == _oracle_chain_report(T.matrix)
+        assert (rep.irreducible, rep.aperiodic) == _oracle_chain_report(T)
 
     # Uniform walks on random 0/1 supports, sparse enough that reducible
     # and periodic chains both occur.
@@ -225,11 +219,9 @@ def test_validate_chain_matches_oracle_on_random_graphs():
             for i in np.flatnonzero(~support.any(axis=1)):
                 support[i, rng.integers(r)] = True
             g = MobilityGraph(r=r, edges=list(zip(*np.nonzero(support))))
-            T = TransitionMatrix(
-                matrix=support / support.sum(axis=1, keepdims=True), graph=g
-            )
+            T = support / support.sum(axis=1, keepdims=True)
             rep = validate_chain(T)
-            oracle = _oracle_chain_report(T.matrix)
+            oracle = _oracle_chain_report(T)
             assert (rep.irreducible, rep.aperiodic) == oracle
             seen.add(oracle)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -241,8 +233,7 @@ def test_stationary_two_state_closed_form():
 
 
 def test_stationary_doubly_stochastic_uniform():
-    g = MobilityGraph(r=3, edges=[(i, j) for i in range(3) for j in range(3)])
-    T = TransitionMatrix(matrix=np.full((3, 3), 1 / 3), graph=g)
+    T = np.full((3, 3), 1 / 3)
     assert np.allclose(stationary_distribution(T), [1 / 3] * 3, atol=1e-12)
 
 
@@ -257,85 +248,82 @@ def test_stationary_agrees_with_power_iteration():
         pi = stationary_distribution(T)
         mu = np.full(g.r, 1.0 / g.r)
         for _ in range(20000):
-            mu = mu @ T.matrix
+            mu = mu @ T
         assert np.abs(pi - mu).max() < 1e-9
 
 
 def test_stationary_rejects_periodic():
-    g = MobilityGraph(r=2, edges=[(0, 1), (1, 0)])
     with pytest.raises(ValueError):
-        stationary_distribution(TransitionMatrix(matrix=[[0, 1], [1, 0]], graph=g))
+        stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_sample_trajectory_deterministic_cycle():
     g = MobilityGraph(r=3, edges=[(0, 1), (1, 2), (2, 0)])
-    T = TransitionMatrix(
-        matrix=[[0, 1, 0], [0, 0, 1], [1, 0, 0]], graph=g
-    )
-    t = sample_trajectory_markov(T, 5, np.random.default_rng(0))
+    T = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    t = walk(g, T, 5, np.random.default_rng(0))
     assert t.tolist() == [0, 1, 2, 0, 1]
-    t1 = sample_trajectory_markov(T, 1, np.random.default_rng(0))
+    t1 = walk(g, T, 1, np.random.default_rng(0))
     assert t1.tolist() == [0]
 
 
+def _sparse_law(g, rng) -> np.ndarray:
+    """A law on graph g that may put zero mass on some of its edges."""
+    matrix = np.zeros((g.r, g.r))
+    for i in range(g.r):
+        targets = [j for a, j in g.edges if a == i]
+        w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
+        w[int(rng.integers(len(targets)))] += 0.1
+        matrix[i, targets] = w / w.sum()
+    return matrix
+
+
 def test_sample_trajectory_matches_stepwise_walk():
-    # the tabulated walk against one CDF search per step, on random
-    # chains with zero-probability edges, down to a single observation
+    # the stacked, tabulated walks against one CDF search per step, user
+    # by user, on random chains with zero-probability edges and on sampled
+    # laws, down to a single observation
     rng = np.random.default_rng(17)
     for seed in range(200):
-        g = random_graph(rng, int(rng.integers(2, 6)))
-        matrix = np.zeros((g.r, g.r))
-        for i in range(g.r):
-            targets = [j for a, j in g.edges if a == i]
-            w = rng.random(len(targets)) * (rng.random(len(targets)) < 0.7)
-            w[int(rng.integers(len(targets)))] += 0.1
-            matrix[i, targets] = w / w.sum()
-        T = TransitionMatrix(matrix=matrix, graph=g)
+        g = random_graph(rng, int(rng.integers(1, 7)))
+        n = 1 + seed % 5
+        if seed % 2:
+            laws = np.stack([_sparse_law(g, rng) for _ in range(n)])
+        else:
+            laws = np.stack(
+                [expand_free_params(sample_free_params(g, rng), g) for _ in range(n)]
+            )
         m = 1 if seed % 10 == 0 else int(rng.integers(2, 300))
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_trajectory_markov(T, m, rng_got)
-        want = sample_trajectory_markov_stepwise(T, m, rng_want)
-        assert got.tolist() == want.tolist()
+        got = MarkovModel(g).sample_trajectories(laws, m, rng_got)
+        assert len(got) == n
+        for states, T in zip(got, laws):
+            want = sample_trajectory_markov_stepwise(T, m, rng_want)
+            assert states.dtype == np.int64 and not states.flags.writeable
+            assert states.tolist() == want.tolist()
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-def test_transition_matrix_keeps_its_walk_table():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        g = random_graph(rng, int(rng.integers(1, 7)))
-        T = expand_free_params(sample_free_params(g, rng), g)
-        expected = np.cumsum(T.matrix, axis=1)
-        expected[:, -1] = 1.0
-        assert np.array_equal(T.cdf, expected)
-        assert not T.cdf.flags.writeable
-        with pytest.raises(ValueError):
-            T.cdf[0, 0] = 0.5
-    assert "cdf" not in repr(T)
-    other = copy.copy(T)  # shares matrix and graph; only its cdf differs
-    object.__setattr__(other, "cdf", np.zeros_like(T.cdf))
-    assert T == other
-
-
 def test_sample_trajectory_transition_frequencies():
-    T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
-    t = sample_trajectory_markov(T, 100_000, np.random.default_rng(13))
+    g = three_state_graph()
+    T = expand_free_params([0.2, 0.3, 0.4], g)
+    t = walk(g, T, 100_000, np.random.default_rng(13))
     counts = np.zeros((3, 3))
     np.add.at(counts, (t[:-1], t[1:]), 1)
     departures = counts.sum(axis=1)
     for i in range(3):
         for j in range(3):
-            if T.matrix[i, j] == 0:
+            if T[i, j] == 0:
                 assert counts[i, j] == 0
                 continue
-            p = T.matrix[i, j]
+            p = T[i, j]
             sigma = np.sqrt(departures[i] * p * (1 - p))
             assert abs(counts[i, j] - departures[i] * p) <= 3 * sigma + 1
 
 
 def test_long_run_occupancy_matches_stationary():
-    T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
+    g = three_state_graph()
+    T = expand_free_params([0.2, 0.3, 0.4], g)
     pi = stationary_distribution(T)
-    t = sample_trajectory_markov(T, 100_000, np.random.default_rng(14))
+    t = walk(g, T, 100_000, np.random.default_rng(14))
     occ = np.bincount(t, minlength=3) / len(t)
     sigma = np.sqrt(pi * (1 - pi) / len(t))
     # correlated samples: allow triple the iid band plus mixing slack
@@ -346,10 +334,10 @@ def test_fit_markov_profile():
     # unvisited state: uniform over its out-edges
     g2 = three_state_graph()
     T2 = fit_markov_profile([0, 0, 1, 2, 1], g2)
-    assert np.abs(T2.matrix.sum(axis=1) - 1).max() <= 1e-12
+    assert np.abs(T2.sum(axis=1) - 1).max() <= 1e-12
     T3 = fit_markov_profile([0, 0], g2)
-    assert np.allclose(T3.matrix[1], [0, 0, 1])
-    assert np.allclose(T3.matrix[2], [0.5, 0.5, 0])
+    assert np.allclose(T3[1], [0, 0, 1])
+    assert np.allclose(T3[2], [0.5, 0.5, 0])
 
 
 def test_fit_markov_profile_rejects_off_graph_transition():
@@ -383,9 +371,9 @@ def test_fit_markov_profile_matches_stepwise_counts():
     for k in range(60):
         g = three_state_graph() if k < 20 else random_graph(rng, int(rng.integers(1, 18)))
         T = expand_free_params(sample_free_params(g, rng), g)
-        trace = sample_trajectory_markov(T, int(rng.integers(2, 3001)), rng)
+        trace = walk(g, T, int(rng.integers(2, 3001)), rng)
         assert np.array_equal(
-            fit_markov_profile(trace, g).matrix, fit_markov_profile_per_state(trace, g)
+            fit_markov_profile(trace, g), fit_markov_profile_per_state(trace, g)
         )
 
 
@@ -394,9 +382,9 @@ def test_fit_markov_row_stochastic_random():
     g = three_state_graph()
     T = expand_free_params([0.3, 0.3, 0.5], g)
     for _ in range(25):
-        t = sample_trajectory_markov(T, int(rng.integers(2, 50)), rng)
+        t = walk(g, T, int(rng.integers(2, 50)), rng)
         fit = fit_markov_profile(t, g)
-        assert np.abs(fit.matrix.sum(axis=1) - 1).max() <= 1e-12
+        assert np.abs(fit.sum(axis=1) - 1).max() <= 1e-12
 
 
 def test_exactly_one_dependent_edge_per_state():

@@ -14,7 +14,6 @@ from helpers import (
     stationary_distribution,
 )
 from locpriv import adversary
-from locpriv.adversary import AssignmentPosterior
 from locpriv.markov import MarkovModel, expand_free_params
 from locpriv.metrics import (
     AttackTrial,
@@ -23,7 +22,7 @@ from locpriv.metrics import (
     entropy,
     simulate_attack_trial,
 )
-from locpriv.mobility import IidModel, IidProfile, ProfileDensity, sample_profile
+from locpriv.mobility import IidModel, ProfileDensity, sample_profile
 
 
 def uniform2_sampler():
@@ -49,14 +48,12 @@ def test_entropy_rejects_non_finite_probabilities():
 
 def test_conditional_location_distribution():
     Y = np.array([[0], [1], [1]])
-    post = AssignmentPosterior(weights=np.array([1.0]), normalization_residual=0.0)
+    post = np.array([1.0])
     q = conditional_location_distribution(Y, post, 2, r=2)
     assert q.tolist() == [0.0, 1.0]
 
     Y = np.array([[0, 1, 1, 2]])
-    post = AssignmentPosterior(
-        weights=np.full(4, 0.25), normalization_residual=0.0
-    )
+    post = np.full(4, 0.25)
     q = conditional_location_distribution(Y, post, 1, r=3)
     assert np.allclose(q, [0.25, 0.5, 0.25])
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -64,9 +61,7 @@ def test_conditional_location_distribution():
         conditional_location_distribution(Y, post, 2, r=3)
 
     # a state outside 0..r-1 is an error, not a mass filed elsewhere
-    post = AssignmentPosterior(
-        weights=np.array([0.25, 0.75]), normalization_residual=0.0
-    )
+    post = np.array([0.25, 0.75])
     for bad in ([[0, -1]], [[0, 2]]):
         with pytest.raises(ValueError, match="outside 0..1"):
             conditional_location_distribution(np.array(bad), post, 1, r=2)
@@ -77,19 +72,18 @@ def test_conditional_location_distribution():
         m, n, r = (int(v) for v in rng.integers(1, 9, size=3))
         Y = rng.integers(0, r, size=(m, n))
         w = rng.dirichlet(np.ones(n))
-        post = AssignmentPosterior(weights=w, normalization_residual=0.0)
         k = int(rng.integers(1, m + 1))
         expected = np.zeros(r)
-        np.add.at(expected, Y[k - 1], post.weights)
-        q = conditional_location_distribution(Y, post, k, r)
+        np.add.at(expected, Y[k - 1], w)
+        q = conditional_location_distribution(Y, w, k, r)
         assert q.tobytes() == expected.tobytes()
 
 
 def test_marginal_location_distribution():
     model = IidModel(3)
-    p = IidProfile([0.2, 0.3, 0.5])
+    p = np.array([0.2, 0.3, 0.5])
     for k in (1, 5, 99):
-        assert np.array_equal(model.marginal(p, k), p.probs)
+        assert np.array_equal(model.marginal(p, k), p)
 
     T = expand_free_params([0.2, 0.3, 0.4], three_state_graph())
     mm = MarkovModel(three_state_graph())
@@ -100,11 +94,11 @@ def test_marginal_location_distribution():
 
 def test_mi_single_user_is_exact_marginal_entropy():
     model = IidModel(2)
-    p = IidProfile([0.3, 0.7])
+    p = np.array([0.3, 0.7])
     est = mutual_information_mc(
         model, 1, 4, 2, 10, np.random.default_rng(0), profiles=[p]
     )
-    assert est.value == pytest.approx(entropy(p.probs), abs=1e-12)
+    assert est.value == pytest.approx(entropy(p), abs=1e-12)
     assert est.std_error == 0.0
     assert est.method == "mc-permanent"
 
@@ -122,7 +116,7 @@ def test_mi_estimator_error_names_the_failing_trial(monkeypatch):
         return posterior_pi1(L, solved=solved)
 
     monkeypatch.setattr(adversary, "posterior_pi1", failing_posterior)
-    profiles = [IidProfile([0.7, 0.3]), IidProfile([0.3, 0.7])]
+    profiles = np.array([[0.7, 0.3], [0.3, 0.7]])
     with pytest.raises(ValueError) as info:
         mutual_information_mc(
             IidModel(2), 2, 4, 2, 5, np.random.default_rng(0), profiles=profiles
@@ -134,7 +128,7 @@ def test_mi_estimator_error_names_the_failing_trial(monkeypatch):
 
 def test_mi_matches_exhaustive_enumeration_tiny_case():
     exact = exact_mi_two_state([0.3, 0.7], m=2, k=1)
-    profiles = [IidProfile([0.7, 0.3]), IidProfile([0.3, 0.7])]
+    profiles = np.array([[0.7, 0.3], [0.3, 0.7]])
     est = mutual_information_mc(
         IidModel(2), 2, 2, 1, 20_000, np.random.default_rng(1), profiles=profiles
     )
@@ -147,7 +141,7 @@ def test_mi_decreasing_in_crowd_size_identical_profiles():
     m, k = 8, 8
     estimates = {}
     for n in (2, 8, 16):
-        profiles = [IidProfile([0.5, 0.5])] * n
+        profiles = np.array([[0.5, 0.5]] * n)
         estimates[n] = mutual_information_mc(
             model, n, m, k, 1500, np.random.default_rng(100 + n), profiles=profiles
         )
@@ -172,7 +166,7 @@ def test_mi_decreasing_in_crowd_size_identical_profiles():
 
 def test_mi_rejects_bad_arguments():
     model = IidModel(2)
-    p = IidProfile([0.5, 0.5])
+    p = np.array([0.5, 0.5])
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
         mutual_information_mc(model, 2, 4, 1, 1, rng, profiles=[p, p])
@@ -187,10 +181,10 @@ def test_mi_rejects_bad_arguments():
 def test_fixed_profiles_exclude_profile1_and_sampler():
     # profiles pins every user, so a second source for user 1 is ambiguous
     model = IidModel(2)
-    q = IidProfile([0.4, 0.6])
+    q = np.array([0.4, 0.6])
     rng = np.random.default_rng(4)
     for extra in (
-        {"profile1": IidProfile([0.3, 0.7])},
+        {"profile1": np.array([0.3, 0.7])},
         {"profile_sampler": uniform2_sampler()},
     ):
         with pytest.raises(ValueError, match="excludes"):
@@ -211,7 +205,7 @@ def test_mi_nonnegative_within_noise():
 
 def test_conditioning_reduces_entropy_on_average():
     model = IidModel(2)
-    profiles = [IidProfile([0.35, 0.65]), IidProfile([0.6, 0.4]), IidProfile([0.5, 0.5])]
+    profiles = np.array([[0.35, 0.65], [0.6, 0.4], [0.5, 0.5]])
     est = mutual_information_mc(
         model, 3, 5, 5, 600, np.random.default_rng(6), profiles=profiles
     )
@@ -242,7 +236,7 @@ def test_mi_estimates_pinned():
         "0x1.9b0dce2039fe5p-3",
         "0x1.a9946a6a6be2ap-5",
     )
-    profiles = [IidProfile([0.3, 0.7]), IidProfile([0.6, 0.4]), IidProfile([0.45, 0.55])]
+    profiles = np.array([[0.3, 0.7], [0.6, 0.4], [0.45, 0.55]])
     fixed = mutual_information_mc(
         IidModel(2), 3, 5, 4, 40, np.random.default_rng(32), profiles=profiles
     )
@@ -255,14 +249,14 @@ def test_mi_estimates_pinned():
 def test_accuracy_single_user():
     res = deanonymization_accuracy_mc(
         IidModel(2), 1, 5, 3, np.random.default_rng(8),
-        profiles=[IidProfile([0.4, 0.6])],
+        profiles=[np.array([0.4, 0.6])],
     )
     assert res.pi1_accuracy == 1.0
     assert res.full_perm_accuracy == 1.0
 
 
 def test_accuracy_two_identical_users_is_a_coin_flip():
-    profiles = [IidProfile([0.5, 0.5])] * 2
+    profiles = np.array([[0.5, 0.5]] * 2)
     res = deanonymization_accuracy_mc(
         IidModel(2), 2, 6, 1000, np.random.default_rng(9), profiles=profiles
     )
@@ -273,7 +267,7 @@ def test_accuracy_two_identical_users_is_a_coin_flip():
 
 def test_accuracy_identical_population_hits_one_over_n():
     n = 4
-    profiles = [IidProfile([0.5, 0.5])] * n
+    profiles = np.array([[0.5, 0.5]] * n)
     acc = deanonymization_accuracy(
         IidModel(2), profiles, 6, 1200, np.random.default_rng(10)
     )
@@ -284,7 +278,7 @@ def test_accuracy_identical_population_hits_one_over_n():
 def test_accuracy_well_separated_profiles():
     exact = exact_two_user_map_accuracy(0.05, 0.95, 200)
     assert exact >= 0.99
-    profiles = [IidProfile([0.95, 0.05]), IidProfile([0.05, 0.95])]
+    profiles = np.array([[0.95, 0.05], [0.05, 0.95]])
     acc = deanonymization_accuracy(
         IidModel(2), profiles, 200, 300, np.random.default_rng(11)
     )
@@ -307,10 +301,10 @@ def test_attack_trial_carries_the_likelihood_matrix():
     # The kernel stops at L (and MAP's sort keys, which only two-state
     # i.i.d. models give); both attacks are the callers' to run.
     assert [f.name for f in dataclasses.fields(AttackTrial)] == [
-        "Y", "perm", "L", "sort_keys"
+        "Y", "forward", "L", "sort_keys"
     ]
     rng = np.random.default_rng(8)
-    profiles = [IidProfile([0.2, 0.3, 0.5]), IidProfile([0.6, 0.3, 0.1])]
+    profiles = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     trial = simulate_attack_trial(IidModel(r=3), profiles, 12, rng)
     expected = adversary.likelihood_matrix_iid(
         profiles, adversary.count_stats(trial.Y, 3)

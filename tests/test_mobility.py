@@ -4,48 +4,40 @@ import pytest
 from locpriv.mobility import (
     BOUNDARY_MARGIN,
     IidModel,
-    IidProfile,
     Population,
     ProfileDensity,
     fit_iid_profile,
     sample_profile,
-    sample_trajectory_iid,
 )
 from locpriv.mobility import _dirichlet
 
 
-def test_profile_validation():
-    p = IidProfile([0.3, 0.7])
-    assert p.probs.size == 2
-    with pytest.raises(ValueError):
-        IidProfile([0.0, 1.0])
-    with pytest.raises(ValueError):
-        IidProfile([0.3, 0.6])
-    with pytest.raises(ValueError):
-        IidProfile([1.2, -0.2])
-
-
-def test_profile_rejects_non_finite_entries():
-    for bad in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [0.5, np.inf], [-np.inf, 1.0]):
-        with pytest.raises(ValueError, match="strictly in"):
-            IidProfile(bad)
-
-
 def test_profile_is_immutable():
-    p = IidProfile([0.3, 0.7])
-    with pytest.raises(ValueError):
-        p.probs[0] = 0.5
-    with pytest.raises(ValueError):
-        p.cdf[0] = 0.5
+    # drawn and fitted profiles, and a population's stack, are read-only
+    rng = np.random.default_rng(0)
+    drawn = sample_profile(ProfileDensity("uniform-simplex", 3), rng)
+    fitted = fit_iid_profile([0, 1, 1], r=3)
+    source = np.stack([drawn, fitted])
+    pop = Population(model=IidModel(3), profiles=source)
+    assert pop.profiles is not source and np.array_equal(pop.profiles, source)
+    for p in (drawn, fitted, pop.profiles):
+        with pytest.raises(ValueError):
+            p[0] = 0.5
 
 
 def test_profile_cdf_is_the_normalized_cumulative_sum():
-    source = [0.1, 0.2, 0.3, 0.4]
-    p = IidProfile(source)
-    expected = np.cumsum(source)
-    expected /= expected[-1]
-    assert np.array_equal(p.cdf, expected) and p.cdf[-1] == 1.0
-    assert p.probs is not source and p.probs.tolist() == source
+    # the sampler inverts cumsum / cumsum[-1] of each law: a uniform on a
+    # table entry falls past it, one just below stays
+    laws = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+    cdf = np.cumsum(laws, axis=1)
+    cdf /= cdf[:, -1:]
+    assert (cdf[:, -1] == 1.0).all()
+    for row, law in zip(cdf, laws):
+        draws = np.concatenate([row[:-1], np.nextafter(row, 0.0)])
+        want = [int(np.searchsorted(row, u, side="right")) for u in draws]
+        rng = _Uniforms(draws)
+        (got,) = IidModel(4).sample_trajectories(law[None], draws.size, rng)
+        assert got.tolist() == want == [1, 2, 3, 0, 1, 2, 3]
 
 
 def test_density_rejects_bad_kinds():
@@ -60,15 +52,15 @@ def test_sample_profile_r2_support_and_normalization():
     d = ProfileDensity("uniform-simplex", 2)
     for _ in range(200):
         p = sample_profile(d, rng)
-        assert 0.0 < p.probs[0] < 1.0
-        assert p.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < p[0] < 1.0
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_profile_uniform_mean():
     # oracle: mean of U(0,1) is 1/2
     rng = np.random.default_rng(1)
     d = ProfileDensity("uniform-simplex", 2)
-    draws = np.array([sample_profile(d, rng).probs[0] for _ in range(100_000)])
+    draws = np.array([sample_profile(d, rng)[0] for _ in range(100_000)])
     assert abs(draws.mean() - 0.5) < 0.005
 
 
@@ -80,7 +72,7 @@ def test_sample_profile_r3_corner_mass():
     hits = 0
     trials = 100_000
     for _ in range(trials):
-        if sample_profile(d, rng).probs[0] > 0.5:
+        if sample_profile(d, rng)[0] > 0.5:
             hits += 1
     assert abs(hits / trials - 0.25) < 0.01
 
@@ -90,7 +82,7 @@ def test_sample_profile_strictly_interior():
     for kind in ("uniform-simplex", "bounded-mixture"):
         d = ProfileDensity(kind, 3)
         for _ in range(500):
-            assert sample_profile(d, rng).probs.min() >= 1e-9
+            assert sample_profile(d, rng).min() >= 1e-9
 
 
 def test_sampling_reproducible():
@@ -98,29 +90,29 @@ def test_sampling_reproducible():
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(10):
         assert np.array_equal(
-            sample_profile(d, rng1).probs, sample_profile(d, rng2).probs
+            sample_profile(d, rng1), sample_profile(d, rng2)
         )
 
 
 def test_trajectory_empty_and_support():
     rng = np.random.default_rng(4)
-    p = IidProfile([0.2, 0.3, 0.5])
-    assert len(sample_trajectory_iid(p, 0, rng)) == 0
-    t = sample_trajectory_iid(p, 1000, rng)
+    model = IidModel(3)
+    laws = np.array([[0.2, 0.3, 0.5]])
+    assert len(model.sample_trajectories(laws, 0, rng)[0]) == 0
+    (t,) = model.sample_trajectories(laws, 1000, rng)
     assert len(t) == 1000
     assert t.max() < 3 and t.min() >= 0
 
 
 def test_trajectory_frequency():
     rng = np.random.default_rng(5)
-    p = IidProfile([0.5, 0.5])
-    t = sample_trajectory_iid(p, 100_000, rng)
+    (t,) = IidModel(2).sample_trajectories(np.array([[0.5, 0.5]]), 100_000, rng)
     assert abs(t.mean() - 0.5) < 0.005
 
 
 def test_fit_iid_profile_formula():
     p = fit_iid_profile([0, 0, 0, 1], r=2)
-    assert np.allclose(p.probs, [4 / 6, 2 / 6])
+    assert np.allclose(p, [4 / 6, 2 / 6])
 
 
 def test_fit_iid_profile_smoothed_always_interior():
@@ -128,13 +120,13 @@ def test_fit_iid_profile_smoothed_always_interior():
     for _ in range(50):
         states = rng.integers(0, 4, size=rng.integers(0, 30))
         p = fit_iid_profile(states, r=4)
-        assert np.all(p.probs > 0) and np.all(p.probs < 1)
+        assert np.all(p > 0) and np.all(p < 1)
 
 
 def test_population_requires_users():
     with pytest.raises(ValueError):
-        Population(model=IidModel(2), profiles=())
-    pop = Population(model=IidModel(2), profiles=(IidProfile([0.4, 0.6]),))
+        Population(model=IidModel(2), profiles=np.empty((0, 2)))
+    pop = Population(model=IidModel(2), profiles=np.array([[0.4, 0.6]]))
     assert pop.n == 1
 
 
@@ -173,27 +165,43 @@ def test_sample_profile_matches_dirichlet_reference(kind):
         ref, ours = np.random.default_rng(r), np.random.default_rng(r)
         for _ in range(100):
             expected = _dirichlet_profile_reference(density, ref)
-            assert np.array_equal(sample_profile(density, ours).probs, expected)
+            assert np.array_equal(sample_profile(density, ours), expected)
         assert ours.random() == ref.random()
 
 
 def test_sample_trajectory_matches_numpy_choice_bit_for_bit():
+    # the stacked sampler against one Generator.choice call per user
     profiles = np.random.default_rng(99)
     for seed in range(40):
-        for r in (2, 3, 5, 8, 17):
-            profile = sample_profile(ProfileDensity("uniform-simplex", r), profiles)
+        for r in (2, 3, 5, 8, 9, 17):
+            density = ProfileDensity("uniform-simplex", r)
+            n = 1 + seed % 6
+            laws = np.stack([sample_profile(density, profiles) for _ in range(n)])
             for m in (0, 1, 147):
                 ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
-                expected = ref.choice(r, size=m, p=profile.probs)
-                got = sample_trajectory_iid(profile, m, ours)
-                assert got.dtype == np.int64 and not got.flags.writeable
-                assert np.array_equal(got, expected)
+                expected = [ref.choice(r, size=m, p=law) for law in laws]
+                got = IidModel(r).sample_trajectories(laws, m, ours)
+                assert len(got) == n
+                for g, e in zip(got, expected):
+                    assert g.dtype == np.int64 and not g.flags.writeable
+                    assert np.array_equal(g, e)
                 assert ours.random() == ref.random()
 
 
 def test_sample_trajectory_rejects_negative_length():
     with pytest.raises(ValueError, match="nonnegative"):
-        sample_trajectory_iid(IidProfile([0.5, 0.5]), -1, np.random.default_rng(0))
+        IidModel(2).sample_trajectories(np.array([[0.5, 0.5]]), -1, np.random.default_rng())
+
+
+class _Uniforms:
+    """Hands out the given uniforms as ``Generator.random(size)`` would."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
 
 
 class _ScriptedRng:
@@ -220,9 +228,9 @@ def test_sample_profile_rejects_near_boundary_draws():
     # first attempt puts 1e-12 of the mass on location 0: below the margin
     rng = _ScriptedRng(exponentials=[[1e-12, 1.0], [1.0, 3.0]])
     p = sample_profile(ProfileDensity("uniform-simplex", 2), rng)
-    assert p.probs.tolist() == [0.25, 0.75] and rng.exponentials == []
+    assert p.tolist() == [0.25, 0.75] and rng.exponentials == []
     # the mixture coin is redrawn on every attempt, before its block
     rng = _ScriptedRng(coins=[0.9, 0.1], exponentials=[[1.0, 1e-12]], gammas=[[1.0, 1.0]])
     p = sample_profile(ProfileDensity("bounded-mixture", 2), rng)
-    assert p.probs.tolist() == [0.5, 0.5]
+    assert p.tolist() == [0.5, 0.5]
     assert rng.coins == [] and rng.exponentials == [] and rng.gammas == []

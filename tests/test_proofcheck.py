@@ -130,18 +130,18 @@ def test_symmetric_population_weights_are_flat():
     # uniform by symmetry, and N * W_j sits at 1 up to float roundoff
     from locpriv import adversary
     from locpriv.anonymization import anonymize, sample_permutation
-    from locpriv.mobility import IidProfile, sample_trajectory_iid
+    from locpriv.mobility import IidModel
 
     rng = np.random.default_rng(6)
     n = 5
-    profiles = [IidProfile([0.4, 0.6])] * n
-    trajs = [sample_trajectory_iid(p, 8, rng) for p in profiles]
-    perm = sample_permutation(n, rng)
-    Y = anonymize(trajs, perm)
+    profiles = np.array([[0.4, 0.6]] * n)
+    trajs = IidModel(2).sample_trajectories(profiles, 8, rng)
+    forward = sample_permutation(n, rng)
+    Y = anonymize(trajs, forward)
     L = adversary.likelihood_matrix_iid(profiles, adversary.count_stats(Y, 2))
     crowd = critical_set(np.full(n, 0.6), 0.01)
     assert crowd.size == n
-    w = adversary.posterior_pi1(L).weights[perm.forward[crowd]]
+    w = adversary.posterior_pi1(L)[forward[crowd]]
     w = w / w.sum()
     assert np.abs(n * w - 1.0).max() <= 1e-10
 

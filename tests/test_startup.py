@@ -77,10 +77,10 @@ def test_fallback_imports_scipy_optimize_and_solves_alike():
         "print('scipy.optimize' in sys.modules)\n"
         f"L = np.array({L.tolist()!r})\n"
         "print(adversary.linear_sum_assignment(L, maximize=True)[1].tolist())\n"
-        "print(adversary.map_assignment(L).forward.tolist())\n",
+        "print(adversary.map_assignment(L).tolist())\n",
     )
     assert done.returncode == 0, done.stderr
     loaded, solved, forward = done.stdout.splitlines()
     assert loaded == "True"
     assert solved == str(adversary.linear_sum_assignment(L, maximize=True)[1].tolist())
-    assert forward == str(adversary.map_assignment(L).forward.tolist())
+    assert forward == str(adversary.map_assignment(L).tolist())
