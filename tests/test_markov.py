@@ -218,7 +218,6 @@ def test_validate_chain_matches_oracle_on_random_graphs():
             support = rng.random((r, r)) < rng.uniform(0.05, 0.6)
             for i in np.flatnonzero(~support.any(axis=1)):
                 support[i, rng.integers(r)] = True
-            g = MobilityGraph(r=r, edges=list(zip(*np.nonzero(support))))
             T = support / support.sum(axis=1, keepdims=True)
             rep = validate_chain(T)
             oracle = _oracle_chain_report(T)
