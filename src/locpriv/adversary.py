@@ -92,26 +92,28 @@ _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 # terms at O(n) each, mu running over the sizes of the classes of equal
 # columns among columns 1..n-1 (see _glynn_row0_minors): 2^(n-1) when
 # all columns differ, so each further distinct user doubles the time.
-# On a 2-vCPU Xeon VM one posterior_pi1 call at n = 20 takes 2-8 ms
-# (median about 5) on iid2 sweep inputs at m = n^1.2 and about 11 ms when
+# On a 2-vCPU Xeon VM one posterior_pi1 call at n = 20 takes 1-10 ms
+# (median about 3) on iid2 sweep inputs at m = n^1.2 and about 7 ms when
 # no two columns are equal.
 PERMANENT_FEASIBILITY_BOUND = 20
 
 # _glynn_row0_minors tabulates the row sums of at most 2^_TABLE_BITS
 # level combinations in one matrix product (with every column class of
-# size 1: column 0 and the sign vectors of the next 12 columns) and loops
+# size 1: column 0 and the sign vectors of the next 13 columns) and loops
 # over the levels of any further classes, as many at a time as fill a
-# tile of _TILE (level, table row) products: 256 kB, which stays in a
-# core's L2 cache while every matrix row multiplies into it. On that VM
-# the tile's add and multiply take about 0.4 ns per element over
-# 4096-wide table rows and about 1.0 ns over 2048-wide ones.
-_TABLE_BITS = 12
-_TILE = 2**15
+# tile of _TILE (level, table row) products: 512 kB per buffer, so both
+# buffers stay in a core's 2 MB L2 cache while every matrix row
+# multiplies into them. On that VM the tile's add and multiply take about
+# 0.6 ns per element over 8192-wide table rows in 2^16-element tiles, as
+# over 4096-wide rows in 2^15-element tiles, and about 1.3 ns over
+# 2048-wide ones; the wider rows and tile halve the loop's numpy calls.
+_TABLE_BITS = 13
+_TILE = 2**16
 
 # Level tables kept by _level_table. Up to n = PERMANENT_FEASIBILITY_BOUND
-# none exceeds 2^_TABLE_BITS rows of 13 int8 multipliers and a float
-# weight (84 kB), so the cache stays under 1.4 MB however many class-size
-# tuples occur.
+# none exceeds 2^_TABLE_BITS columns of 14 int8 multipliers and a float
+# weight (180 kB), and the 16 largest come to 2.47 MB, so the cache stays
+# under 2.5 MB however many class-size tuples occur.
 _TABLE_CACHE = 16
 
 # Sinkhorn sweeps _balance may take before it reports non-convergence.
@@ -191,23 +193,32 @@ def likelihood_matrix_markov(laws: np.ndarray, mats: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _level_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Every level combination of column classes of the given sizes, after
-    a leading column fixed at +1, as read-only int8 rows (int8 keeps the
-    cache small and holds every multiplier for sizes up to 127; callers
-    compute with a float copy), plus their weights.
+    a leading column fixed at +1, as read-only int8 multipliers stored
+    class-major (int8 keeps the cache small and holds every multiplier for
+    sizes up to 127; callers compute with a float copy), plus their
+    weights.
 
-    Row t reads t in mixed radix (mu_g + 1 for class g, first class
+    Column t reads t in mixed radix (mu_g + 1 for class g, first class
     fastest): k_g of class g's mu_g columns carry -1, so the class's
     columns sum with multiplier mu_g - 2 k_g, and the C(mu_g, k_g) sign
-    vectors that do so each carry the sign (-1)^k_g. With every size 1
-    these are the +-1 sign vectors and their sign products.
+    vectors that do so each carry the sign (-1)^k_g. Row 0 holds the
+    leading column's +1s and row g class g's multipliers, each one
+    contiguous row, built by broadcasting a class's mu_g + 1 values over
+    its digit; the weights take the classes' factors in the same order.
+    With every size 1 these are the +-1 sign vectors and their sign
+    products. On the 2-vCPU VM an 8192-column table builds in about
+    0.28 ms.
     """
-    idx = np.arange(math.prod(mu + 1 for mu in sizes), dtype=np.int64)
-    mult = np.ones((idx.size, len(sizes) + 1), dtype=np.int8)
-    weight = np.ones(idx.size)
+    total = math.prod(mu + 1 for mu in sizes)
+    mult = np.ones((len(sizes) + 1, total), dtype=np.int8)
+    weight = np.ones(total)
+    stride = 1  # columns per step of class g's digit
     for g, mu in enumerate(sizes, 1):
-        idx, k = np.divmod(idx, mu + 1)
-        mult[:, g] = mu - 2 * k
-        weight *= np.array([(-1) ** i * math.comb(mu, i) for i in range(mu + 1)])[k]
+        k = np.arange(mu + 1)
+        mult[g].reshape(-1, mu + 1, stride)[...] = (mu - 2 * k)[:, None]
+        coeff = np.array([(-1) ** i * math.comb(mu, i) for i in range(mu + 1)])
+        weight.reshape(-1, mu + 1, stride)[...] *= coeff[:, None]
+        stride *= mu + 1
     mult.flags.writeable = weight.flags.writeable = False
     return mult, weight
 
@@ -225,15 +236,18 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     level's term. Column 0 stays a fixed +1 singleton and the columns
     equal to it share its minor, so equal columns get equal minors bit
     for bit. The level sums of column 0 and the smallest classes, at most
-    2^_TABLE_BITS of them, come from one matrix product (a row of sums
-    per matrix row, so the product over rows runs along contiguous
-    memory). Each level of the remaining classes shifts them by its own
-    row sums, all levels' shifts coming from one more product. The loop
-    takes the levels a tile at a time (see _TILE): it adds each matrix
-    row's shifted sums and multiplies them into the tile in place, the
-    rows in order, and folds the finished tile into the minors with two
-    matrix-vector products. When no two columns are equal this is the
-    plain sum over 2^(n-1) sign vectors, term for term.
+    2^_TABLE_BITS = 8192 of them, come from one matrix product with the
+    class-major table (a row of sums per matrix row, so the product over
+    rows runs along contiguous memory). Each level of the remaining
+    classes shifts them by its own row sums, all levels' shifts coming
+    from one more product. The loop takes the levels a tile at a time
+    (see _TILE): it adds each matrix row's shifted sums and multiplies
+    them into the tile in place, the rows in order, and folds the
+    finished tile into the minors with two matrix-vector products. When
+    no two columns are equal this is the plain sum over 2^(n-1) sign
+    vectors, term for term. On the 2-vCPU VM the median call on
+    posterior-n20's iid2 inputs takes about 2.0 ms at n = 20 and 0.25 ms
+    at n = 16 with its tables cached.
     """
     n = A.shape[0]
     raw = A.T.tobytes()
@@ -250,15 +264,15 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     low_mult, low_weight = _level_table(sizes[:split])
     low_mult = low_mult.astype(float)
     C = A[1:].take([0] + [cols[0] for cols in groups], axis=1)
-    low_sums = C[:, : split + 1] @ low_mult.T
+    low_sums = C[:, : split + 1] @ low_mult
     out = np.zeros(C.shape[1])
     if split == len(sizes):  # every class in the table: no level to shift by
         # added to zeros, as in the loop, so that a zero minor reads +0.0
-        out += (np.multiply.reduce(low_sums, axis=0) * low_weight) @ low_mult
+        out += low_mult @ (np.multiply.reduce(low_sums, axis=0) * low_weight)
     else:
         high_mult, high_weight = _level_table(sizes[split:])
-        high_mult = high_mult[:, 1:].astype(float)
-        shifts = C[:, split + 1 :] @ high_mult.T  # row i's shift at each level
+        high_mult = high_mult[1:].astype(float)
+        shifts = C[:, split + 1 :] @ high_mult  # row i's shift at each level
         step = max(1, _TILE // rows)  # levels per tile
         tile = np.empty((2, step, rows))
         terms = np.zeros(rows)  # each table row's products, weighted, over all levels
@@ -270,8 +284,8 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
                 np.add(low_sums[i], shifts[i, lo : lo + step, None], out=t)
                 v *= t
             terms += h_weight @ v
-            out[split + 1 :] += (v @ low_weight * h_weight) @ high_mult[lo : lo + step]
-        out[: split + 1] += (terms * low_weight) @ low_mult
+            out[split + 1 :] += high_mult[:, lo : lo + step] @ (v @ low_weight * h_weight)
+        out[: split + 1] += low_mult @ (terms * low_weight)
     owner = [0] * n
     for g, cols in enumerate(groups, 1):
         for j in cols:

@@ -10,7 +10,8 @@ log-likelihood kernels (for ``likelihood_matrix_*``), chain validation
 and the stationary law (for ``MarkovModel.marginal``), the free-parameter
 read-back and the edge-by-edge expansion (for ``expand_free_params``), the
 per-state Markov fit (for ``fit_markov_profile``), the Floyd-Warshall
-exact tie loss (for MAP's near-tie screen) and the results-CSV reader
+exact tie loss (for MAP's near-tie screen), the row-by-row level table
+(for the exact posterior's ``_level_table``) and the results-CSV reader
 (for ``write_results_csv``). So do the Monte Carlo
 estimators the acceptance criteria measure the paper's claims with, MI and
 de-anonymization accuracy over a prior-sampled or fixed population, each a
@@ -259,6 +260,26 @@ def row0_minors_dp(B: np.ndarray) -> np.ndarray:
             S = layer[(layer >> j) & 1 == 1]
             dp[S] += B[k, j] * dp[S ^ (1 << j)]
     return np.array([dp[full ^ (1 << j)] for j in range(n)])
+
+
+def level_table_rows(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The level table of ``adversary._level_table`` built one level
+    combination per row, by reading each row index in mixed radix with
+    ``np.divmod`` (reference for the class-major, broadcast-built table).
+
+    Row t has k_g = digit g of t (base mu_g + 1, first class fastest);
+    its int8 multipliers are +1 for the leading column and mu_g - 2 k_g
+    for class g, and its weight is the product over the classes, in
+    order, of (-1)^k_g C(mu_g, k_g).
+    """
+    idx = np.arange(math.prod(mu + 1 for mu in sizes), dtype=np.int64)
+    mult = np.ones((idx.size, len(sizes) + 1), dtype=np.int8)
+    weight = np.ones(idx.size)
+    for g, mu in enumerate(sizes, 1):
+        idx, k = np.divmod(idx, mu + 1)
+        mult[:, g] = mu - 2 * k
+        weight *= np.array([(-1) ** i * math.comb(mu, i) for i in range(mu + 1)])[k]
+    return mult, weight
 
 
 def posterior_pi1_bruteforce(L: np.ndarray) -> np.ndarray:

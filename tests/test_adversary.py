@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (
     assert_shared_solve_matches_standalone,
+    level_table_rows,
     log_likelihood_iid,
     log_likelihood_markov,
     map_assignment_bruteforce,
@@ -559,30 +560,30 @@ def test_posterior_with_infeasible_cells_matches_sign_free_reference():
 
 
 def test_posterior_weights_pinned_n16():
-    # Re-frozen when the level loop of the minors began to run over tiles
-    # of a 4096-row level table: every weight moved by at most 8.4e-16
-    # from the previous pin and lies within 4.5e-16 of the subset DP. The
+    # Re-frozen when the level tables became class-major 8192-column
+    # tables built by broadcasting: every weight moved by at most 5.6e-16
+    # from the previous pin and lies within 1.2e-16 of the subset DP. The
     # weights must replay bit for bit. Pseudonyms 5 and 8, and 6 and 7,
     # have equal statistics and so equal weights.
     L = _sweep_like_iid2(16, np.random.default_rng(16))
     w = posterior_pi1(L)
     assert w.tolist() == [
-        0.30222064295498485,
-        0.09370479475454024,
-        4.21554768547575e-08,
-        0.013766468863780856,
-        0.5196920845590892,
-        5.569785607031345e-11,
+        0.3022206429549854,
+        0.0937047947545403,
+        4.215547685475752e-08,
+        0.013766468863780834,
+        0.5196920845590888,
+        5.5697856070313605e-11,
         0.00017306805417430238,
         0.00017306805417430238,
-        5.569785607031345e-11,
-        0.0007520955122956128,
-        0.002487087516868402,
-        0.023833407093712122,
-        6.0611023358730165e-05,
-        0.0431365351663313,
-        3.1638133809250198e-09,
-        9.101600402970175e-08,
+        5.5697856070313605e-11,
+        0.0007520955122956141,
+        0.0024870875168683994,
+        0.023833407093712063,
+        6.061102335873008e-05,
+        0.043136535166331307,
+        3.1638133809252907e-09,
+        9.101600402970136e-08,
     ]
     assert np.abs(w - _posterior_dp(L)).max() <= 1e-12
 
@@ -688,14 +689,29 @@ def _level_split(sizes):
     return tuple(sizes[:split]), tuple(sizes[split:])
 
 
-@pytest.mark.parametrize("classes", [(), (2, 2, 3, 4)], ids=["distinct", "classes"])
+def _tiled_classes(n):
+    """Classes of equal columns among columns 1..n-1 whose split leaves a
+    class of two or more columns beyond the level table and more than 3
+    levels, not a multiple of 3, for the loop: the first of a few
+    candidates that does."""
+    for classes in [(2, 2, 3, 4), (3, 4), (2, 4), (4,), (3,)]:
+        low, high = _level_split(classes + (1,) * (n - 1 - sum(classes)))
+        levels = math.prod(mu + 1 for mu in high)
+        if max(high, default=1) > 1 and levels > 3 and levels % 3:
+            return classes
+    raise AssertionError(f"no candidate classes run the level loop at n = {n}")
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["distinct", "classes"])
 @pytest.mark.parametrize("n", [17, 18, 19, 20])
-def test_tiled_level_loop_matches_sign_free_reference(monkeypatch, n, classes):
+def test_tiled_level_loop_matches_sign_free_reference(monkeypatch, n, grouped):
     # The level loop with 2 and 3 levels per tile (several tiles, the last
     # cut short where the level count is odd or not a multiple of 3), with
     # every level in one tile, and with the default tile.
-    rng = np.random.default_rng(3000 * n + len(classes))
-    L = _with_classes(rng.normal(size=(n, n)), classes, rng)
+    rng = np.random.default_rng(3000 * n + grouped)
+    L = rng.normal(size=(n, n))
+    if grouped:
+        L[:, 1:] = _with_classes(L[:, 1:], _tiled_classes(n), rng)
     low, high = _level_split(_class_sizes(L))
     rows = math.prod(mu + 1 for mu in low)
     levels = math.prod(mu + 1 for mu in high)
@@ -722,28 +738,45 @@ def _partitions(total, smallest=1):
             yield (first, *rest)
 
 
-def test_level_table_cache_stays_within_its_stated_size():
-    # the _TABLE_CACHE largest tables _glynn_row0_minors builds up to
-    # n = PERMANENT_FEASIBILITY_BOUND fit the 1.4 MB the cache's comment states
+def _split_tables():
+    """The size tuples of every level table _glynn_row0_minors builds up
+    to n = PERMANENT_FEASIBILITY_BOUND."""
     wanted = set()
     for n in range(1, adversary.PERMANENT_FEASIBILITY_BOUND + 1):
         for sizes in _partitions(n - 1):
             low, high = _level_split(sizes)
             wanted.update((low, high) if high else (low,))
+    return wanted
 
+
+def test_level_table_cache_stays_within_its_stated_size():
+    # the _TABLE_CACHE largest tables _glynn_row0_minors builds up to
+    # n = PERMANENT_FEASIBILITY_BOUND fit the 2.5 MB the cache's comment states
     def nbytes(sizes):
         mult, weight = adversary._level_table(sizes)
         assert weight.size <= 2**adversary._TABLE_BITS
         return mult.nbytes + weight.nbytes
 
-    largest = sorted(wanted, key=nbytes)[-adversary._TABLE_CACHE :]
+    largest = sorted(_split_tables(), key=nbytes)[-adversary._TABLE_CACHE :]
     adversary._level_table.cache_clear()
     try:
         total = sum(map(nbytes, largest))
         assert adversary._level_table.cache_info().currsize == adversary._TABLE_CACHE
-        assert total <= 1.4e6
+        assert total <= 2.5e6
     finally:
         adversary._level_table.cache_clear()
+
+
+def test_level_table_matches_row_by_row_build():
+    # the class-major table, built by broadcasting, holds the row-by-row
+    # table's multipliers transposed and its weights byte for byte
+    for sizes in sorted(_split_tables() | {()}):
+        mult, weight = adversary._level_table(sizes)
+        rows_mult, rows_weight = level_table_rows(sizes)
+        assert mult.dtype == rows_mult.dtype and np.array_equal(mult, rows_mult.T)
+        assert weight.dtype == rows_weight.dtype
+        assert weight.tobytes() == rows_weight.tobytes()
+        assert not (mult.flags.writeable or weight.flags.writeable)
 
 
 def test_identical_columns_get_identical_weights():

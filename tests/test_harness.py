@@ -472,11 +472,11 @@ def test_results_csv_round_trip(tmp_path):
     [
         (
             dict(model="iid2", metrics=["mi", "accuracy", "weights"]),
-            "ce5e02eadf40e72093dd09a02030d0558d69238065efea3b182b4b4ad2942cec",
+            "33893e78f6a4798a3c7c5190c9889aa9c8bacd53e0a389a462e08514266c0e04",
         ),
         (
             dict(model="iidr", r=3, metrics=["mi", "accuracy"]),
-            "c92b755c658f68f5262a43fdae02d66f528a40856845324eb4022ff22c79e845",
+            "957377e3a1028c116592c012c4e50ce166c6ff8ab5980e9e9489f1f668e03493",
         ),
         (
             dict(
@@ -484,7 +484,7 @@ def test_results_csv_round_trip(tmp_path):
                 graph_path="three_state_graph.csv",
                 metrics=["mi", "accuracy"],
             ),
-            "eeb67110e566c5fe0efeb73c44b7441dd5a83809c7b26b725fa4f8b80a202268",
+            "b0bc0f3ed1b0d1cb5ed48fd9ab21ae7a42533809c33a3977426684e37a9b2b98",
         ),
     ],
     ids=["iid2", "iidr3", "markov"],
@@ -508,20 +508,21 @@ def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
 @pytest.mark.parametrize(
     "name, digest",
     [
-        # Re-frozen when the minors' level loop began to run over tiles of a
-        # 4096-row level table: only n = 16 mi and weight_max_dev values
-        # moved, by at most 1.1e-14; every discrete field is unchanged.
+        # Re-frozen when the minors' level tables became class-major
+        # 8192-column tables: only mi and weight_max_dev values (and one mi
+        # standard error) moved, by at most 2.1e-14; every discrete field is
+        # unchanged.
         (
             "iid2_sweep.json",
-            "f9f0e9e04747a7d85161ed85f3313d5f333695bf49a0788f66970812bf40e569",
+            "d3f40bd6dfab4813ac87fc7f5ce7440dfed80949d7bc8e06c02f8ea25d5f9940",
         ),
         (
             "markov_sweep.json",
-            "d0bb2f57e802ceb73c3ef6de5aa2284db484e7cf8cd27e805ad586dd83836ac1",
+            "e96a51bf158c0fde68da6d8662a87f892e5457f5b851422bbc4332fcac07aba9",
         ),
         (
             "iid2_single_cell.json",
-            "e096dc1e770440f7906de7b9817dcdeefffe91fdd71909ba6d1584e7eddc4f99",
+            "fa20de20890aa1b25b6a1b2cd4ff869cf810603ce20646f7f0e854433f39e3bc",
         ),
     ],
 )

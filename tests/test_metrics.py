@@ -226,14 +226,16 @@ def test_mi_reproducible():
 
 def test_mi_estimates_pinned():
     # Frozen before the estimator moved onto the shared trial loop and
-    # re-frozen when the posterior's balance began from the LP duals: a
-    # prior-sampled and a fixed-profile estimate must replay bit for bit.
+    # re-frozen when the posterior's balance began from the LP duals and
+    # when the minors' level tables became class-major (the prior-sampled
+    # value moved by one unit in the last place): a prior-sampled and a
+    # fixed-profile estimate must replay bit for bit.
     prior = mutual_information_mc(
         IidModel(2), 4, 6, 3, 40, np.random.default_rng(31),
         profile_sampler=uniform2_sampler(),
     )
     assert (prior.value.hex(), prior.std_error.hex()) == (
-        "0x1.9b0dce2039fe5p-3",
+        "0x1.9b0dce2039fe4p-3",
         "0x1.a9946a6a6be2ap-5",
     )
     profiles = np.array([[0.3, 0.7], [0.6, 0.4], [0.45, 0.55]])
