@@ -30,6 +30,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,25 +91,34 @@ _SENTINEL_CUTOFF = _NEG_SENTINEL / 2
 
 # Hard cap on exact-posterior size: the row-0 minors sum over prod(mu + 1)
 # terms at O(n) each, mu running over the sizes of the classes of equal
-# columns among columns 1..n-1 (see _glynn_row0_minors): 2^(n-1) when
-# all columns differ, so each further distinct user doubles the time.
-# On a 2-vCPU Xeon VM one posterior_pi1 call at n = 20 takes 1-10 ms
-# (median about 3) on iid2 sweep inputs at m = n^1.2 and about 7 ms when
-# no two columns are equal.
+# columns other than the pivot column fixed at +1 (see _glynn_row0_minors):
+# 2^(n-1) when all columns differ, so each further distinct user doubles
+# the time. On a 2-vCPU Xeon VM one posterior_pi1 call at n = 20 takes
+# 1-10 ms (median about 3) on iid2 sweep inputs at m = n^1.2 and about
+# 7 ms when no two columns are equal.
 PERMANENT_FEASIBILITY_BOUND = 20
 
 # _glynn_row0_minors tabulates the row sums of at most 2^_TABLE_BITS
-# level combinations in one matrix product (with every column class of
-# size 1: column 0 and the sign vectors of the next 13 columns) and loops
-# over the levels of any further classes, as many at a time as fill a
-# tile of _TILE (level, table row) products: 512 kB per buffer, so both
-# buffers stay in a core's 2 MB L2 cache while every matrix row
+# level combinations in a matrix product (with every column class of
+# size 1: the pivot column and the sign vectors of the next 13 columns)
+# and loops over the levels of any further classes, as many at a time as
+# fill a tile of _TILE (level, table row) products: 512 kB per buffer, so
+# both buffers stay in a core's 2 MB L2 cache while every matrix row
 # multiplies into them. On that VM the tile's add and multiply take about
 # 0.6 ns per element over 8192-wide table rows in 2^16-element tiles, as
 # over 4096-wide rows in 2^15-element tiles, and about 1.3 ns over
 # 2048-wide ones; the wider rows and tile halve the loop's numpy calls.
 _TABLE_BITS = 13
 _TILE = 2**16
+
+# Table columns per slice of _glynn_row0_minors' level-sum product. A
+# 19 x 14 by 14 x 512 product stays below the size at which OpenBLAS
+# hands work to a second thread, which then busy-waits for about 27 ms
+# after the call; the slices' sums come out bit-identical to one product.
+_PRODUCT_COLUMNS = 512
+
+# Per-thread scratch arrays of _glynn_row0_minors (see _scratch).
+_buffers = threading.local()
 
 # Level tables kept by _level_table. Up to n = PERMANENT_FEASIBILITY_BOUND
 # none exceeds 2^_TABLE_BITS columns of 14 int8 multipliers and a float
@@ -223,58 +233,89 @@ def _level_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return mult, weight
 
 
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of the given shape, a view of this
+    thread's buffer ``name``, which is kept between calls and replaced by a
+    larger one when it is too small. A call that reuses a buffer touches no
+    fresh pages; one per thread keeps concurrent calls apart."""
+    size = math.prod(shape)
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_buffers, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
     """perm of A with row 0 and column j removed, for every j, in one pass.
 
-    Glynn's formula differentiated by A[0, c]:
-    minor_c = 2^-(n-1) sum over sign vectors d with d_0 = +1 of
+    Glynn's formula, with the sign of one column p (the pivot) fixed at +1,
+    differentiated by A[0, c]:
+    minor_c = 2^-(n-1) sum over sign vectors d with d_p = +1 of
     (prod d) d_c prod_{i >= 1} sum_j d_j A[i, j].
-    Bitwise-identical columns among 1..n-1 form a class. The row sums
-    depend only on how many of a class's mu columns carry -1, so the
-    class adds mu + 1 levels instead of 2^mu sign patterns (see
-    _level_table), and each of its columns takes (mu - 2k) / mu of a
-    level's term. Column 0 stays a fixed +1 singleton and the columns
-    equal to it share its minor, so equal columns get equal minors bit
-    for bit. The level sums of column 0 and the smallest classes, at most
-    2^_TABLE_BITS = 8192 of them, come from one matrix product with the
-    class-major table (a row of sums per matrix row, so the product over
-    rows runs along contiguous memory). Each level of the remaining
-    classes shifts them by its own row sums, all levels' shifts coming
-    from one more product. The loop takes the levels a tile at a time
-    (see _TILE): it adds each matrix row's shifted sums and multiplies
-    them into the tile in place, the rows in order, and folds the
-    finished tile into the minors with two matrix-vector products. When
-    no two columns are equal this is the plain sum over 2^(n-1) sign
-    vectors, term for term. On the 2-vCPU VM the median call on
-    posterior-n20's iid2 inputs takes about 2.0 ms at n = 20 and 0.25 ms
-    at n = 16 with its tables cached.
+    Bitwise-identical columns form a class. The row sums depend only on
+    how many of a class's mu columns carry -1, so the class adds mu + 1
+    levels instead of 2^mu sign patterns (see _level_table), and each of
+    its columns takes (mu - 2k) / mu of a level's term. The pivot is the
+    first column of the smallest class, the first such class in column
+    order, so column 0 stays the pivot whenever it is a singleton. The
+    pivot leaves its class, and the cost is the product of mu + 1 over
+    the classes of the other columns. The columns equal to the pivot
+    share its minor, so equal columns get equal minors bit for bit. The
+    level sums of the pivot and the smallest classes, at most
+    2^_TABLE_BITS = 8192 of them, come from a matrix product with the
+    class-major table (a row of sums per matrix row, so the loop below
+    runs along contiguous memory). Each level of the remaining classes
+    shifts them by its own row sums, all levels' shifts coming from one
+    more product. The loop takes the levels a tile at a time (see
+    _TILE): it adds each matrix row's shifted sums and multiplies them
+    into the tile in place, the rows in order, and folds the finished
+    tile into the minors with two matrix-vector products. A table of
+    more than _PRODUCT_COLUMNS columns is copied to float in a per-thread
+    buffer (see _scratch) and multiplied in slices of that many columns
+    into another; the tile is a third. When no two columns are equal
+    this is the plain sum over 2^(n-1) sign vectors, term for term. On the 2-vCPU VM the median call on posterior-n20's iid2
+    inputs takes about 1.3 ms at n = 20 and 0.25 ms at n = 16 with its
+    tables cached.
     """
     n = A.shape[0]
     raw = A.T.tobytes()
     w = len(raw) // n
     classes: dict[bytes, list[int]] = {}
-    for j in range(1, n):
+    for j in range(n):
         classes.setdefault(raw[j * w : (j + 1) * w], []).append(j)
-    groups = sorted(classes.values(), key=len)
+    groups = sorted(classes.values(), key=len)  # stable: in column order
+    pivot = groups[0].pop(0)
+    equal = groups[0]  # the columns equal to the pivot
+    if not equal:
+        del groups[0]
     sizes = tuple(map(len, groups))
     rows, split = 1, 0
     while split < len(sizes) and rows * (sizes[split] + 1) <= 2**_TABLE_BITS:
         rows *= sizes[split] + 1
         split += 1
     low_mult, low_weight = _level_table(sizes[:split])
-    low_mult = low_mult.astype(float)
-    C = A[1:].take([0] + [cols[0] for cols in groups], axis=1)
-    low_sums = C[:, : split + 1] @ low_mult
+    C = A[1:].take([pivot] + [cols[0] for cols in groups], axis=1)
+    if rows <= _PRODUCT_COLUMNS:  # fresh arrays this small cost less than buffers
+        table = low_mult.astype(float)
+        low_sums = C[:, : split + 1] @ table
+    else:
+        table = _scratch("table", low_mult.shape)
+        np.copyto(table, low_mult)
+        low_sums = _scratch("low_sums", (n - 1, rows))
+        for lo in range(0, rows, _PRODUCT_COLUMNS):
+            part = slice(lo, lo + _PRODUCT_COLUMNS)
+            np.matmul(C[:, : split + 1], table[:, part], out=low_sums[:, part])
     out = np.zeros(C.shape[1])
     if split == len(sizes):  # every class in the table: no level to shift by
         # added to zeros, as in the loop, so that a zero minor reads +0.0
-        out += low_mult @ (np.multiply.reduce(low_sums, axis=0) * low_weight)
+        out += table @ (np.multiply.reduce(low_sums, axis=0) * low_weight)
     else:
         high_mult, high_weight = _level_table(sizes[split:])
         high_mult = high_mult[1:].astype(float)
         shifts = C[:, split + 1 :] @ high_mult  # row i's shift at each level
         step = max(1, _TILE // rows)  # levels per tile
-        tile = np.empty((2, step, rows))
+        tile = _scratch("tile", (2, step, rows))
         terms = np.zeros(rows)  # each table row's products, weighted, over all levels
         for lo in range(0, high_weight.size, step):
             h_weight = high_weight[lo : lo + step]
@@ -285,12 +326,12 @@ def _glynn_row0_minors(A: np.ndarray) -> np.ndarray:
                 v *= t
             terms += h_weight @ v
             out[split + 1 :] += high_mult[:, lo : lo + step] @ (v @ low_weight * h_weight)
-        out[: split + 1] += low_mult @ (terms * low_weight)
+        out[: split + 1] += table @ (terms * low_weight)
     owner = [0] * n
     for g, cols in enumerate(groups, 1):
         for j in cols:
             owner[j] = g
-    for j in classes.get(raw[:w], ()):
+    for j in equal:
         owner[j] = 0
     return (out / (1, *sizes)).take(owner) / 2.0 ** (n - 1)
 

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import resource
+import threading
 import warnings
 
 import numpy as np
@@ -790,6 +792,137 @@ def test_identical_columns_get_identical_weights():
     assert w[3] == w[7] == w[9]
     assert w[0] == w[5]
     assert len(set(w.tolist())) == 12 - 3
+
+
+def _classed_matrix(n, classes, rng):
+    """A positive n x n matrix whose columns are equal within each list in
+    classes and otherwise all differ."""
+    B = rng.uniform(0.5, 1.5, size=(n, n))
+    for cols in classes:
+        B[:, cols] = B[:, cols[:1]]
+    return B
+
+
+def _pivoted_cost(B):
+    """prod(mu + 1) over the classes of equal columns once the pivot, the
+    first column of the first smallest class, has left its class."""
+    classes = {}
+    for j in range(B.shape[1]):
+        classes.setdefault(B[:, j].tobytes(), []).append(j)
+    sizes = sorted(map(len, classes.values()))
+    return math.prod(mu + 1 for mu in sizes[1:]) * sizes[0]
+
+
+def _minors_and_table_sizes(monkeypatch, B):
+    """_glynn_row0_minors(B) and the size tuples it hands _level_table."""
+    seen = []
+    level_table = adversary._level_table
+
+    def recording(sizes):
+        seen.append(sizes)
+        return level_table(sizes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "_level_table", recording)
+        minors = adversary._glynn_row0_minors(B)
+    return minors, seen
+
+
+_PIVOT_CASES = {
+    # column 0 shares its class and singletons exist: a singleton is the pivot
+    "col0-triple": (16, [[0, 5, 11], [3, 8]]),
+    # no singleton: the pivot is the first column of the first pair
+    "no-singleton-col0-triple": (20, [[0, 7, 13], [1, 2], [3, 9], [4, 10], [5, 12],
+                                      [6, 14], [8, 15], [11, 16], [17, 18, 19]]),
+    "no-singleton-col0-pair": (16, [[0, 9], [1, 2, 3], [4, 5], [6, 7, 8],
+                                    [10, 11, 12, 13], [14, 15]]),
+    "all-pairs": (20, [[j, 19 - j] for j in range(10)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIVOT_CASES))
+def test_pivot_on_smallest_class_matches_sign_free_reference(monkeypatch, case):
+    # the pivot leaves its class, so the tables cover the classes of every
+    # other column: prod(mu + 1) over them is the pivoted cost
+    n, classes = _PIVOT_CASES[case]
+    B = _classed_matrix(n, classes, np.random.default_rng(n + len(classes)))
+    minors, seen = _minors_and_table_sizes(monkeypatch, B)
+    reference = row0_minors_dp(B)
+    assert np.abs(minors - reference).max() <= 1e-12 * reference.max()
+    for cols in classes:
+        assert len(set(minors[cols].tolist())) == 1
+    assert sum(map(sum, seen)) == n - 1
+    assert math.prod(mu + 1 for sizes in seen for mu in sizes) == _pivoted_cost(B)
+    # no more than with column 0 the pivot, less when its class is larger
+    assert _pivoted_cost(B) <= math.prod(mu + 1 for mu in _class_sizes(B))
+
+
+@pytest.mark.parametrize("n, classes", [(12, (2, 3)), (17, (3, 4)), (20, (2, 2, 3, 4))])
+def test_singleton_column_0_stays_the_pivot(monkeypatch, n, classes):
+    # with column 0 a singleton the tables are split as they were when
+    # column 0 was always the pivot: the classes among columns 1..n-1
+    rng = np.random.default_rng(4000 + n)
+    B = rng.uniform(0.5, 1.5, size=(n, n))
+    B[:, 1:] = _with_classes(B[:, 1:], classes, rng)
+    _, seen = _minors_and_table_sizes(monkeypatch, B)
+    low, high = _level_split(_class_sizes(B))
+    assert seen == ([low, high] if high else [low])
+
+
+def _fresh_minors(monkeypatch, B):
+    """The bytes of _glynn_row0_minors(B) from a call that starts with no
+    scratch buffers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "_buffers", threading.local())
+        return adversary._glynn_row0_minors(B).tobytes()
+
+
+def test_reused_buffers_give_the_bytes_of_fresh_calls(monkeypatch):
+    # small, large, small and large again on one thread's buffers, which
+    # must grow: each call returns what a call with fresh buffers returns,
+    # and no result is a view of a buffer that a later call overwrites
+    rng = np.random.default_rng(61)
+    mats = [rng.uniform(0.5, 1.5, size=(n, n)) for n in (12, 20, 6, 17)]
+    fresh = [_fresh_minors(monkeypatch, B) for B in mats]
+    monkeypatch.setattr(adversary, "_buffers", threading.local())
+    results = []
+    for k in (0, 1, 0, 2, 3, 1, 0):
+        minors = adversary._glynn_row0_minors(mats[k])
+        assert minors.tobytes() == fresh[k]
+        results.append((minors, fresh[k]))
+    for minors, expected in results:
+        assert minors.tobytes() == expected
+
+
+def test_minors_on_two_threads_match_serial_bytes():
+    rng = np.random.default_rng(62)
+    mats = [rng.uniform(0.5, 1.5, size=(n, n)) for n in (20, 18)]
+    serial = [adversary._glynn_row0_minors(B).tobytes() for B in mats]
+    start = threading.Barrier(len(mats))
+    got = [[] for _ in mats]
+
+    def run(k):
+        start.wait()
+        for _ in range(4):
+            got[k].append(adversary._glynn_row0_minors(mats[k]).tobytes())
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(mats))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == [[expected] * 4 for expected in serial]
+
+
+def test_warm_minors_touch_no_fresh_pages():
+    # a fresh float table, level sums and tile cost an n = 20 call about
+    # 428 minor page faults; reused buffers cost none
+    B = np.random.default_rng(63).uniform(0.5, 1.5, size=(20, 20))
+    adversary._glynn_row0_minors(B)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        adversary._glynn_row0_minors(B)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 @pytest.mark.parametrize("n", range(12, 21))

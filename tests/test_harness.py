@@ -472,7 +472,7 @@ def test_results_csv_round_trip(tmp_path):
     [
         (
             dict(model="iid2", metrics=["mi", "accuracy", "weights"]),
-            "33893e78f6a4798a3c7c5190c9889aa9c8bacd53e0a389a462e08514266c0e04",
+            "6c961cb5c706fae6b8211342bc01bd1b2c9b3f297977de3e281bfda6f1179e92",
         ),
         (
             dict(model="iidr", r=3, metrics=["mi", "accuracy"]),
@@ -509,20 +509,21 @@ def test_sweep_csv_bytes_pinned(tmp_path, overrides, digest):
     "name, digest",
     [
         # Re-frozen when the minors' level tables became class-major
-        # 8192-column tables: only mi and weight_max_dev values (and one mi
-        # standard error) moved, by at most 2.1e-14; every discrete field is
-        # unchanged.
+        # 8192-column tables and again when the minors began pivoting on a
+        # singleton class: only mi and weight_max_dev values (and a few mi
+        # standard errors) moved, by at most 2.4e-14; every discrete field
+        # is unchanged.
         (
             "iid2_sweep.json",
-            "d3f40bd6dfab4813ac87fc7f5ce7440dfed80949d7bc8e06c02f8ea25d5f9940",
+            "6e9aa73942a0fb0d831b745dd2481f37ebe99594db9fa39009c47254a84a94b8",
         ),
         (
             "markov_sweep.json",
-            "e96a51bf158c0fde68da6d8662a87f892e5457f5b851422bbc4332fcac07aba9",
+            "aa131abf31111edb52845b0a6aff2c5e546be404e34d2d22ae4f77fcf4e688ec",
         ),
         (
             "iid2_single_cell.json",
-            "fa20de20890aa1b25b6a1b2cd4ff869cf810603ce20646f7f0e854433f39e3bc",
+            "fdfb334e2663099bd46537f75d91e3d56447d6c378bc6ccc0ae81950094eea29",
         ),
     ],
 )

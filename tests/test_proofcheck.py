@@ -173,15 +173,16 @@ def test_weight_uniformity_basic_run():
 
 def test_weight_uniformity_pinned():
     # Frozen before the flatness check moved onto the shared trial loop and
-    # re-frozen when the posterior's balance began from the LP duals and
-    # when the minors' level tables became class-major (5 of 13 deviations
-    # moved, by at most 4.5e-16): its profile draws, crowds and attacks must
-    # replay bit for bit.
+    # re-frozen when the posterior's balance began from the LP duals, when
+    # the minors' level tables became class-major (5 of 13 deviations
+    # moved, by at most 4.5e-16) and when the minors began pivoting on a
+    # singleton class (1 of 13 moved, by 2.2e-16): its profile draws, crowds
+    # and attacks must replay bit for bit.
     params = LemmaParams(0.5, 0.05, 0.1)
     res = weight_uniformity(params, 4, 30, 30, np.random.default_rng(33))
     assert res.degenerate_trials == 17
     assert hashlib.sha256(res.deviations.tobytes()).hexdigest() == (
-        "05099a7a4bf8877d9b4463a3f6bb2e72a2974f690a7b000ae7896eb3adff8ec6"
+        "53894bbc27410f8bc28f0b5d993dd937ce38dba2679733819a3d6b5d4b171fba"
     )
 
 
