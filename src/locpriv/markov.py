@@ -121,9 +121,8 @@ class MarkovModel:
     ) -> list[np.ndarray]:
         """One length-m walk per transition matrix of the (n, r, r) stack,
         user by user from ``rng``. The walk tables are each row's
-        cumulative sum with its last entry set to exactly 1."""
+        cumulative sum; the walk never reads their last column."""
         cdf = np.cumsum(laws, axis=2)
-        cdf[:, :, -1] = 1.0
         return [sample_trajectory_markov(table, m, rng) for table in cdf]
 
     def marginal(self, profile: np.ndarray, k: int) -> np.ndarray:
@@ -185,15 +184,20 @@ def sample_trajectory_markov(
 
     ``cdf`` is the law's (r, r) walk table (see
     ``MarkovModel.sample_trajectories``). Step t inverts the current
-    state's row of it at the uniform draw u[t-1]. The successor of every
-    state is tabulated for every draw up front (one vectorized search per
-    state, r * (m-1) entries), so the walk itself is a chain of list
+    state's row of it at the uniform draw u[t-1]: the successor is the
+    count of the row's first r-1 entries that are <= u[t-1]. On a
+    nondecreasing row that is ``searchsorted(row, u, side="right")`` with
+    the last entry taken as 1, which u < 1 never reaches, so the last
+    column is never read. The successor of every state is tabulated for
+    every draw up front by one comparison, through an r * (r-1) * (m-1)
+    byte boolean temporary (larger than the r * (m-1) int64 table it
+    sums to only when r > 9), so the walk itself is a chain of list
     lookups, read into the array without an intermediate copy.
     """
     if m < 1:
         raise ValueError("Markov trajectories need at least one observation")
     u = rng.random(m - 1)
-    nxt = [np.searchsorted(row, u, side="right").tolist() for row in cdf]
+    nxt = (cdf[:, :-1, None] <= u).sum(axis=1).tolist()
     walk = [0]
     append = walk.append
     cur = 0
@@ -211,10 +215,7 @@ def sample_free_params(graph: MobilityGraph, rng: np.random.Generator) -> np.nda
     read-only (d,) array ordered like graph.free_edges."""
     values = np.empty(len(graph.free_edges))
     pos = 0
-    free_counts = [0] * graph.r
-    for i, _ in graph.free_edges:
-        free_counts[i] += 1
-    for n_free in free_counts:
+    for n_free in graph.free.sum(axis=1).tolist():
         if n_free == 0:
             continue
         while True:

@@ -16,6 +16,7 @@ from locpriv.markov import (
     fit_markov_profile,
     load_graph_csv,
     sample_free_params,
+    sample_trajectory_markov,
 )
 from locpriv.mobility import fit_iid_profile
 
@@ -276,20 +277,41 @@ def _sparse_law(g, rng) -> np.ndarray:
     return matrix
 
 
+def _overshooting_law() -> np.ndarray:
+    """A law on the complete 4-state graph whose state-0 row sums to more
+    than 1.0 in floating point before its last, zero-probability column."""
+    law = np.array(
+        [
+            [0.33, 0.56, 0.11, 0.0],
+            [0.5, 0.2, 0.2, 0.1],
+            [0.7, 0.1, 0.1, 0.1],
+            [0.4, 0.3, 0.2, 0.1],
+        ]
+    )
+    assert np.cumsum(law[0])[2] > 1.0
+    return law
+
+
 def test_sample_trajectory_matches_stepwise_walk():
     # the stacked, tabulated walks against one CDF search per step, user
-    # by user, on random chains with zero-probability edges and on sampled
-    # laws, down to a single observation
+    # by user, on random chains with zero-probability edges, on sampled
+    # laws and on a law whose cumulative row overshoots 1.0 early, down
+    # to a single observation
+    complete4 = MobilityGraph(r=4, edges=[(i, j) for i in range(4) for j in range(4)])
     rng = np.random.default_rng(17)
-    for seed in range(200):
-        g = random_graph(rng, int(rng.integers(1, 7)))
+    for seed in range(220):
         n = 1 + seed % 5
-        if seed % 2:
-            laws = np.stack([_sparse_law(g, rng) for _ in range(n)])
+        if seed >= 200:
+            g = complete4
+            laws = np.stack([_overshooting_law()] * n)
         else:
-            laws = np.stack(
-                [expand_free_params(sample_free_params(g, rng), g) for _ in range(n)]
-            )
+            g = random_graph(rng, int(rng.integers(1, 9)))
+            if seed % 2:
+                laws = np.stack([_sparse_law(g, rng) for _ in range(n)])
+            else:
+                laws = np.stack(
+                    [expand_free_params(sample_free_params(g, rng), g) for _ in range(n)]
+                )
         m = 1 if seed % 10 == 0 else int(rng.integers(2, 300))
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         got = MarkovModel(g).sample_trajectories(laws, m, rng_got)
@@ -299,6 +321,16 @@ def test_sample_trajectory_matches_stepwise_walk():
             assert states.dtype == np.int64 and not states.flags.writeable
             assert states.tolist() == want.tolist()
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    # the walk never reads a table's last column: NaN there walks as 1.0
+    law = _overshooting_law()
+    ones = np.cumsum(law, axis=1)
+    nans = ones.copy()
+    ones[:, -1], nans[:, -1] = 1.0, np.nan
+    for seed in range(20):
+        want = sample_trajectory_markov_stepwise(law, 300, np.random.default_rng(seed))
+        for table in (ones, nans):
+            got = sample_trajectory_markov(table, 300, np.random.default_rng(seed))
+            assert got.tolist() == want.tolist()
 
 
 def test_sample_trajectory_transition_frequencies():
