@@ -14,6 +14,7 @@ graph's edges; a trial's n users travel as one read-only (n, r, r) stack.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +33,11 @@ __all__ = [
     "sample_trajectory_markov",
 ]
 
+# Largest state count r a graph may have: every law holds r * r floats,
+# every trial an (n, r, r) stack of them, and walks store states as bytes.
+MAX_MARKOV_STATES = 256
+
+
 @dataclass(frozen=True)
 class MobilityGraph:
     """Directed graph of permitted transitions plus the free-edge choice.
@@ -43,7 +49,8 @@ class MobilityGraph:
     target are free. ``support`` and ``free`` are the read-only (r, r)
     bool masks of the two edge sets; ``support & ~free`` holds each
     state's one dependent out-edge, and the masks' row-major order is
-    the order of ``edges`` and ``free_edges``.
+    the order of ``edges`` and ``free_edges``. A graph has at most
+    ``MAX_MARKOV_STATES`` states.
     """
 
     r: int
@@ -56,13 +63,17 @@ class MobilityGraph:
         if self.r < 1:
             raise ValueError("graph needs at least one state")
         edges = sorted(set((int(i), int(j)) for i, j in self.edges))
-        out_degree = [0] * self.r
         for i, j in edges:
             if not (0 <= i < self.r and 0 <= j < self.r):
                 raise ValueError(f"edge ({i + 1},{j + 1}) has a label outside 1..{self.r}")
-            out_degree[i] += 1
-        if 0 in out_degree:
-            raise ValueError(f"state {out_degree.index(0) + 1} has no outgoing edge")
+        # counted per source, not per state, so a mistyped huge label is
+        # reported as a missing out-edge without an r-entry allocation
+        out_degree = Counter(i for i, _ in edges)
+        if len(out_degree) < self.r:
+            lonely = next(i for i in range(self.r) if i not in out_degree)
+            raise ValueError(f"state {lonely + 1} has no outgoing edge")
+        if self.r > MAX_MARKOV_STATES:
+            raise ValueError(f"graph has {self.r} states, at most {MAX_MARKOV_STATES} allowed")
         if self.free_edges is None:
             last = dict(edges)  # state -> its largest target, as edges are sorted
             free_set = {(i, j) for i, j in edges if j != last[i]}
@@ -119,11 +130,31 @@ class MarkovModel:
     def sample_trajectories(
         self, laws: np.ndarray, m: int, rng: np.random.Generator
     ) -> list[np.ndarray]:
-        """One length-m walk per transition matrix of the (n, r, r) stack,
-        user by user from ``rng``. The walk tables are each row's
-        cumulative sum; the walk never reads their last column."""
+        """One length-m walk per transition matrix of the (n, r, r) stack.
+
+        The trial's uniforms U come from one ``rng.random((n, m-1))`` draw,
+        the same numbers as n consecutive ``rng.random(m-1)`` calls. At
+        step t, user i's walk inverts the current state's row of its
+        cumulative table at U[i, t-1]. Every state's successor at every
+        step is tabulated up front, for the whole trial, as the count of
+        the row's first r-1 cumulative entries that are <= U[i, t-1]: on a
+        nondecreasing row that is ``searchsorted(row, u, side="right")``
+        with the last entry taken as 1, which u < 1 never reaches, so the
+        last column is never read. The count is summed one column at a
+        time into an (n, r, m-1) uint8 table, so no temporary is larger
+        than its n * r * (m-1) bytes; a uint8 holds every state of a graph
+        within ``MAX_MARKOV_STATES``. Each walk then steps through its
+        user's (r, m-1) slice. Raises for m < 1 before drawing anything.
+        """
+        if m < 1:
+            raise ValueError("Markov trajectories need at least one observation")
         cdf = np.cumsum(laws, axis=2)
-        return [sample_trajectory_markov(table, m, rng) for table in cdf]
+        n, r = cdf.shape[:2]
+        u = rng.random((n, m - 1))
+        successors = np.zeros((n, r, m - 1), dtype=np.uint8)
+        for k in range(r - 1):
+            successors += cdf[:, :, k, None] <= u[:, None, :]
+        return [sample_trajectory_markov(table, m) for table in successors]
 
     def marginal(self, profile: np.ndarray, k: int) -> np.ndarray:
         """Exact law of the user's location at time k; walks start at state 0."""
@@ -177,34 +208,23 @@ def expand_free_params(params: Sequence[float], graph: MobilityGraph) -> np.ndar
     return T
 
 
-def sample_trajectory_markov(
-    cdf: np.ndarray, m: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_trajectory_markov(successors: np.ndarray, m: int) -> np.ndarray:
     """Length-m read-only int64 walk from state 0 (label 1 in external files).
 
-    ``cdf`` is the law's (r, r) walk table (see
-    ``MarkovModel.sample_trajectories``). Step t inverts the current
-    state's row of it at the uniform draw u[t-1]: the successor is the
-    count of the row's first r-1 entries that are <= u[t-1]. On a
-    nondecreasing row that is ``searchsorted(row, u, side="right")`` with
-    the last entry taken as 1, which u < 1 never reaches, so the last
-    column is never read. The successor of every state is tabulated for
-    every draw up front by one comparison, through an r * (r-1) * (m-1)
-    byte boolean temporary (larger than the r * (m-1) int64 table it
-    sums to only when r > 9), so the walk itself is a chain of list
-    lookups, read into the array without an intermediate copy.
+    ``successors`` is one user's (r, m-1) uint8 table from
+    ``MarkovModel.sample_trajectories``, which draws the uniforms and
+    checks m >= 1: entry [s, t-1] is the state the walk enters at step t
+    from state s. The walk is a chain of lookups in the table's rows as
+    ``bytes``, and its states are read back as bytes.
     """
-    if m < 1:
-        raise ValueError("Markov trajectories need at least one observation")
-    u = rng.random(m - 1)
-    nxt = (cdf[:, :-1, None] <= u).sum(axis=1).tolist()
+    nxt = [row.tobytes() for row in successors]
     walk = [0]
     append = walk.append
     cur = 0
     for t in range(m - 1):
         cur = nxt[cur][t]
         append(cur)
-    walk = np.fromiter(walk, np.int64, m)
+    walk = np.frombuffer(bytes(walk), np.uint8).astype(np.int64)
     walk.flags.writeable = False
     return walk
 

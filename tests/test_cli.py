@@ -7,6 +7,7 @@ import pytest
 from locpriv import metrics
 from locpriv.cli import main
 from locpriv.harness import MAX_IID_LOCATIONS
+from locpriv.markov import MAX_MARKOV_STATES
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -522,6 +523,28 @@ def test_audit_iid_rejects_r_below_the_distinct_label_count(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: r=4 too small for 5 distinct locations" in err
+
+
+def test_graph_beyond_the_state_limit_exits_2(tmp_path, capsys):
+    # walks store states as bytes, so a graph has at most MAX_MARKOV_STATES
+    # states, in an audit and in a sweep config alike
+    r = MAX_MARKOV_STATES + 1
+    graph = tmp_path / "graph.csv"
+    rows = "".join(f"{i},{i},auto\n{i},{i % r + 1},auto\n" for i in range(1, r + 1))
+    graph.write_text("from,to,free\n" + rows)
+    traces = tmp_path / "t.csv"
+    traces.write_text("user_id,time,location\nu1,1,1\nu1,2,2\n")
+    message = f"config error: graph file: graph has {r} states, at most {r - 1} allowed"
+    code = main(
+        ["audit", "--traces", str(traces), "--model", "markov", "--graph", str(graph),
+         "--n", "10", "--alpha-margin", "0.1"]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    cfg = write_config(tmp_path, model="markov", graph_path=str(graph))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_audit_graph_that_repeats_an_edge_exits_2(tmp_path, capsys):

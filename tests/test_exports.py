@@ -296,7 +296,7 @@ def test_modules_import_only_earlier_layers():
 
 
 # Sufficient statistics, likelihoods, profile fits and the per-user
-# trajectory samplers (whose CDF tables only the models build) belong to
+# trajectory samplers (whose tables only the models build) belong to
 # the model: the library reaches them only through IidModel and
 # MarkovModel methods.
 MODEL_OWNED = {

@@ -10,13 +10,13 @@ from helpers import (
     validate_chain,
 )
 from locpriv.markov import (
+    MAX_MARKOV_STATES,
     MarkovModel,
     MobilityGraph,
     expand_free_params,
     fit_markov_profile,
     load_graph_csv,
     sample_free_params,
-    sample_trajectory_markov,
 )
 from locpriv.mobility import fit_iid_profile
 
@@ -65,6 +65,22 @@ def test_graph_validation():
         MobilityGraph(r=2, edges=[(0, 0), (0, 1), (1, 1)], free_edges=[(0, 0), (0, 1)])
     with pytest.raises(ValueError):
         MobilityGraph(r=2, edges=[(0, 1), (1, 0)], free_edges=[(1, 1)])
+
+
+def test_graph_state_cap():
+    # walks store states as bytes: 256 states walk like the stepwise
+    # oracle, with successors up to the largest byte; 257 are refused
+    r = MAX_MARKOV_STATES
+    cycle = [(i, (i + 1) % (r + 1)) for i in range(r + 1)]
+    with pytest.raises(ValueError, match=f"at most {r} allowed"):
+        MobilityGraph(r=r + 1, edges=cycle)
+    g = MobilityGraph(r=r, edges=[(i, j) for i in range(r) for j in range(r)])
+    laws = np.random.default_rng(3).dirichlet(np.ones(r), size=(3, r))
+    rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
+    got = MarkovModel(g).sample_trajectories(laws, 40, rng_got)
+    want = [sample_trajectory_markov_stepwise(T, 40, rng_want) for T in laws]
+    assert [w.tolist() for w in got] == [w.tolist() for w in want]
+    assert max(int(w.max()) for w in got) > 200
 
 
 def test_canonical_free_edge_rule():
@@ -321,16 +337,24 @@ def test_sample_trajectory_matches_stepwise_walk():
             assert states.dtype == np.int64 and not states.flags.writeable
             assert states.tolist() == want.tolist()
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
-    # the walk never reads a table's last column: NaN there walks as 1.0
+    # the walk never reads the cumulative table's last column: a law whose
+    # last column is NaN, and so only the table's, walks as the finite law
     law = _overshooting_law()
-    ones = np.cumsum(law, axis=1)
-    nans = ones.copy()
-    ones[:, -1], nans[:, -1] = 1.0, np.nan
+    nan_law = law.copy()
+    nan_law[:, -1] = np.nan
     for seed in range(20):
-        want = sample_trajectory_markov_stepwise(law, 300, np.random.default_rng(seed))
-        for table in (ones, nans):
-            got = sample_trajectory_markov(table, 300, np.random.default_rng(seed))
-            assert got.tolist() == want.tolist()
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = MarkovModel(complete4).sample_trajectories(np.stack([nan_law, law]), 300, rng_got)
+        for states in got:
+            want = sample_trajectory_markov_stepwise(law, 300, rng_want)
+            assert states.tolist() == want.tolist()
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    # no observation: the same error, raised before any draw
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least one observation"):
+        MarkovModel(complete4).sample_trajectories(np.stack([law]), 0, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_sample_trajectory_transition_frequencies():
