@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         print(f"locpriv: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
-        print(f"locpriv: error: {exc}", file=sys.stderr)
+        print(f"locpriv: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

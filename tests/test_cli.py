@@ -105,6 +105,15 @@ def test_runtime_errors_exit_1(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+def test_runtime_error_without_message_names_its_type(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("locpriv.cli.run_sweep", fail)
+    assert main(["sweep", "--config", write_config(tmp_path)]) == 1
+    assert "locpriv: error: MemoryError\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep", "sweep-config-out", "lemma", "audit"])
 def test_out_in_missing_directory_exits_2_before_any_trial(
     tmp_path, capsys, monkeypatch, command
