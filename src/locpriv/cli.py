@@ -75,14 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, seed, out):
-    if seed is not None:
-        config = dataclasses.replace(config, seed=check_seed(seed))
-    if out is not None:
-        config = dataclasses.replace(config, out_path=out)
-    return config
-
-
 def _check_out_dir(path: str) -> None:
     """Reject an output path in a missing directory before any work."""
     folder = os.path.dirname(path)
@@ -92,7 +84,11 @@ def _check_out_dir(path: str) -> None:
 
 def _cmd_sweep(args) -> int:
     """Run ``sweep``, or ``simulate``, which takes a one-cell config."""
-    config = _apply_overrides(load_config(args.config), args.seed, args.out)
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=check_seed(args.seed))
+    if args.out is not None:
+        config = dataclasses.replace(config, out_path=args.out)
     if args.command == "simulate" and len(config.n_grid) != 1:
         raise ConfigError("simulate needs a config with exactly one n_grid entry")
     _check_out_dir(config.out_path)

@@ -181,13 +181,9 @@ def _parse_density(spec: dict | None, r: int) -> ProfileDensity:
     _require_keys(spec, {"kind", "bump_weight", "bump_alpha"}, "density")
     if spec["kind"] == "uniform-simplex" and len(spec) > 1:
         raise ConfigError("uniform-simplex takes no bump_weight or bump_alpha")
+    bumps = {k: _number(spec[k], k) for k in ("bump_weight", "bump_alpha") if k in spec}
     try:
-        return ProfileDensity(
-            kind=spec["kind"],
-            r=r,
-            bump_weight=_number(spec.get("bump_weight", 0.5), "bump_weight"),
-            bump_alpha=_number(spec.get("bump_alpha", 2.0), "bump_alpha"),
-        )
+        return ProfileDensity(kind=spec["kind"], r=r, **bumps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -733,7 +729,7 @@ def run_lemma_battery(
     rows = []  # (n, m, metric, value) per row, in CSV order
 
     rng = np.random.default_rng(substream_seed(seed, 2, 0))
-    records = proofcheck.delta_uniformity_experiment(params, m_grid, 10_000, rng)
+    records = proofcheck.delta_uniformity_experiment(params, m_grid, rng)
     for rec in records:
         gap = abs(rec.product_identity - rec.power_identity)
         rows.append((0, rec.m, "identity_product", rec.product_identity))

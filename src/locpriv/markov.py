@@ -121,7 +121,7 @@ class MarkovModel:
     def d(self) -> int:
         return self.graph.d
 
-    def profile_sampler(self, density=None):
+    def profile_sampler(self, density):
         """rng -> a transition matrix with free parameters uniform on R_p
         (the only Markov prior, so ``density`` is not consulted)."""
         graph = self.graph

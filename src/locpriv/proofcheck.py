@@ -88,6 +88,10 @@ def crowd(p_values: np.ndarray, eps: float) -> np.ndarray | None:
     return None if len(p_values) > 1 and members.size < 2 else members
 
 
+# (p_i, p_j) and (a, b) pairs drawn per m by delta_uniformity_experiment.
+DELTA_PAIRS = 10_000
+
+
 @dataclass(frozen=True)
 class DeltaUniformityRecord:
     m: int
@@ -98,9 +102,10 @@ class DeltaUniformityRecord:
 
 
 def delta_uniformity_experiment(
-    params: LemmaParams, m_grid, samples: int, rng: np.random.Generator
+    params: LemmaParams, m_grid, rng: np.random.Generator
 ) -> list[DeltaUniformityRecord]:
-    """Sample crowd pairs and count pairs and track the worst |ln Delta|.
+    """Sample DELTA_PAIRS crowd pairs and count pairs per m and track the
+    worst |ln Delta|.
 
     User 1 visits state 1 with probability p1 = 1/2. For each m: p_i, p_j
     are uniform in [lo_p, hi_p], the eps(m)-window around p1 clipped to
@@ -126,8 +131,8 @@ def delta_uniformity_experiment(
         hi_p = min(1.0 - BOUNDARY_MARGIN, p1 + eps)
         a_lo = max(0, math.ceil(m * (p1 - beta)))
         a_hi = min(m, math.floor(m * (p1 + beta)))
-        ps = rng.uniform(lo_p, hi_p, size=(samples, 2))
-        ab = rng.integers(a_lo, a_hi + 1, size=(samples, 2))
+        ps = rng.uniform(lo_p, hi_p, size=(DELTA_PAIRS, 2))
+        ab = rng.integers(a_lo, a_hi + 1, size=(DELTA_PAIRS, 2))
         logit_gap = np.log(ps[:, 0] / ps[:, 1]) + np.log(
             (1.0 - ps[:, 1]) / (1.0 - ps[:, 0])
         )
@@ -156,7 +161,6 @@ class WeightUniformityResult:
     deviations: np.ndarray
     median: float | None
     degenerate_trials: int
-    trials: int
 
     @classmethod
     def from_trials(cls, deviations) -> WeightUniformityResult:
@@ -166,15 +170,7 @@ class WeightUniformityResult:
             deviations=np.asarray(devs, dtype=float),
             median=float(np.median(devs)) if devs else None,
             degenerate_trials=len(deviations) - len(devs),
-            trials=len(deviations),
         )
-
-
-def _draw_interior_uniform(rng: np.random.Generator) -> float:
-    while True:
-        p = rng.random()
-        if BOUNDARY_MARGIN < p < 1.0 - BOUNDARY_MARGIN:
-            return p
 
 
 def weight_uniformity(
@@ -202,8 +198,11 @@ def weight_uniformity(
     def draw(rng):
         ps = np.empty(n)
         ps[0] = 0.5
-        for i in range(1, n):
-            ps[i] = _draw_interior_uniform(rng)
+        for i in range(1, n):  # one rng.random() per attempt
+            p = rng.random()
+            while not BOUNDARY_MARGIN < p < 1.0 - BOUNDARY_MARGIN:
+                p = rng.random()
+            ps[i] = p
         members = crowd(ps, eps)
         if members is None:
             return None

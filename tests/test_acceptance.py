@@ -326,8 +326,7 @@ def test_criterion_08_lemma_machinery():
     # (c) likelihood-ratio envelope at the stated coefficient, and
     # monotone decay of the sampled maximum across the m-grid
     records = proofcheck.delta_uniformity_experiment(
-        params, [10**2, 10**3, 10**4, 10**5, 10**6], 10_000,
-        np.random.default_rng(109),
+        params, [10**2, 10**3, 10**4, 10**5, 10**6], np.random.default_rng(109),
     )
     ok_c_envelope = all(r.max_abs_log_delta <= r.envelope for r in records)
     maxima = [r.max_abs_log_delta for r in records]

@@ -7,7 +7,8 @@ must also be reached from the library or the benchmark, and so must every
 public method and property of an exported class, so test-only references
 live in ``tests/helpers.py`` instead. Likewise every defaulted parameter
 of those functions and methods must be passed somewhere in the library or
-the benchmark, so no option is set only by the tests.
+the benchmark, so no option is set only by the tests, and no parameter of
+an exported function may take the same literal at every call there.
 """
 import ast
 import glob
@@ -198,6 +199,72 @@ def test_defaulted_parameters_are_passed_from_src_or_bench():
         if not passed(name, position, parameter)
     )
     assert unpassed == [], "defaults only the tests override"
+
+
+# Exported-function parameters to which every call in src/ and bench/
+# passes the same literal, with the reason. Empty: such a parameter is a
+# module constant (as proofcheck.DELTA_PAIRS is).
+ONE_VALUE_ALLOWED: dict[str, str] = {}
+
+
+_UNKNOWN = object()  # a passed value that is not a literal
+
+
+def _passed_value(call: ast.Call, func: ast.FunctionDef, position, arg: ast.arg):
+    """The literal a call passes for ``arg`` (its default when the call
+    leaves it out), or ``_UNKNOWN`` when it is not a literal or a splat
+    may pass it."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return _UNKNOWN
+    if position is not None and position < len(call.args):
+        node = call.args[position]
+    else:
+        node = next((k.value for k in call.keywords if k.arg == arg.arg), None)
+    if node is None:
+        positional = func.args.posonlyargs + func.args.args
+        defaults = dict(zip(positional[::-1], func.args.defaults[::-1]))
+        defaults.update(zip(func.args.kwonlyargs, func.args.kw_defaults))
+        node = defaults.get(arg)
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:  # also raised for a missing node
+        return _UNKNOWN
+
+
+def test_parameters_take_more_than_one_value_from_src_or_bench():
+    # A parameter that every library and benchmark call sets to the same
+    # literal is a constant spelled at each call site: the tests alone
+    # vary it.
+    funcs, calls = [], []
+    for _, tree, in_library in _src_and_bench_trees():
+        if in_library:
+            exported = _exported_functions(tree)
+            funcs += [
+                node
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in exported
+            ]
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    one_value = []
+    for func in funcs:
+        mine = [
+            call
+            for call in calls
+            if getattr(call.func, "attr", getattr(call.func, "id", None)) == func.name
+        ]
+        positional = func.args.posonlyargs + func.args.args
+        params = list(enumerate(positional)) + [
+            (None, arg) for arg in func.args.kwonlyargs
+        ]
+        for position, arg in params:
+            values = {_passed_value(call, func, position, arg) for call in mine}
+            if len(values) == 1 and _UNKNOWN not in values:
+                one_value.append(f"{func.name}.{arg.arg}")
+    assert set(ONE_VALUE_ALLOWED) <= set(one_value), "stale allow-list entries"
+    one_value = [name for name in one_value if name not in ONE_VALUE_ALLOWED]
+    assert one_value == [], "parameters every call sets to one literal"
 
 
 def _library_calls(names) -> list[tuple]:

@@ -83,9 +83,7 @@ def test_critical_set_size_matches_binomial_oracle():
 def test_delta_uniformity_identity_and_trend():
     params = LemmaParams(1.0, 0.05, 0.1)
     m_grid = [10**2, 10**3, 10**4, 10**5, 10**6]
-    records = delta_uniformity_experiment(
-        params, m_grid, 10_000, np.random.default_rng(5)
-    )
+    records = delta_uniformity_experiment(params, m_grid, np.random.default_rng(5))
     for rec in records:
         assert abs(rec.product_identity - rec.power_identity) <= 1e-12
         # the sampled worst case stays under the sharp analytic ceiling
@@ -103,9 +101,7 @@ def _logit(p):
 def test_delta_envelope_is_tight_box_supremum():
     params = LemmaParams(1.0, 0.05, 0.1)
     m_grid = [10**2, 10**3, 10**4, 10**5, 10**6]
-    records = delta_uniformity_experiment(
-        params, m_grid, 10_000, np.random.default_rng(5)
-    )
+    records = delta_uniformity_experiment(params, m_grid, np.random.default_rng(5))
     p1 = 0.5
     for rec in records:
         m = rec.m
@@ -165,7 +161,6 @@ def test_weight_uniformity_reports_degenerate_trials():
 def test_weight_uniformity_basic_run():
     params = LemmaParams(0.8, 0.15, 0.3)
     res = weight_uniformity(params, 6, 8, 50, np.random.default_rng(9))
-    assert res.trials == 50
     assert res.deviations.size + res.degenerate_trials == 50
     assert res.median >= 0.0
     assert np.isfinite(res.deviations).all()
