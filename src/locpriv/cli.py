@@ -115,10 +115,8 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_audit(args) -> int:
     graph = None if args.graph is None else load_graph(args.graph)
-    dataset, population = ingest_traces(
-        args.traces, args.model, r=args.r, graph=graph
-    )
-    report = audit(dataset, population, args.n, args.alpha_margin)
+    dataset, laws = ingest_traces(args.traces, args.model, r=args.r, graph=graph)
+    report = audit(dataset, laws, args.n, args.alpha_margin)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

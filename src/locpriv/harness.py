@@ -33,7 +33,7 @@ from .metrics import (
     run_trials,
     score_trial,
 )
-from .mobility import IidModel, Population, ProfileDensity, _readonly
+from .mobility import IidModel, ProfileDensity, _readonly
 
 __all__ = [
     "ConfigError",
@@ -472,11 +472,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 
 @dataclass(frozen=True)
 class TraceDataset:
-    """Real traces: per-user time-ordered read-only int64 state arrays."""
+    """Real traces: per-user time-ordered read-only int64 state arrays,
+    and the model (``IidModel(r)`` or ``MarkovModel(graph)``) whose states
+    they hold."""
 
     user_ids: tuple
     trajectories: tuple
     label_map: dict
+    model: IidModel | MarkovModel
 
 
 def ingest_traces(
@@ -485,8 +488,12 @@ def ingest_traces(
     *,
     r: int | None = None,
     graph: MobilityGraph | None = None,
-) -> tuple[TraceDataset, Population]:
+) -> tuple[TraceDataset, np.ndarray]:
     """Read `user_id,time,location` rows and fit add-one smoothed profiles.
+
+    Returns the dataset and the read-only float64 stack of fitted laws, one
+    per user in ``dataset.user_ids`` order: (n, r) for the iid model and
+    (n, r, r) for the markov model.
 
     For the iid model locations are arbitrary string labels, numbered from
     0 user by user: users in order of first appearance, each user's labels
@@ -588,13 +595,14 @@ def ingest_traces(
         user_ids=tuple(per_user),
         trajectories=trajectories,
         label_map=label_map,
+        model=model,
     )
-    return dataset, Population(model=model, profiles=profiles)
+    return dataset, _readonly(profiles, float)
 
 
 def audit(
     dataset: TraceDataset,
-    population: Population,
+    laws: np.ndarray,
     n_effective: int,
     alpha_margin: float,
     trials: int = 200,
@@ -607,6 +615,8 @@ def audit(
     dataset's actual observation count: a synthetic rerun where the
     adversary knows the generating (fitted) profiles exactly, and an
     attack on the real traces themselves using the fitted profiles.
+    ``laws`` is the stack of fitted laws ``ingest_traces`` returns with
+    the dataset, under ``dataset.model``.
     """
     try:
         margin = _number(alpha_margin, "alpha_margin")
@@ -620,7 +630,7 @@ def audit(
     _count(n_effective, "n_effective", 1)
     _count(trials, "trials", 1)
     check_seed(seed)
-    model = population.model
+    model = dataset.model
     try:
         tau = threshold_exponent(model)
     except ValueError as exc:  # markov with d = 0
@@ -641,22 +651,20 @@ def audit(
     truncated = len(set(lengths)) > 1
     rng = np.random.default_rng(substream_seed(seed, 0, 0))
     with _naming(f"audit synthetic rerun, seed {seed}"):
-        exact = deanonymization_accuracy(
-            model, population.profiles, m_used, trials, rng
-        )
+        exact = deanonymization_accuracy(model, laws, m_used, trials, rng)
 
     rng2 = np.random.default_rng(substream_seed(seed, 1, 0))
     truncated_trajs = [t[:m_used] for t in dataset.trajectories]
     hits = 0.0
     for t in range(trials):
         with _naming(f"audit fitted attack, trial {t}, seed {seed}"):
-            trial = attack(model, population.profiles, truncated_trajs, rng2)
+            trial = attack(model, laws, truncated_trajs, rng2)
             hits += score_trial(model, trial, ("accuracy",))["pi1_accuracy"]
 
     return {
         "model": model.name,
         "r": model.r,
-        "n_users": population.n,
+        "n_users": len(laws),
         "n_effective": n_effective,
         "threshold_exponent": tau,
         "alpha_margin": alpha_margin,

@@ -20,7 +20,6 @@ from . import adversary
 __all__ = [
     "BOUNDARY_MARGIN",
     "IidModel",
-    "Population",
     "ProfileDensity",
     "fit_iid_profile",
     "sample_profile",
@@ -130,24 +129,6 @@ class ProfileDensity:
                 raise ValueError("bump_weight must lie in (0, 1)")
             if self.bump_alpha <= 1.0:
                 raise ValueError("bump_alpha must exceed 1 for a bounded bump")
-
-
-@dataclass(frozen=True)
-class Population:
-    """n users sharing one model kind; ``profiles`` is the read-only stack
-    of their laws, (n, r) for i.i.d. and (n, r, r) for Markov mobility."""
-
-    model: object  # IidModel or markov.MarkovModel
-    profiles: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.profiles) < 1:
-            raise ValueError("population needs at least one user")
-        object.__setattr__(self, "profiles", _readonly(self.profiles, float))
-
-    @property
-    def n(self) -> int:
-        return len(self.profiles)
 
 
 def _dirichlet(rng: np.random.Generator, r: int, alpha: float = 1.0) -> list[float]:

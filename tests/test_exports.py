@@ -11,10 +11,12 @@ the benchmark, so no option is set only by the tests, and no parameter of
 an exported function may take the same literal at every call there.
 """
 import ast
+import builtins
 import glob
 import inspect
 import math
 import os
+import re
 import typing
 
 import locpriv
@@ -31,6 +33,24 @@ def test_all_names_exist():
         module = getattr(locpriv, module_name)
         for name in module.__all__:
             assert hasattr(module, name), f"{module_name}.{name} is not defined"
+
+
+def test_readme_library_map_names_exist():
+    # A type deleted from the library must leave the README's library map
+    # too: every backticked CamelCase name there (a span that starts with
+    # one) is a builtin or exported by a locpriv module.
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library map\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\b", section))
+    exported = {
+        name
+        for module_name in locpriv.__all__
+        for name in getattr(locpriv, module_name).__all__
+    }
+    assert named, "no CamelCase names found in the library map"
+    unknown = sorted(n for n in named if n not in exported and not hasattr(builtins, n))
+    assert unknown == [], "README names what no locpriv module exports"
 
 
 def test_public_annotations_resolve():

@@ -25,6 +25,7 @@ from locpriv.harness import (
     substream_seed,
     write_results_csv,
 )
+from locpriv.markov import MarkovModel
 from locpriv.metrics import simulate_attack_trial
 from locpriv.mobility import IidModel
 
@@ -409,7 +410,7 @@ def test_sweep_error_names_the_failing_trial(tmp_path, monkeypatch):
 )
 def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
     # 60 MAP calls for the synthetic rerun, then one per fitted-attack trial
-    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
     map_assignment = harness.adversary.map_assignment
     calls = []
 
@@ -421,7 +422,7 @@ def test_audit_error_names_the_failing_trial(monkeypatch, fail_at, suffix):
 
     monkeypatch.setattr(harness.adversary, "map_assignment", failing_map)
     with pytest.raises(ValueError) as info:
-        audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
+        audit(dataset, laws, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
     assert type(info.value) is ValueError
     assert str(info.value) == f"no feasible permutation: injected {suffix}"
     root = info.value.__cause__
@@ -639,9 +640,9 @@ def test_accuracy_only_sweep_solves_only_without_sort_keys(
 def test_ingest_traces_three_user_example(tmp_path):
     path = tmp_path / "traces.csv"
     path.write_text(THREE_USER_TRACES)
-    dataset, pop = ingest_traces(str(path), "iid")
+    dataset, laws = ingest_traces(str(path), "iid")
     assert len(dataset.user_ids) == 3
-    assert pop.model == IidModel(5)
+    assert dataset.model == IidModel(5)
     counts = [np.bincount(t, minlength=5).tolist() for t in dataset.trajectories]
     assert counts == [
         [1, 1, 1, 1, 0],
@@ -649,14 +650,14 @@ def test_ingest_traces_three_user_example(tmp_path):
         [1, 0, 1, 1, 1],
     ]
     # smoothing 1.0: (count + 1) / (4 + 5)
-    assert np.allclose(pop.profiles[0], np.array([2, 2, 2, 2, 1]) / 9)
+    assert np.allclose(laws[0], np.array([2, 2, 2, 2, 1]) / 9)
 
 
 def test_ingest_traces_single_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("user_id,time,location\nu1,5,home\n")
-    dataset, pop = ingest_traces(str(path), "iid")
-    assert pop.profiles[0].tolist() == [2 / 3, 1 / 3]
+    dataset, laws = ingest_traces(str(path), "iid")
+    assert laws[0].tolist() == [2 / 3, 1 / 3]
 
 
 def test_ingest_traces_rejects_bad_files(tmp_path):
@@ -764,7 +765,7 @@ def test_ingest_traces_skips_blank_lines_and_extra_columns(tmp_path):
     # the header check strips names, so padded ones must read too
     path = tmp_path / "ok.csv"
     path.write_text("user_id, time ,location\n\nu1,1,a,note\n\nu1, 2,b\n")
-    dataset, pop = ingest_traces(str(path), "iid")
+    dataset, laws = ingest_traces(str(path), "iid")
     assert dataset.user_ids == ("u1",)
     assert dataset.label_map == {"a": 0, "b": 1}
     assert dataset.trajectories[0].tolist() == [0, 1]
@@ -781,6 +782,36 @@ def test_ingest_traces_numbers_iid_labels_user_by_user(tmp_path):
     assert [t.tolist() for t in dataset.trajectories] == [[0, 1], [2]]
 
 
+MARKOV_TRACES = (
+    "user_id,time,location\n"
+    "u1,1,1\nu1,2,1\nu1,3,2\nu1,4,3\nu1,5,1\n"
+    "u2,1,1\nu2,2,3\nu2,3,2\nu2,4,3\nu2,5,2\n"
+    "u3,1,3\nu3,2,1\nu3,3,1\nu3,4,1\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+def test_ingest_traces_returns_the_model_and_a_readonly_law_stack(tmp_path, kind):
+    # the dataset carries its model; the laws are the read-only float64
+    # stack of each user's fit, in user_ids order
+    if kind == "iid":
+        dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+        assert dataset.model == IidModel(5)
+    else:
+        graph = harness.load_graph(os.path.join(CONFIGS, "three_state_graph.csv"))
+        path = tmp_path / "m.csv"
+        path.write_text(MARKOV_TRACES)
+        dataset, laws = ingest_traces(str(path), "markov", graph=graph)
+        assert isinstance(dataset.model, MarkovModel)
+        assert dataset.model.graph is graph
+    assert isinstance(laws, np.ndarray) and laws.dtype == np.float64
+    assert not laws.flags.writeable
+    assert len(laws) == len(dataset.user_ids)
+    for law, traj in zip(laws, dataset.trajectories):
+        fit = dataset.model.fit_profile(traj)
+        assert law.shape == fit.shape and law.tobytes() == fit.tobytes()
+
+
 def test_ingest_traces_markov_contract(tmp_path):
     graph = three_state_graph()
     ok = tmp_path / "m.csv"
@@ -789,8 +820,8 @@ def test_ingest_traces_markov_contract(tmp_path):
         "u1,1,1\nu1,2,1\nu1,3,2\nu1,4,3\nu1,5,1\n"
         "u2,1,1\nu2,2,3\nu2,3,2\nu2,4,3\nu2,5,2\n"
     )
-    dataset, pop = ingest_traces(str(ok), "markov", graph=graph)
-    assert pop.model.graph is graph
+    dataset, laws = ingest_traces(str(ok), "markov", graph=graph)
+    assert dataset.model.graph is graph
     assert dataset.trajectories[0].tolist() == [0, 0, 1, 2, 0]
 
     with pytest.raises(ConfigError):
@@ -856,8 +887,8 @@ def test_audit_iid_thresholds(tmp_path):
         "u1,1,a\nu1,2,a\nu1,3,b\nu1,4,a\n"
         "u2,1,b\nu2,2,b\nu2,3,b\nu2,4,a\n"
     )
-    dataset, pop = ingest_traces(str(path), "iid")
-    report = audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=50)
+    dataset, laws = ingest_traces(str(path), "iid")
+    report = audit(dataset, laws, n_effective=100, alpha_margin=0.5, trials=50)
     assert report["threshold_exponent"] == 2.0
     assert report["recommended_max_observations"] == 1000
     assert report["observations_per_user"] == 4
@@ -874,8 +905,8 @@ def test_audit_markov_thresholds(tmp_path):
         "u1,1,1\nu1,2,1\nu1,3,2\nu1,4,3\nu1,5,1\n"
         "u2,1,1\nu2,2,3\nu2,3,2\nu2,4,3\nu2,5,2\n"
     )
-    dataset, pop = ingest_traces(str(path), "markov", graph=graph)
-    report = audit(dataset, pop, n_effective=100, alpha_margin=1 / 6, trials=40)
+    dataset, laws = ingest_traces(str(path), "markov", graph=graph)
+    report = audit(dataset, laws, n_effective=100, alpha_margin=1 / 6, trials=40)
     assert report["threshold_exponent"] == pytest.approx(2 / 3)
     assert report["recommended_max_observations"] == 10
     assert report["d"] == 3
@@ -888,11 +919,11 @@ def test_audit_rejects_degenerate_markov(tmp_path):
     cycle = MobilityGraph(r=3, edges=[(0, 1), (1, 2), (2, 0)])
     path = tmp_path / "c.csv"
     path.write_text("user_id,time,location\nu1,1,1\nu1,2,2\nu1,3,3\n")
-    dataset, pop = ingest_traces(str(path), "markov", graph=cycle)
+    dataset, laws = ingest_traces(str(path), "markov", graph=cycle)
     with pytest.raises(ConfigError):
-        audit(dataset, pop, n_effective=10, alpha_margin=0.1)
+        audit(dataset, laws, n_effective=10, alpha_margin=0.1)
     with pytest.raises(ConfigError):
-        audit(dataset, pop, n_effective=10, alpha_margin=0.0)
+        audit(dataset, laws, n_effective=10, alpha_margin=0.0)
 
 
 @pytest.mark.parametrize(
@@ -910,20 +941,20 @@ def test_audit_rejects_degenerate_markov(tmp_path):
 def test_audit_rejects_bad_counts(kwargs):
     # a count is a plain integer: true is not one trial, and 2.5 users or
     # trials is a configuration error, not a TypeError or an echoed value
-    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
     args = {"n_effective": 100, "alpha_margin": 0.5, "trials": 2, **kwargs}
     name = next(iter(kwargs))
     with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
-        audit(dataset, pop, **args)
+        audit(dataset, laws, **args)
 
 
 @pytest.mark.parametrize("margin", [True, "0.1"], ids=["true", "str"])
 def test_audit_rejects_alpha_margin_that_is_not_a_number(margin):
     # true is not a margin of 1.0, and "0.1" is a configuration error, not
     # a bare TypeError from the comparison
-    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
     with pytest.raises(ConfigError, match="alpha_margin must be positive and finite"):
-        audit(dataset, pop, n_effective=100, alpha_margin=margin, trials=2)
+        audit(dataset, laws, n_effective=100, alpha_margin=margin, trials=2)
 
 
 def test_audit_truncates_unequal_lengths(tmp_path):
@@ -933,8 +964,8 @@ def test_audit_truncates_unequal_lengths(tmp_path):
         "u1,1,a\nu1,2,b\nu1,3,a\n"
         "u2,1,b\nu2,2,a\n"
     )
-    dataset, pop = ingest_traces(str(path), "iid")
-    report = audit(dataset, pop, n_effective=10, alpha_margin=0.5, trials=10)
+    dataset, laws = ingest_traces(str(path), "iid")
+    report = audit(dataset, laws, n_effective=10, alpha_margin=0.5, trials=10)
     assert report["observations_per_user"] == 2
     assert report["unequal_lengths_truncated"] is True
 
@@ -1044,9 +1075,9 @@ def test_seed_outside_range_is_a_config_error(tmp_path, seed):
         run_lemma_battery(1.0, 0.05, 0.1, [100], [3], 1, seed)
     path = tmp_path / "two.csv"
     path.write_text("user_id,time,location\nu1,1,a\nu1,2,b\nu2,1,b\nu2,2,a\n")
-    dataset, pop = ingest_traces(str(path), "iid")
+    dataset, laws = ingest_traces(str(path), "iid")
     with pytest.raises(ConfigError, match="seed must be"):
-        audit(dataset, pop, n_effective=10, alpha_margin=0.5, trials=1, seed=seed)
+        audit(dataset, laws, n_effective=10, alpha_margin=0.5, trials=1, seed=seed)
 
 
 def test_lemma_weight_rows_pinned():
@@ -1106,8 +1137,8 @@ def test_lemma_battery_csv_bytes_pinned(tmp_path):
 
 
 def test_audit_iid_demo_report_pinned():
-    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
-    report = audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
+    dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    report = audit(dataset, laws, n_effective=100, alpha_margin=0.5, trials=60, seed=3)
     assert report == {
         "model": "iid",
         "r": 5,
@@ -1135,12 +1166,12 @@ def test_audit_iid_demo_report_pinned():
 def test_audit_synthetic_rerun_pinned():
     # The synthetic rerun is the fixed-profile accuracy estimate on the
     # fitted profiles, from the audit's first substream.
-    dataset, pop = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
-    report = audit(dataset, pop, n_effective=100, alpha_margin=0.5, trials=200, seed=34)
+    dataset, laws = ingest_traces(os.path.join(CONFIGS, "demo_traces.csv"), "iid")
+    report = audit(dataset, laws, n_effective=100, alpha_margin=0.5, trials=200, seed=34)
     rng = np.random.default_rng(substream_seed(34, 0, 0))
     acc = deanonymization_accuracy_mc(
-        pop.model, pop.n, report["observations_per_user"], 200, rng,
-        profiles=pop.profiles,
+        dataset.model, len(laws), report["observations_per_user"], 200, rng,
+        profiles=laws,
     )
     assert report["pi1_accuracy"] == acc.pi1_accuracy
     assert report["pi1_accuracy"].hex() == "0x1.23d70a3d70a3dp-1"

@@ -4,7 +4,6 @@ import pytest
 from locpriv.mobility import (
     BOUNDARY_MARGIN,
     IidModel,
-    Population,
     ProfileDensity,
     fit_iid_profile,
     sample_profile,
@@ -13,14 +12,11 @@ from locpriv.mobility import _dirichlet
 
 
 def test_profile_is_immutable():
-    # drawn and fitted profiles, and a population's stack, are read-only
+    # drawn and fitted profiles are read-only
     rng = np.random.default_rng(0)
     drawn = sample_profile(ProfileDensity("uniform-simplex", 3), rng)
     fitted = fit_iid_profile([0, 1, 1], r=3)
-    source = np.stack([drawn, fitted])
-    pop = Population(model=IidModel(3), profiles=source)
-    assert pop.profiles is not source and np.array_equal(pop.profiles, source)
-    for p in (drawn, fitted, pop.profiles):
+    for p in (drawn, fitted):
         with pytest.raises(ValueError):
             p[0] = 0.5
 
@@ -121,13 +117,6 @@ def test_fit_iid_profile_smoothed_always_interior():
         states = rng.integers(0, 4, size=rng.integers(0, 30))
         p = fit_iid_profile(states, r=4)
         assert np.all(p > 0) and np.all(p < 1)
-
-
-def test_population_requires_users():
-    with pytest.raises(ValueError):
-        Population(model=IidModel(2), profiles=np.empty((0, 2)))
-    pop = Population(model=IidModel(2), profiles=np.array([[0.4, 0.6]]))
-    assert pop.n == 1
 
 
 def _dirichlet_profile_reference(density, rng):
