@@ -14,6 +14,7 @@ graph's edges; a trial's n users travel as one read-only (n, r, r) stack.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -143,18 +144,32 @@ class MarkovModel:
         last column is never read. The count is summed one column at a
         time into an (n, r, m-1) uint8 table, so no temporary is larger
         than its n * r * (m-1) bytes; a uint8 holds every state of a graph
-        within ``MAX_MARKOV_STATES``. Each walk then steps through its
-        user's (r, m-1) slice. Raises for m < 1 before drawing anything.
+        within ``MAX_MARKOV_STATES``.
+
+        The steps are then cut into nb = ceil((m-1)/K) blocks of K =
+        ``_block_length(m)`` steps, with the table's time axis zero-padded
+        to nb*K, and the table is composed in place into the block-path
+        table: entry [i, s, b*K + j] becomes the state user i's walk enters
+        at step b*K + j + 1 when it starts block b in state s. Composition
+        takes one flat ``take`` per offset j > 0 for every user, state and
+        block at once; a block of one step is its own path. Each walk then
+        strides its user's (r, nb*K) slice one block at a time. Raises for
+        m < 1 before drawing anything.
         """
         if m < 1:
             raise ValueError("Markov trajectories need at least one observation")
         cdf = np.cumsum(laws, axis=2)
         n, r = cdf.shape[:2]
         u = rng.random((n, m - 1))
-        successors = np.zeros((n, r, m - 1), dtype=np.uint8)
+        K = _block_length(m)
+        width = -(-(m - 1) // K) * K  # m - 1 steps padded to whole blocks
+        table = np.zeros((n, r, width), dtype=np.uint8)
+        successors = table[:, :, : m - 1]
         for k in range(r - 1):
             successors += cdf[:, :, k, None] <= u[:, None, :]
-        return [sample_trajectory_markov(table, m) for table in successors]
+        if K > 1:
+            _compose_blocks(table, K)
+        return [sample_trajectory_markov(row, m) for row in table]
 
     def marginal(self, profile: np.ndarray, k: int) -> np.ndarray:
         """Exact law of the user's location at time k; walks start at state 0."""
@@ -208,23 +223,58 @@ def expand_free_params(params: Sequence[float], graph: MobilityGraph) -> np.ndar
     return T
 
 
-def sample_trajectory_markov(successors: np.ndarray, m: int) -> np.ndarray:
+def _block_length(m: int) -> int:
+    """Steps per block of a length-m walk: about sqrt(m - 1), which
+    balances the K gathers that compose a trial's blocks against the
+    ceil((m-1)/K) Python steps of each walk, from 1 up to 20."""
+    k = math.isqrt(m - 1)
+    return 20 if k > 20 else k or 1
+
+
+def _compose_blocks(table: np.ndarray, K: int) -> None:
+    """Turn an (n, r, nb*K) successor table into its block-path table, in
+    place: paths[i, s, b, j] = successors[i, paths[i, s, b, j-1], b, j],
+    which sits in the flat table at (i*r + state) * width + b*K + j.
+    Offset 0 is the successor itself, and each later offset is gathered
+    whole, from the successors, before it is overwritten."""
+    n, r, width = table.shape
+    nb = width // K
+    paths = table.reshape(n, r, nb, K)
+    flat = table.ravel()
+    start = np.arange(n)[:, None, None] * (r * width) + np.arange(0, width, K)
+    start = np.broadcast_to(start, (n, r, nb)).copy()  # full-shape adds run faster
+    at = np.empty((n, r, nb), dtype=np.intp)
+    step = paths[:, :, :, 0]
+    for j in range(1, K):
+        np.multiply(step, width, out=at, dtype=np.intp)
+        at += start
+        step = paths[:, :, :, j] = flat[j:].take(at)
+
+
+def sample_trajectory_markov(paths: np.ndarray, m: int) -> np.ndarray:
     """Length-m read-only int64 walk from state 0 (label 1 in external files).
 
-    ``successors`` is one user's (r, m-1) uint8 table from
+    ``paths`` is one user's (r, nb*K) uint8 block-path table from
     ``MarkovModel.sample_trajectories``, which draws the uniforms and
-    checks m >= 1: entry [s, t-1] is the state the walk enters at step t
-    from state s. The walk is a chain of lookups in the table's rows as
-    ``bytes``, and its states are read back as bytes.
+    checks m >= 1: with K = ``_block_length(m)``, entry [s, b*K + j] is
+    the state the walk enters at step b*K + j + 1 when it starts block b
+    in state s. The walk reads the table as one ``bytes`` object and takes
+    one Python step per block: it appends the K states of its current
+    state's row and continues from the last of them. The joined states
+    are cut to m and read back as bytes.
     """
-    nxt = [row.tobytes() for row in successors]
-    walk = [0]
+    K = _block_length(m)
+    table = paths.tobytes()
+    width = paths.shape[1]
+    walk = [b"\0"]
     append = walk.append
     cur = 0
-    for t in range(m - 1):
-        cur = nxt[cur][t]
-        append(cur)
-    walk = np.frombuffer(bytes(walk), np.uint8).astype(np.int64)
+    for lo in range(0, m - 1, K):
+        at = cur * width + lo
+        seg = table[at : at + K]
+        append(seg)
+        cur = seg[-1]
+    walk = np.frombuffer(b"".join(walk), np.uint8, m).astype(np.int64)
     walk.flags.writeable = False
     return walk
 

@@ -8,10 +8,12 @@ each workload's call counts against ``expected_calls``; a refactor that
 moves an adversary call out of reach of the tracer fails that check.
 """
 import importlib.util
+import inspect
 import json
 import os
 import types
 
+import numpy as np
 import pytest
 
 import locpriv
@@ -79,3 +81,30 @@ def test_workload_call_counts_and_output(tmp_path, name):
     assert {fn: stats[fn]["calls"] if fn in stats else 0 for fn in expected} == expected
     golden = workloads.load_golden(ROOT, name)["entries"]["0"]
     assert workload.check(output, golden) is None
+
+
+def test_markov_walk_keeps_one_traced_call_per_user(monkeypatch):
+    # `audit-markov` expects U*T calls of sample_trajectory_markov, one per
+    # user and trial, each made through the markov module's attribute (where
+    # the tracer puts its wrapper), and reads the walk length from the
+    # call's second positional argument
+    from locpriv import markov
+
+    params = list(inspect.signature(markov.sample_trajectory_markov).parameters)
+    assert params[1] == "m"
+    calls = []
+    walk = markov.sample_trajectory_markov
+
+    def counted(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(markov, "sample_trajectory_markov", counted)
+    graph = markov.MobilityGraph(r=3, edges=[(0, 1), (1, 2), (2, 0), (2, 2)])
+    law = markov.expand_free_params([0.5], graph)
+    for n, m in ((1, 1), (5, 3), (7, 400)):
+        calls.clear()
+        walks = markov.MarkovModel(graph).sample_trajectories(
+            np.stack([law] * n), m, np.random.default_rng(0)
+        )
+        assert calls == [m] * n and len(walks) == n

@@ -13,6 +13,7 @@ from locpriv.markov import (
     MAX_MARKOV_STATES,
     MarkovModel,
     MobilityGraph,
+    _block_length,
     expand_free_params,
     fit_markov_profile,
     load_graph_csv,
@@ -355,6 +356,34 @@ def test_sample_trajectory_matches_stepwise_walk():
     with pytest.raises(ValueError, match="at least one observation"):
         MarkovModel(complete4).sample_trajectories(np.stack([law]), 0, rng)
     assert rng.bit_generator.state == before
+
+
+def test_block_walk_matches_stepwise_walk_at_block_edges():
+    # a walk of no step and of one step; then, for short and long block
+    # lengths K = _block_length(m) (20 is the cap, reached at m = 401),
+    # the first walk whose last block is full, one step long or one step
+    # short of full; and walks of 400 and 1000 observations
+    first = {}
+    for m in range(2, 1001):
+        K = _block_length(m)
+        first.setdefault((K, (m - 1) % K), m)
+    ms = {1, 2, 400, 1000}
+    for K in (2, 3, 4, 19, 20):
+        ms |= {first[K, 0], first[K, 1], first[K, K - 1]}
+    rng = np.random.default_rng(23)
+    graphs = [random_graph(rng, r) for r in range(1, 9)]
+    graphs.append(MobilityGraph(r=256, edges=[(i, j) for i in range(256) for j in range(256)]))
+    for g in graphs:
+        n = 2 if g.r == 256 else 3
+        laws = np.stack([_sparse_law(g, rng) for _ in range(n)])
+        for m in sorted(ms):
+            seed = int(rng.integers(2**32))
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = MarkovModel(g).sample_trajectories(laws, m, rng_got)
+            want = [sample_trajectory_markov_stepwise(T, m, rng_want) for T in laws]
+            assert all(w.dtype == np.int64 and not w.flags.writeable for w in got)
+            assert [w.tolist() for w in got] == [w.tolist() for w in want], (g.r, m)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_sample_trajectory_transition_frequencies():
