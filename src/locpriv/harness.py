@@ -8,8 +8,10 @@ byte. Sweeps run their trials serially on the calling thread.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -482,6 +484,15 @@ class TraceDataset:
     model: IidModel | MarkovModel
 
 
+_TRACE_HEADER = ["user_id", "time", "location"]
+
+# Longest time the array reader parses: 18 digits always fit an int64.
+_MAX_TIME_DIGITS = 18
+
+# _BYTE_MASKS[k] keeps the low k bytes of a little-endian 8-byte word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
 def ingest_traces(
     path: str,
     model_kind: str,
@@ -503,6 +514,12 @@ def ingest_traces(
     columns ignored; a bad row's error names its line, and an error found
     after reading names the user. The file is read as UTF-8, with or
     without a byte-order mark.
+
+    A file whose every data line is exactly ``user,time,location``, with
+    times of 1 to 18 ASCII digits, LF or CRLF line ends and no quoting, is
+    read in whole-file array passes. Any other file, and any file that
+    fails one of their checks, is read row by row with the csv module.
+    Both give the same dataset and laws, and raise the same errors.
     """
     if model_kind not in ("iid", "markov"):
         raise ConfigError("model must be iid or markov")
@@ -514,63 +531,35 @@ def ingest_traces(
         raise ConfigError("a graph is only meaningful for the markov model")
     if r is not None:
         _locations(r)
-    per_user: dict[str, list[str]] = {}  # user -> locations in time order
-    last_time: dict[str, int] = {}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            if [f.strip() for f in next(reader, [])] != ["user_id", "time", "location"]:
-                raise ConfigError("trace file must have header 'user_id,time,location'")
-
-            def bad(what: str) -> ConfigError:
-                return ConfigError(f"{what} on line {reader.line_num} of the trace file")
-
-            for row in reader:
-                if not row:  # blank line
-                    continue
-                uid = row[0]
-                try:
-                    t = int(row[1])
-                except IndexError:
-                    raise bad("non-integer time: none given") from None
-                except ValueError:
-                    raise bad(f"non-integer time {row[1]!r}") from None
-                if len(row) < 3 or row[2] == "":
-                    raise bad("missing location")
-                if uid in last_time:
-                    if t <= last_time[uid]:
-                        raise bad(
-                            f"times for user {uid!r} must be strictly increasing "
-                            f"({t} after {last_time[uid]})"
-                        )
-                    per_user[uid].append(row[2])
-                else:
-                    per_user[uid] = [row[2]]
-                last_time[uid] = t
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read traces: {exc}") from exc
-    if not per_user:
+    rows = _read_trace_array(path)
+    if rows is None:
+        rows = _read_trace_rows(path)
+    user_ids, labels, counts, codes = rows
+    if not user_ids:
         raise ConfigError("trace file has no rows")
 
     # Errors past this point name the user whose trace caused them.
+    ends = np.cumsum(counts)
+    first = np.full(len(labels), codes.size)  # each label's first row
+    np.minimum.at(first, codes, np.arange(codes.size))
+    state = np.empty(len(labels), dtype=np.int64)  # label code -> state
     label_map: dict[str, int] = {}
-    for uid, seq in per_user.items():
-        for loc in seq:
-            if loc in label_map:
-                continue
-            if model_kind == "iid":
-                label_map[loc] = len(label_map)
-                continue
-            try:
-                state = int(loc) - 1
-            except ValueError:
-                raise ConfigError(
-                    f"user {uid!r}: markov traces need 1-based integer state "
-                    f"labels, got {loc!r}"
-                ) from None
-            if not 0 <= state < graph.r:
-                raise ConfigError(f"user {uid!r}: state label {loc!r} outside 1..{graph.r}")
-            label_map[loc] = state
+    for code in np.argsort(first).tolist():  # labels as met user by user
+        loc = labels[code]
+        if model_kind == "iid":
+            state[code] = label_map[loc] = len(label_map)
+            continue
+        uid = user_ids[int(np.searchsorted(ends, first[code], side="right"))]
+        try:
+            value = int(loc) - 1
+        except ValueError:
+            raise ConfigError(
+                f"user {uid!r}: markov traces need 1-based integer state "
+                f"labels, got {loc!r}"
+            ) from None
+        if not 0 <= value < graph.r:
+            raise ConfigError(f"user {uid!r}: state label {loc!r} outside 1..{graph.r}")
+        state[code] = label_map[loc] = value
 
     if model_kind == "markov":
         model: object = MarkovModel(graph=graph)
@@ -581,23 +570,218 @@ def ingest_traces(
                 f"r={r_eff} too small for {len(label_map)} distinct locations"
             )
         model = IidModel(r=r_eff)
-    trajectories = tuple(
-        _readonly([label_map[loc] for loc in seq], np.int64)
-        for seq in per_user.values()
-    )
+    states = state[codes]
+    states.flags.writeable = False
+    trajectories = tuple(np.split(states, ends[:-1]))
     profiles = []
-    for uid, traj in zip(per_user, trajectories):
+    for uid, traj in zip(user_ids, trajectories):
         try:
             profiles.append(model.fit_profile(traj))
         except ValueError as exc:
             raise ConfigError(f"user {uid!r}: {exc}") from exc
     dataset = TraceDataset(
-        user_ids=tuple(per_user),
+        user_ids=tuple(user_ids),
         trajectories=trajectories,
         label_map=label_map,
         model=model,
     )
     return dataset, _readonly(profiles, float)
+
+
+def _read_trace_rows(path: str):
+    """Read a trace file row by row with the csv module.
+
+    Returns ``(user_ids, labels, counts, codes)``: the user ids in order of
+    first appearance, the distinct location labels in order of first
+    appearance, each user's row count, and every row's label code, user by
+    user and each user's rows in file order. Raises on the first bad row
+    in file order, naming its line.
+    """
+    users: dict[str, int] = {}  # user -> index
+    labels: dict[str, int] = {}  # location label -> code
+    seqs: list[list[int]] = []  # per user: label codes in time order
+    last_time: list[int] = []  # per user: latest time read
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+
+            def bad(what: str) -> ConfigError:
+                return ConfigError(f"{what} on line {reader.line_num} of the trace file")
+
+            try:
+                if [f.strip() for f in next(reader, [])] != _TRACE_HEADER:
+                    raise ConfigError("trace file must have header 'user_id,time,location'")
+                for row in reader:
+                    if not row:  # blank line
+                        continue
+                    uid = row[0]
+                    try:
+                        t = int(row[1])
+                    except IndexError:
+                        raise bad("non-integer time: none given") from None
+                    except ValueError:
+                        raise bad(f"non-integer time {row[1]!r}") from None
+                    if len(row) < 3 or row[2] == "":
+                        raise bad("missing location")
+                    code = labels.setdefault(row[2], len(labels))
+                    u = users.get(uid)
+                    if u is None:
+                        users[uid] = len(seqs)
+                        seqs.append([code])
+                        last_time.append(t)
+                        continue
+                    if t <= last_time[u]:
+                        raise bad(
+                            f"times for user {uid!r} must be strictly increasing "
+                            f"({t} after {last_time[u]})"
+                        )
+                    seqs[u].append(code)
+                    last_time[u] = t
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise bad(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read traces: {exc}") from exc
+    counts = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    codes = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, int(counts.sum()))
+    return list(users), list(labels), counts, codes
+
+
+def _read_trace_array(path: str):
+    """Read a trace file in whole-file array passes, as ``_read_trace_rows``
+    does; None when the file cannot be read, is outside the grammar this
+    reader takes or fails a check, so that the row reader decides it.
+
+    The grammar: UTF-8 with an optional byte-order mark, the header line,
+    then one or more data lines ``user,time,location`` ending in LF or
+    CRLF (the last may end the file instead), where the time is 1 to 18
+    ASCII digits, the location is not empty, no field is longer than
+    ``csv.field_size_limit()`` and the file holds no ``"``, NUL or bare CR.
+    Per-user times must rise strictly, and no field may be so long that
+    padding every row to it takes over four times the file's size.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    size = len(data)
+    buf = np.zeros(size + 8, dtype=np.uint8)  # the padding: see _number_fields
+    buf[:size] = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf[:size] == ord("\n"))
+    limit = csv.field_size_limit()
+    if not newlines.size or newlines[0] > limit:
+        return None
+    header = data[: newlines[0]].decode("utf-8")  # strip() below drops a CR
+    if [f.strip() for f in header.split(",")] != _TRACE_HEADER:
+        return None
+
+    # Data line i is buf[starts[i]:ends[i]], its line end left out. Per-row
+    # arrays are dropped once used: together they set the peak memory.
+    ends = np.append(newlines[1:], size)
+    starts = newlines + 1
+    del newlines
+    if starts[-1] == size:  # the file ends with a line end
+        starts, ends = starts[:-1], ends[:-1]
+    if not starts.size:
+        return None
+    ends -= buf[ends - 1] == ord("\r")
+    commas = np.flatnonzero(buf[starts[0] : size] == ord(",")) + starts[0]
+    if commas.size != 2 * starts.size:
+        return None
+    # 2L commas in all, and line i holds commas 2i and 2i + 1 when its user
+    # field has a length of at least 0 and its location at least 1: then
+    # each line holds exactly two.
+    first, second = commas[0::2], commas[1::2]
+    user_len = first - starts
+    loc_len = ends - second - 1
+    del ends
+    longest = int(max(user_len.max(), loc_len.max()))
+    if user_len.min() < 0 or loc_len.min() < 1 or longest > limit:
+        return None
+    # _number_fields pads every field to the longest one's 8-byte words: a
+    # field far longer than the average line would make that padding many
+    # times the file's size, which the row loop does not need.
+    if starts.size * (longest + 7) > 4 * size:
+        return None
+    times = _parse_times(buf, first + 1, second)
+    if times is None:
+        return None
+
+    user_ids, user_code = _number_fields(data, buf, starts, user_len)
+    labels, label_code = _number_fields(data, buf, second + 1, loc_len)
+    order = np.argsort(user_code, kind="stable")
+    times = times[order]
+    counts = np.bincount(user_code, minlength=len(user_ids))
+    rises = np.diff(times) > 0
+    rises[np.cumsum(counts)[:-1] - 1] = True  # a new user's first row
+    if not rises.all():
+        return None
+    return user_ids, labels, counts, label_code[order]
+
+
+def _parse_times(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The times ``buf[start:end]`` as int64, or None unless each is 1 to
+    ``_MAX_TIME_DIGITS`` ASCII digits."""
+    length = end - start
+    width = int(length.max())
+    if length.min() < 1 or width > _MAX_TIME_DIGITS:
+        return None
+    # Pass k reads digit k of every time right-aligned to the widest one;
+    # the bytes before a shorter time count as leading zeros. Each time
+    # lies past the header, so end - width stays inside the buffer.
+    lead = width - length
+    times = np.zeros(start.size, dtype=np.int64)
+    for k in range(width):
+        digit = np.where(lead <= k, buf[end - width + k] - np.uint8(ord("0")), 0)
+        if digit.max() > 9:  # a non-digit: the subtraction wrapped
+            return None
+        times *= 10
+        times += digit
+    return times
+
+
+def _number_fields(data: bytes, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The distinct fields among ``data[start:start + length]``, decoded, in
+    order of first appearance, and each field's index among them.
+
+    Each field is read as little-endian 8-byte words, zero past its end;
+    since no field holds a NUL, equal words mean equal fields. Runs of
+    equal consecutive fields are found with one compare, and only the run
+    heads are sorted to number the distinct fields.
+    """
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    width = max(1, -(-int(length.max()) // 8))
+    keys = np.empty((start.size, width), dtype=np.uint64)
+    for w in range(width):
+        offset = np.minimum(start + 8 * w, words.size - 1)
+        np.bitwise_and(words[offset], _BYTE_MASKS[np.clip(length - 8 * w, 0, 8)], out=keys[:, w])
+    keys = keys.view(np.dtype((np.void, 8 * width)))[:, 0] if width > 1 else keys[:, 0]
+    heads = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    order = np.argsort(keys[heads])
+    keys = keys[heads[order]]
+    groups = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    seen = np.minimum.reduceat(order, groups)  # each distinct field's first run
+    rank = np.argsort(np.argsort(seen))  # ... numbered in order of first appearance
+    head_code = np.empty(heads.size, dtype=np.intp)
+    head_code[order] = np.repeat(rank, np.diff(np.append(groups, heads.size)))
+    codes = np.repeat(head_code, np.diff(np.append(heads, start.size)))
+    at = heads[np.sort(seen)]
+    fields = [
+        data[a : a + n].decode("utf-8")
+        for a, n in zip(start[at].tolist(), length[at].tolist())
+    ]
+    return fields, codes
 
 
 def audit(

@@ -329,28 +329,31 @@ def load_graph_csv(path: str) -> MobilityGraph:
     byte-order mark."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        if [f.strip() for f in next(reader, [])] != ["from", "to", "free"]:
-            raise ValueError("must have header 'from,to,free'")
         flags: dict[tuple[int, int], str] = {}  # edge -> free flag, in file order
 
         def bad(what: str) -> ValueError:
             return ValueError(f"{what} on line {reader.line_num}")
 
-        for row in reader:
-            if not row:  # blank line
-                continue
-            try:
-                i, j = int(row[0]) - 1, int(row[1]) - 1
-            except (IndexError, ValueError):
-                raise bad(f"from and to must be integer labels, got {row[:2]!r}") from None
-            if min(i, j) < 0:
-                raise bad(f"edge ({i + 1}, {j + 1}) has a label below 1")
-            flag = row[2].strip().lower() if len(row) > 2 else ""
-            if flag not in ("0", "1", "auto"):
-                raise bad(f"free flag must be 0, 1 or auto, got {flag!r}")
-            if (i, j) in flags:
-                raise bad(f"edge ({i + 1}, {j + 1}) is listed twice")
-            flags[i, j] = flag
+        try:
+            if [f.strip() for f in next(reader, [])] != ["from", "to", "free"]:
+                raise ValueError("must have header 'from,to,free'")
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                try:
+                    i, j = int(row[0]) - 1, int(row[1]) - 1
+                except (IndexError, ValueError):
+                    raise bad(f"from and to must be integer labels, got {row[:2]!r}") from None
+                if min(i, j) < 0:
+                    raise bad(f"edge ({i + 1}, {j + 1}) has a label below 1")
+                flag = row[2].strip().lower() if len(row) > 2 else ""
+                if flag not in ("0", "1", "auto"):
+                    raise bad(f"free flag must be 0, 1 or auto, got {flag!r}")
+                if (i, j) in flags:
+                    raise bad(f"edge ({i + 1}, {j + 1}) is listed twice")
+                flags[i, j] = flag
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise bad(str(exc)) from exc
     if not flags:
         raise ValueError("has no edges")
     edges = tuple(flags)

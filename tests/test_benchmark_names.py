@@ -108,3 +108,25 @@ def test_markov_walk_keeps_one_traced_call_per_user(monkeypatch):
             np.stack([law] * n), m, np.random.default_rng(0)
         )
         assert calls == [m] * n and len(walks) == n
+
+
+@pytest.mark.parametrize("trace", ["audit-markov", "demo_traces.csv"])
+def test_trace_files_take_the_array_reader(tmp_path, monkeypatch, trace):
+    # `audit-markov` times the array reader; a change that sent its file,
+    # or the shipped demo file, to the csv row loop would show only as a
+    # slower benchmark
+    from locpriv import harness
+
+    def row_loop(path):
+        raise AssertionError(f"{path} went to the row loop")
+
+    monkeypatch.setattr(harness, "_read_trace_rows", row_loop)
+    if trace == "audit-markov":
+        graph_path, path, _ = workloads.WORKLOADS[trace].prepare(ROOT, str(tmp_path), 0)
+        graph = locpriv.markov.load_graph_csv(graph_path)
+        dataset, _ = harness.ingest_traces(path, "markov", graph=graph)
+        assert len(dataset.user_ids) == workloads.WORKLOADS[trace].users
+    else:
+        path = os.path.join(ROOT, "configs", trace)
+        dataset, _ = harness.ingest_traces(path, "iid")
+        assert len(dataset.user_ids) == 3

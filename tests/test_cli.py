@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -656,6 +657,28 @@ def test_audit_traces_that_are_not_utf8_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: cannot read traces: 'utf-8' codec can't decode" in err
 
+
+
+@pytest.mark.parametrize("bad_file", ["traces", "graph"])
+def test_audit_field_over_the_csv_limit_exits_2(tmp_path, capsys, bad_file):
+    # csv.Error is no ValueError; it once escaped as a runtime error (exit 1)
+    # that named neither the file nor the line
+    limit = csv.field_size_limit()
+    huge = "x" * (limit + 1)
+    traces = tmp_path / "t.csv"
+    argv = ["audit", "--traces", str(traces), "--n", "10", "--alpha-margin", "0.1"]
+    if bad_file == "traces":
+        traces.write_text(f"user_id,time,location\nu1,1,{huge}\n")
+        argv += ["--model", "iid"]
+        expected = f"field larger than field limit ({limit}) on line 2 of the trace file"
+    else:
+        traces.write_text("user_id,time,location\nu1,1,1\nu1,2,2\n")
+        graph = tmp_path / "g.csv"
+        graph.write_text(f"from,to,free\n1,2,{huge}\n")
+        argv += ["--model", "markov", "--graph", str(graph)]
+        expected = f"graph file: field larger than field limit ({limit}) on line 2"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"locpriv: config error: {expected}\n"
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     config = tmp_path / "c.json"

@@ -1,6 +1,9 @@
+import codecs
+import csv
 import hashlib
 import json
 import os
+import random
 import threading
 
 import numpy as np
@@ -25,7 +28,7 @@ from locpriv.harness import (
     substream_seed,
     write_results_csv,
 )
-from locpriv.markov import MarkovModel
+from locpriv.markov import MarkovModel, MobilityGraph
 from locpriv.metrics import simulate_attack_trial
 from locpriv.mobility import IidModel
 
@@ -871,6 +874,29 @@ def test_trace_and_config_files_may_start_with_a_byte_order_mark(tmp_path):
     assert config == load_config(os.path.join(CONFIGS, "iid2_sweep.json"))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the first bad label met user by user, at a user's first row
+        (
+            "u1,1,1\nu2,1,x\nu1,2,2\n",
+            "user 'u2': markov traces need 1-based integer state labels, got 'x'",
+        ),
+        (
+            "u1,1,1\nu2,1,1\nu1,2,4\nu2,2,0\n",
+            "user 'u1': state label '4' outside 1..3",
+        ),
+        ("u1,1,1\nu1,2,2\nu2,1,04\nu2,2,3\n", "user 'u2': state label '04' outside 1..3"),
+    ],
+)
+def test_ingest_traces_markov_label_errors_name_the_user(tmp_path, body, message):
+    path = tmp_path / "m.csv"
+    path.write_text("user_id,time,location\n" + body)
+    with pytest.raises(ConfigError) as info:
+        ingest_traces(str(path), "markov", graph=three_state_graph())
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("r", [6.5, 7.0, True], ids=["6.5", "7.0", "true"])
 def test_ingest_traces_rejects_r_that_is_not_a_count(r):
     # the same rule parse_config applies: 7.0 is not a count, and true is
@@ -878,6 +904,168 @@ def test_ingest_traces_rejects_r_that_is_not_a_count(r):
     path = os.path.join(CONFIGS, "demo_traces.csv")
     with pytest.raises(ConfigError, match="r must be an integer >= 2"):
         ingest_traces(path, "iid", r=r)
+
+
+# Both trace readers: the whole-file array reader, and the csv row loop
+# that takes every file outside its grammar. They must agree exactly.
+
+COMPLETE_GRAPH = MobilityGraph(r=3, edges=[(i, j) for i in range(3) for j in range(3)])
+# Users and labels of 8 or more bytes that differ only in their eighth
+# or ninth byte, since the array reader compares fields 8 bytes at a time.
+TRACE_USERS = ["u1", "u2", " u3 ", "", "ü-4", "user-id1", "user-id2", "user-id-longer-than-16-bytes"]
+TRACE_LABELS = {
+    "iid": ["home", "work", "café", "東京駅", "a", "a ", "station1", "station2", "station10", "1", "01"],
+    # "1" and "01" are distinct label_map keys for the same state
+    "markov": ["1", "2", "3", "01", "003"],
+}
+
+
+def ingest_both(path, kind):
+    """ingest_traces through the array reader, then through the row loop:
+    each side's (dataset, laws), or the (type, message) it raised."""
+    graph = COMPLETE_GRAPH if kind == "markov" else None
+    outcomes = []
+    for rows_only in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_only:
+                patch.setattr(harness, "_read_trace_array", lambda path: None)
+            try:
+                outcomes.append(ingest_traces(str(path), kind, graph=graph))
+            except ConfigError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def assert_same_ingest(array, rows):
+    if not isinstance(rows[0], harness.TraceDataset):
+        assert array == rows
+        return
+    assert isinstance(array[0], harness.TraceDataset), array
+    (dataset, laws), (expected, expected_laws) = array, rows
+    assert dataset.user_ids == expected.user_ids
+    assert list(dataset.label_map.items()) == list(expected.label_map.items())
+    assert dataset.model == expected.model
+    assert len(dataset.trajectories) == len(expected.trajectories)
+    for traj, want in zip(dataset.trajectories, expected.trajectories):
+        assert traj.dtype == want.dtype == np.int64
+        assert not traj.flags.writeable and not want.flags.writeable
+        assert traj.tobytes() == want.tobytes()
+    assert laws.dtype == expected_laws.dtype and laws.shape == expected_laws.shape
+    assert laws.tobytes() == expected_laws.tobytes()
+
+
+def good_trace_lines(rng, kind):
+    """Data lines of a good trace file: users interleaved, each user's times
+    rising, with gaps and sometimes leading zeros."""
+    per_user = []
+    for uid in rng.sample(TRACE_USERS, rng.randint(1, 5)):
+        t = rng.randint(0, 10 ** rng.randint(1, 13))
+        lines = []
+        for _ in range(rng.randint(2, 8)):
+            time = str(t).zfill(rng.choice([0, 0, 6]))
+            lines.append(f"{uid},{time},{rng.choice(TRACE_LABELS[kind])}")
+            t += rng.randint(1, 10 ** rng.randint(0, 4))
+        per_user.append(lines)
+    out = []
+    while per_user:
+        i = rng.randrange(len(per_user))
+        out.append(per_user[i].pop(0))
+        if not per_user[i]:
+            del per_user[i]
+    return out
+
+
+def write_trace_lines(path, lines, rng, header=None):
+    """A trace file of these data lines, with LF or CRLF line ends, with or
+    without a final line end and a byte-order mark. Lone surrogates stand
+    for bytes that are not UTF-8."""
+    eol = rng.choice(["\n", "\r\n"])
+    if header is None:
+        header = rng.choice(["user_id,time,location", " user_id , time,location "])
+    text = eol.join([header, *lines]) + rng.choice(["", eol])
+    data = text.encode("utf-8", "surrogateescape")
+    path.write_bytes(codecs.BOM_UTF8 + data if rng.random() < 0.3 else data)
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+def test_trace_readers_agree_on_good_files(tmp_path, kind):
+    for seed in range(40):
+        rng = random.Random(seed)
+        path = tmp_path / f"good-{seed}.csv"
+        write_trace_lines(path, good_trace_lines(rng, kind), rng)
+        assert harness._read_trace_array(str(path)) is not None, path.read_bytes()
+        array, rows = ingest_both(path, kind)
+        assert isinstance(rows[0], harness.TraceDataset), rows
+        assert_same_ingest(array, rows)
+
+
+# Rows outside the array reader's grammar or failing one of its checks;
+# some of them (blank, extra columns, quoted, padded) are good for the row
+# loop. {loc} is a location that is good for the model.
+BAD_TRACE_ROWS = {
+    "short": "u1,5",
+    # two commas per line on average, but not on each line
+    "extra columns, then short": "u1,999999999999,{loc},note\nu1,5",
+    "four commas, then none": "u1,999999999999,{loc},5,{loc}\nu1",
+    "user only": "u1",
+    "blank": "",
+    "extra columns": "u1,999999999999,{loc},note",
+    "quoted": '"u1",999999999999,"{loc}"',
+    "bad time": "u1,noon,{loc}",
+    "empty time": "u1,,{loc}",
+    "padded time": "u1, 999999999999,{loc}",
+    "plus time": "u1,+999999999999,{loc}",
+    "underscore time": "u1,999_999_999_999,{loc}",
+    "non-ascii digits": "u1,٩٩٩٩٩٩٩٩٩٩٩٩٩,{loc}",
+    "19-digit time": "u1,1234567890123456789,{loc}",
+    "negative time": "u1,-5,{loc}",
+    "missing location": "u1,999999999999,",
+    "nul": "u1,999999999999,{loc}\0",
+    "bare cr": "u1,999999999999,{loc}\rtail",
+    "not utf-8": "u1,999999999999,caf\udce9",
+    "bad markov label": "u1,999999999999,x",
+    "markov label off the graph": "u1,999999999999,4",
+}
+
+
+def test_trace_array_reader_leaves_a_file_with_one_long_field_to_the_row_loop(tmp_path):
+    # the array reader pads every field to the longest one: one 10,000-byte
+    # label among 1,000 rows would pad the label keys to 10 MB
+    path = tmp_path / "long.csv"
+    rows = [f"u{i % 7},{i},{'home' if i != 500 else 'x' * 10_000}" for i in range(1000)]
+    path.write_text("user_id,time,location\n" + "\n".join(rows) + "\n")
+    assert harness._read_trace_array(str(path)) is None
+    assert_same_ingest(*ingest_both(path, "iid"))
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+@pytest.mark.parametrize(
+    "bad", [*BAD_TRACE_ROWS, "repeated time", "falling time", "huge field", "huge header field"]
+)
+def test_trace_readers_agree_on_bad_rows(tmp_path, kind, bad):
+    for seed in range(6):
+        rng = random.Random(seed)
+        lines = good_trace_lines(rng, kind)
+        at = rng.randint(0, len(lines))
+        header = None
+        if bad in ("repeated time", "falling time"):
+            # a later row of some user, at or before one of its times
+            i = rng.randrange(len(lines))
+            uid, time, loc = lines[i].split(",")
+            time = int(time) - (bad == "falling time")
+            at = rng.randint(i + 1, len(lines))
+            rows = [f"{uid},{time},{loc}"]
+        elif bad == "huge field":
+            rows = ["u1,5," + "x" * (csv.field_size_limit() + 1)]
+        elif bad == "huge header field":
+            # strip() would take the padding off, but csv rejects the field
+            header, rows = " " * csv.field_size_limit() + " user_id,time,location", []
+        else:
+            rows = BAD_TRACE_ROWS[bad].format(loc=rng.choice(TRACE_LABELS[kind][:3])).split("\n")
+        lines[at:at] = rows
+        path = tmp_path / f"bad-{seed}.csv"
+        write_trace_lines(path, lines, rng, header)
+        assert_same_ingest(*ingest_both(path, kind))
 
 
 def test_audit_iid_thresholds(tmp_path):
